@@ -1,8 +1,9 @@
 # Correctness gate for the lock-free BST repro. `make ci` is the full
 # tier: formatting, vet, build, the unit suite, a race pass over the
 # packages with real concurrency (the arena-backed core, the epoch
-# reclamation domain, the public API, the network serving layer, and the
-# durability stack), the deterministic serve smoke test (one shed, one
+# reclamation domain, the public API, the network serving layer, the
+# durability stack, the order-statistics index, the flight recorder, the
+# client and the fault-injecting proxy), the deterministic serve smoke test (one shed, one
 # capacity refusal, one graceful drain, one batch/pipelining stage on a
 # real socket), a short batched-operation linearizability round, the
 # crash-stress durability gate (kill -9 a durable fsync server mid-load,
@@ -42,9 +43,13 @@ build:
 test:
 	$(GO) test ./...
 
+# Two invocations, so the second set never shares the CPU with
+# ./internal/core's long race run (internal/forest is raced by shard-smoke).
 race:
 	$(GO) test -race . ./internal/core ./internal/reclaim ./internal/server \
 		./internal/wal ./internal/snapshot ./internal/durable
+	$(GO) test -race ./internal/orderstat ./internal/rtrace ./internal/client \
+		./internal/netchaos
 
 serve-smoke:
 	$(GO) run ./cmd/bstserve -smoke

@@ -253,6 +253,9 @@ func New(opts ...Option) *Tree {
 					panic(fmt.Sprintf("bst: %v", err))
 				}
 				t.agg = agg
+				if reg != nil {
+					reg.AddHook(agg.MetricsHook)
+				}
 			}
 		} else {
 			ct := core.New(core.Config{Capacity: cfg.capacity, Reclaim: cfg.reclaim,
@@ -264,6 +267,9 @@ func New(opts ...Option) *Tree {
 					panic(fmt.Sprintf("bst: %v", err))
 				}
 				t.ix = ix
+				if reg != nil {
+					reg.AddHook(ix.MetricsHook)
+				}
 			}
 		}
 	case NatarajanMittalBoxed:

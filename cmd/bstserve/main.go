@@ -155,6 +155,11 @@ func main() {
 	// log tail. Without it the tree is memory-only, exactly as before.
 	var dur *durable.Tree
 	var tree *bst.Tree
+	reg := metrics.NewRegistry(0)
+	if rec != nil {
+		reg.AddHook(rec.MetricsHook)
+	}
+	cfg.Metrics = reg
 	if *dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(*syncPolicy)
 		if err != nil {
@@ -177,22 +182,15 @@ func main() {
 		fmt.Printf("bstserve: recovered %s — %d snapshot keys + %d WAL ops replayed in %v (snapshot %q, %d corrupt skipped)\n",
 			*dataDir, rs.SnapshotKeys, rs.ReplayedOps, time.Since(start).Round(time.Millisecond),
 			rs.SnapshotPath, rs.CorruptSnapshots)
-		reg := metrics.NewRegistry(0)
 		reg.AddHook(dur.MetricsHook)
-		if rec != nil {
-			reg.AddHook(rec.MetricsHook)
-		}
 		cfg.Store = dur
-		cfg.Metrics = reg
+		tree = dur.Underlying()
 	} else {
 		tree = bst.New(opts...)
 		cfg.Tree = tree
-		if rec != nil {
-			// Memory-only servers still export trace phase aggregates.
-			reg := metrics.NewRegistry(0)
-			reg.AddHook(rec.MetricsHook)
-			cfg.Metrics = reg
-		}
+	}
+	if *orderStats {
+		reg.AddHook(func(s *metrics.Snapshot) { tree.ExportOrderStatsMetrics(s.External, s.Gauges) })
 	}
 
 	// Replication rides the durable store's WAL: a node with a replication

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -26,24 +27,38 @@ import (
 // — every Exact Rank/CountRange answer must land inside that window, with
 // no quiescing. A final quiescent phase then checks exact agreement
 // against a fresh Scan (count, rank, and spot-checked Select).
+//
+// Each layout runs twice. In the free-running phase the workers mutate
+// nonstop, so their key logs overflow and most waves walk the whole tree.
+// In the paced phase each worker owns an accessor and mutates a small hot
+// corner of its block in bursts far shorter than its key log, one burst
+// per completed query, over a static population: the waves then rescan
+// only the touched buckets, and the phase fails unless some did.
 func aggregateRound(workers int, seed uint64) error {
 	for _, sharded := range []bool{false, true} {
-		if err := aggregateConfigRound(workers, seed, sharded); err != nil {
-			name := "single"
-			if sharded {
-				name = "sharded"
+		for _, paced := range []bool{false, true} {
+			if err := aggregateConfigRound(workers, seed, sharded, paced); err != nil {
+				name := "single"
+				if sharded {
+					name = "sharded"
+				}
+				if paced {
+					name += " paced"
+				}
+				return fmt.Errorf("%s: %w", name, err)
 			}
-			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return nil
 }
 
-func aggregateConfigRound(workers int, seed uint64, sharded bool) error {
+func aggregateConfigRound(workers int, seed uint64, sharded, paced bool) error {
 	const (
 		blockSize = 4096 // keys per worker block
 		opsPerW   = 20000
 		queries   = 400
+		hotKeys   = 256 // paced: the keys at the bottom of its block a worker mutates
+		burst     = 16  // paced: mutations per worker between two completed queries
 	)
 	span := int64(workers) * blockSize
 	opts := []bst.Option{
@@ -55,6 +70,37 @@ func aggregateConfigRound(workers int, seed uint64, sharded bool) error {
 	tr := bst.New(opts...)
 	defer tr.Close()
 
+	// The paced phase's static population: the rest of every block,
+	// inserted before the workers start and never touched again — in
+	// shuffled order, since ascending inserts would build a spine.
+	var static int64
+	if paced {
+		var ks []int64
+		for w := int64(0); w < int64(workers); w++ {
+			for k := w*blockSize + hotKeys; k < (w+1)*blockSize; k++ {
+				ks = append(ks, k)
+			}
+		}
+		rand.New(rand.NewSource(int64(seed))).Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+		for _, k := range ks {
+			tr.Insert(k)
+		}
+		static = int64(len(ks))
+	}
+	// Paced workers wait after each burst until the query loop has
+	// completed a check since the burst began, so at most a few bursts land
+	// between two waves. Every tick releases every waiting worker, so the
+	// query loop's wait for their next mutation below always ends.
+	var tickMu sync.Mutex
+	tickCond := sync.NewCond(&tickMu)
+	tick, stopped := 0, false
+	nextTick := func() {
+		tickMu.Lock()
+		tick++
+		tickMu.Unlock()
+		tickCond.Broadcast()
+	}
+
 	var insIssued, insAcked, delIssued, delAcked atomic.Int64
 	var wg sync.WaitGroup
 	var workerErr atomic.Value
@@ -64,13 +110,20 @@ func aggregateConfigRound(workers int, seed uint64, sharded bool) error {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(seed)*1000 + int64(w)))
-			lo := int64(w) * blockSize
-			present := make(map[int64]bool, blockSize)
-			for i := 0; i < opsPerW; i++ {
-				k := lo + rng.Int63n(blockSize)
+			lo, keys := int64(w)*blockSize, int64(blockSize)
+			insert, del := tr.Insert, tr.Delete
+			if paced {
+				acc := tr.NewAccessor()
+				defer acc.Close()
+				keys, insert, del = hotKeys, acc.Insert, acc.Delete
+			}
+			present := make(map[int64]bool, keys)
+			since := 0 // paced: the tick the current burst began at
+			for i := 1; paced || i <= opsPerW; i++ {
+				k := lo + rng.Int63n(keys)
 				if !present[k] {
 					insIssued.Add(1)
-					if !tr.Insert(k) {
+					if !insert(k) {
 						workerErr.Store(fmt.Errorf("insert of absent owned key %d returned false", k))
 						return
 					}
@@ -78,17 +131,38 @@ func aggregateConfigRound(workers int, seed uint64, sharded bool) error {
 					present[k] = true
 				} else {
 					delIssued.Add(1)
-					if !tr.Delete(k) {
+					if !del(k) {
 						workerErr.Store(fmt.Errorf("delete of present owned key %d returned false", k))
 						return
 					}
 					delAcked.Add(1)
 					present[k] = false
 				}
+				if paced && i%burst == 0 {
+					tickMu.Lock()
+					for tick == since && !stopped {
+						tickCond.Wait()
+					}
+					since = tick
+					stop := stopped
+					tickMu.Unlock()
+					if stop {
+						return
+					}
+				}
 			}
 		}(w)
 	}
 	go func() { wg.Wait(); close(done) }()
+	// Stop and join the workers before the tree closes, on every path.
+	stopWorkers := func() {
+		tickMu.Lock()
+		stopped = true
+		tickMu.Unlock()
+		tickCond.Broadcast()
+		wg.Wait()
+	}
+	defer stopWorkers()
 
 	qrng := rand.New(rand.NewSource(int64(seed) * 7919))
 	checked := 0
@@ -111,7 +185,7 @@ func aggregateConfigRound(workers int, seed uint64, sharded bool) error {
 			return err
 		}
 		iIns, iDel := insIssued.Load(), delIssued.Load()
-		lo, hi := aIns-iDel, iIns-aDel
+		lo, hi := static+aIns-iDel, static+iIns-aDel
 		if int64(n) < lo || int64(n) > hi {
 			return fmt.Errorf("exact CountRange = %d outside linearizability window [%d, %d]", n, lo, hi)
 		}
@@ -119,11 +193,32 @@ func aggregateConfigRound(workers int, seed uint64, sharded bool) error {
 			return fmt.Errorf("exact Rank = %d outside linearizability window [%d, %d]", r, lo, hi)
 		}
 		checked++
-		_ = qrng
+		if !paced {
+			continue
+		}
+		// Release one more burst and let it start before the next query,
+		// so the queries keep finding mutations to refresh.
+		issued := insIssued.Load() + delIssued.Load()
+		nextTick()
+		for insIssued.Load()+delIssued.Load() == issued {
+			select {
+			case <-done:
+				return fmt.Errorf("paced workers stopped: %v", workerErr.Load())
+			default:
+				runtime.Gosched()
+			}
+		}
 	}
-	wg.Wait()
+	stopWorkers()
 	if e := workerErr.Load(); e != nil {
 		return e.(error)
+	}
+	if paced {
+		c := map[string]uint64{}
+		tr.ExportOrderStatsMetrics(c, map[string]float64{})
+		if waves, full := c["orderstat_waves_total"], c["orderstat_full_waves_total"]; waves == full {
+			return fmt.Errorf("all %d refresh waves walked the whole tree: no incremental wave ran", waves)
+		}
 	}
 
 	// Quiescent: aggregate answers agree exactly with a fresh scan.
@@ -136,7 +231,7 @@ func aggregateConfigRound(workers int, seed uint64, sharded bool) error {
 	if n != len(keys) {
 		return fmt.Errorf("quiescent CountRange = %d, scan found %d", n, len(keys))
 	}
-	if net := insAcked.Load() - delAcked.Load(); int64(n) != net {
+	if net := static + insAcked.Load() - delAcked.Load(); int64(n) != net {
 		return fmt.Errorf("quiescent count %d != acked net %d", n, net)
 	}
 	for t := 0; t < 32 && len(keys) > 0; t++ {

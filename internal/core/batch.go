@@ -566,7 +566,7 @@ func (h *Handle) batchInsertOne(key uint64, rec seekRecord, useRec bool) (bool, 
 		if childAddr.CompareAndSwap(atomicx.Pack(leaf, false, false), atomicx.Pack(ni, false, false)) {
 			h.Stats.CASSucceeded++
 			h.spareInternal, h.spareLeaf = 0, 0
-			h.bumpDirty()
+			h.bumpDirty(key)
 			return true, skipped, nil
 		}
 		h.Stats.CASFailed++
@@ -646,7 +646,7 @@ func (h *Handle) batchDeleteOne(key uint64, rec seekRecord) (bool, int) {
 				h.Stats.CASSucceeded++
 				mode = cleanupMode
 				if h.cleanup(key, sr) {
-					h.bumpDirty()
+					h.bumpDirty(key)
 					return true, skipped
 				}
 			} else {
@@ -665,11 +665,11 @@ func (h *Handle) batchDeleteOne(key uint64, rec seekRecord) (bool, int) {
 			}
 		} else {
 			if sr.leaf != leaf {
-				h.bumpDirty()
+				h.bumpDirty(key)
 				return true, skipped // a helper finished our delete
 			}
 			if h.cleanup(key, sr) {
-				h.bumpDirty()
+				h.bumpDirty(key)
 				return true, skipped
 			}
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -72,5 +74,122 @@ func TestDirtySurvivesHandleChurn(t *testing.T) {
 	wg.Wait()
 	if got := tr.Dirty().Total(); got != workers*each {
 		t.Fatalf("total after handle churn = %d, want %d", got, workers*each)
+	}
+}
+
+// TestDirtyDrainReturnsBumpedKeys pins the key log the incremental
+// order-statistics waves rely on: a drain returns exactly the keys of the
+// mutations counted since the previous drain — from live and closed
+// handles — with the same total Total reports, and a handle that laps its
+// ring is reported as overflow rather than as a partial key set.
+func TestDirtyDrainReturnsBumpedKeys(t *testing.T) {
+	tr := New(Config{Capacity: 1 << 16, Reclaim: true, TrackDirty: true})
+	defer tr.Close()
+	d := tr.Dirty()
+	drain := func() ([]uint64, uint64, bool) {
+		ks, total, overflow := d.Drain(nil)
+		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+		return ks, total, overflow
+	}
+
+	h1, h2 := tr.NewHandle(), tr.NewHandle()
+	var want []uint64
+	for i := int64(0); i < 40; i++ {
+		h := h1
+		if i%2 == 1 {
+			h = h2
+		}
+		if !h.Insert(keys.Map(i)) {
+			t.Fatalf("insert %d failed", i)
+		}
+		want = append(want, keys.Map(i))
+	}
+	h1.Insert(keys.Map(0)) // duplicate: not a mutation, not logged
+	h2.Delete(keys.Map(3))
+	want = append(want, keys.Map(3))
+	h2.Close() // its log must survive until the next drain
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+
+	got, total, overflow := drain()
+	if overflow || total != uint64(len(want)) || total != d.Total() {
+		t.Fatalf("drain: total %d overflow %v, want total %d (Total %d) and no overflow",
+			total, overflow, len(want), d.Total())
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("drained keys\n got %v\nwant %v", got, want)
+	}
+	if got, total2, overflow := drain(); len(got) != 0 || overflow || total2 != total {
+		t.Fatalf("second drain returned %d keys (overflow %v, total %d), want none", len(got), overflow, total2)
+	}
+
+	// DirtyRing mutations without a drain lap the ring.
+	for i := int64(0); i < DirtyRing; i++ {
+		h1.Insert(keys.Map(1000 + i))
+	}
+	if _, total, overflow := drain(); !overflow || total != d.Total() {
+		t.Fatalf("lapped ring: overflow %v total %d, want overflow and total %d", overflow, total, d.Total())
+	}
+	// The lapped positions are consumed: the next burst drains cleanly.
+	h1.Delete(keys.Map(1000))
+	if got, _, overflow := drain(); overflow || !slices.Equal(got, []uint64{keys.Map(1000)}) {
+		t.Fatalf("after overflow: drained %v overflow %v, want the one delete", got, overflow)
+	}
+	h1.Close()
+}
+
+// TestDirtyDrainRacesWriters drains while writers mutate in bursts shorter
+// than the ring: every mutation's key comes back from exactly one drain
+// (run it under -race: the ring stores and drain loads must not race).
+func TestDirtyDrainRacesWriters(t *testing.T) {
+	tr := New(Config{Capacity: 1 << 20, Reclaim: true, TrackDirty: true})
+	defer tr.Close()
+	d := tr.Dirty()
+	const writers, bursts, burst = 2, 50, DirtyRing / 4
+	var wg sync.WaitGroup
+	drained := make(chan struct{}, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := tr.NewHandle()
+			defer h.Close()
+			for b := 0; b < bursts; b++ {
+				for i := 0; i < burst; i++ {
+					h.Insert(keys.Map(int64((w*bursts+b)*burst + i)))
+				}
+				<-drained // pace: at most one burst logged per drain
+			}
+		}(w)
+	}
+	seen := map[uint64]int{}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		ks, _, overflow := d.Drain(nil)
+		if overflow {
+			t.Fatal("paced writers overflowed a ring")
+		}
+		for _, u := range ks {
+			seen[u]++
+		}
+		for w := 0; w < writers; w++ {
+			select {
+			case drained <- struct{}{}:
+			default:
+			}
+		}
+	}
+	if len(seen) != writers*bursts*burst {
+		t.Fatalf("drains returned %d distinct keys, want %d", len(seen), writers*bursts*burst)
+	}
+	for u, n := range seen {
+		if n != 1 {
+			t.Fatalf("key %d drained %d times", keys.Unmap(u), n)
+		}
 	}
 }

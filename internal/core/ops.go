@@ -122,8 +122,9 @@ type Handle struct {
 	mmask uint64
 
 	// ds is this handle's private dirty shard (Config.TrackDirty);
-	// successful mutations bump it before returning so the orderstat
-	// layer can tell whether its cached summaries have been overtaken.
+	// successful mutations bump it, logging their key, before returning so
+	// the orderstat layer can tell whether its cached summaries have been
+	// overtaken and which key ranges to rescan.
 	ds *DirtyShard
 
 	// stepHook, when non-nil, is invoked immediately before every atomic
@@ -178,14 +179,14 @@ func (h *Handle) Close() {
 	runtime.SetFinalizer(h, nil)
 }
 
-// bumpDirty records one successful mutation on the handle's dirty shard.
-// It must run before the mutating call returns: the orderstat layer's
-// exactness test is "no completed mutation is uncounted", which holds
-// precisely because the bump happens on the completing goroutine between
-// the linearization point and the return.
-func (h *Handle) bumpDirty() {
+// bumpDirty records one successful mutation of key on the handle's dirty
+// shard. It must run before the mutating call returns: the orderstat
+// layer's exactness test is "no completed mutation is uncounted", which
+// holds precisely because the bump happens on the completing goroutine
+// between the linearization point and the return.
+func (h *Handle) bumpDirty(key uint64) {
 	if h.ds != nil {
-		h.ds.Bump()
+		h.ds.Bump(key)
 	}
 }
 
@@ -477,7 +478,7 @@ func (h *Handle) tryInsert(key uint64) (bool, error) {
 			h.spareInternal, h.spareLeaf = 0, 0
 			h.unpin()
 			h.Stats.Inserts++
-			h.bumpDirty()
+			h.bumpDirty(key)
 			return true, nil
 		}
 		h.Stats.CASFailed++
@@ -563,7 +564,7 @@ func (h *Handle) delete(key uint64) bool {
 				if h.cleanup(key, sr) {
 					h.unpin()
 					h.Stats.Deletes++
-					h.bumpDirty()
+					h.bumpDirty(key)
 					return true
 				}
 			} else {
@@ -586,13 +587,13 @@ func (h *Handle) delete(key uint64) bool {
 			if sr.leaf != leaf {
 				h.unpin()
 				h.Stats.Deletes++
-				h.bumpDirty()
+				h.bumpDirty(key)
 				return true
 			}
 			if h.cleanup(key, sr) {
 				h.unpin()
 				h.Stats.Deletes++
-				h.bumpDirty()
+				h.bumpDirty(key)
 				return true
 			}
 		}

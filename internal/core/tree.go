@@ -112,9 +112,10 @@ type Config struct {
 	// When nil every instrumentation site costs one nil check.
 	Metrics *metrics.Registry
 	// TrackDirty gives every handle a private sharded mutation counter
-	// (see dirty.go) that successful inserts and deletes bump before
-	// returning. The order-statistics layer (internal/orderstat) reads
-	// the total to decide whether its cached summaries are still exact.
+	// and key log (see dirty.go) that successful inserts and deletes bump
+	// before returning. The order-statistics layer (internal/orderstat)
+	// reads the total to decide whether its cached summaries are still
+	// exact, and drains the keys to decide which ranges to rescan.
 	// When false the hot paths pay one nil check per successful mutation.
 	TrackDirty bool
 }
@@ -398,7 +399,8 @@ func (t *Tree) Metrics() *metrics.Registry { return t.met }
 
 // Dirty returns the tree's mutation counter, or nil when the tree was
 // built without Config.TrackDirty. The order-statistics layer compares
-// Total() across a summary rebuild to decide whether the summary is exact.
+// Total() against a summary's token to decide whether the summary is
+// exact, and Drains the logged keys to refresh only what changed.
 func (t *Tree) Dirty() *DirtyCounter { return t.dirty }
 
 // Close retires the tree's reclamation domain (when reclamation is on):

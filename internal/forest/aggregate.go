@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"repro/internal/metrics"
 	"repro/internal/orderstat"
 )
 
@@ -138,5 +139,13 @@ func (a *Aggregates) Visit(lo, hi uint64, exact bool, maxDirty uint64, yield fun
 		if stop {
 			return
 		}
+	}
+}
+
+// MetricsHook folds every shard index's refresh telemetry into a registry
+// snapshot; the shards' values sum into one set of bst_orderstat_* series.
+func (a *Aggregates) MetricsHook(s *metrics.Snapshot) {
+	for _, ix := range a.ix {
+		ix.MetricsHook(s)
 	}
 }

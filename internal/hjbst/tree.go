@@ -63,11 +63,24 @@ func newNode(key uint64) *node {
 	return n
 }
 
+// isEmpty reports whether a child pointer holds no node: nil (a child that
+// was never filled) or an empty marker (see childCASOp.empty), the only
+// nodes whose op is nil.
+func isEmpty(n *node) bool { return n == nil || n.op.Load() == nil }
+
 // childCASOp records an in-progress child-pointer swing on a flagged node.
 type childCASOp struct {
 	isLeft           bool
 	expected, update *node
 	flagged, done    *opRef // shared CAS targets for all helpers
+	// empty is the marker a swing that empties the child installs instead
+	// of nil. Helpers apply CAS(child, expected, update) whenever they saw
+	// the op flagged, so one arriving after the op finished must never find
+	// expected again: nodes are never reused, and with a fresh marker per
+	// emptying swing a child never returns to an earlier "empty" value
+	// either (with nil it could, and a stale insert helper would then
+	// resurrect a deleted node and make a later insert's swing fail).
+	empty node
 }
 
 // Relocation states.
@@ -172,9 +185,12 @@ retry:
 	next := curr.right.Load()
 	lastRight, lastRightOp := curr, currOp
 	for next != nil {
+		nextOp := next.op.Load()
+		if nextOp == nil {
+			break // an empty marker: no child here
+		}
 		pred, predOp = curr, currOp
-		curr = next
-		currOp = curr.op.Load()
+		curr, currOp = next, nextOp
 		if currOp.kind != kindNone {
 			h.Stats.Helps++
 			h.help(pred, predOp, curr, currOp)
@@ -256,7 +272,7 @@ func (h *Handle) Delete(key uint64) bool {
 			h.Stats.Deletes++
 			return false
 		}
-		if curr.right.Load() == nil || curr.left.Load() == nil {
+		if isEmpty(curr.right.Load()) || isEmpty(curr.left.Load()) {
 			// At most one child: mark (permanent), then splice out.
 			markRef := &opRef{kind: kindMark}
 			h.Stats.RefsAlloc++
@@ -313,16 +329,17 @@ func (h *Handle) helpChildCAS(op *childCASOp, dest *node) {
 	h.cas(dest.op.CompareAndSwap(op.flagged, op.done))
 }
 
-// helpMarked splices a marked node out: its single child (or nil) replaces
-// it in its parent via a fresh ChildCASOp on the parent.
+// helpMarked splices a marked node out: its single child (or a fresh empty
+// marker) replaces it in its parent via a fresh ChildCASOp on the parent.
 func (h *Handle) helpMarked(pred *node, predOp *opRef, curr *node) {
-	var newRef *node
-	if l := curr.left.Load(); l != nil {
-		newRef = l
-	} else {
+	newRef := curr.left.Load()
+	if isEmpty(newRef) {
 		newRef = curr.right.Load()
 	}
 	op := &childCASOp{isLeft: curr == pred.left.Load(), expected: curr, update: newRef}
+	if isEmpty(newRef) {
+		op.update = &op.empty
+	}
 	op.flagged = &opRef{kind: kindChildCAS, cc: op}
 	op.done = &opRef{kind: kindNone, cc: op}
 	h.Stats.OpAlloc++
@@ -396,7 +413,7 @@ func (t *Tree) Space() SpaceStats {
 	var s SpaceStats
 	var walk func(n *node)
 	walk = func(n *node) {
-		if n == nil {
+		if isEmpty(n) {
 			return
 		}
 		s.TotalNodes++
@@ -417,7 +434,7 @@ func (t *Tree) Space() SpaceStats {
 
 // Keys visits user keys in ascending order (quiescent only).
 func (t *Tree) Keys(yield func(uint64) bool) {
-	if r := t.root.right.Load(); r != nil {
+	if r := t.root.right.Load(); !isEmpty(r) {
 		t.visit(r, yield)
 	}
 }
@@ -428,13 +445,13 @@ func (t *Tree) Keys(yield func(uint64) bool) {
 // skipped while their children — at most one — are still descended.
 func (t *Tree) visit(n *node, yield func(uint64) bool) bool {
 	marked := n.op.Load().kind == kindMark
-	if l := n.left.Load(); l != nil && !t.visit(l, yield) {
+	if l := n.left.Load(); !isEmpty(l) && !t.visit(l, yield) {
 		return false
 	}
 	if k := n.key.Load(); !marked && !keys.IsSentinel(k) && !yield(k) {
 		return false
 	}
-	if r := n.right.Load(); r != nil && !t.visit(r, yield) {
+	if r := n.right.Load(); !isEmpty(r) && !t.visit(r, yield) {
 		return false
 	}
 	return true
@@ -450,11 +467,11 @@ func (t *Tree) Audit() error {
 	if k := t.root.key.Load(); k != keys.Inf2 {
 		return fmt.Errorf("root key corrupted: %#x", k)
 	}
-	if l := t.root.left.Load(); l != nil {
+	if l := t.root.left.Load(); !isEmpty(l) {
 		return fmt.Errorf("root grew a left child")
 	}
 	r := t.root.right.Load()
-	if r == nil {
+	if isEmpty(r) {
 		return nil
 	}
 	return t.audit(r, 0, keys.Inf2-1)
@@ -473,13 +490,13 @@ func (t *Tree) audit(n *node, lo, hi uint64) error {
 		// longer participates in ordering but must still route its (single)
 		// child consistently.
 		l, r := n.left.Load(), n.right.Load()
-		if l != nil && r != nil {
+		if !isEmpty(l) && !isEmpty(r) {
 			return fmt.Errorf("marked node %#x has two children", k)
 		}
 	default:
 		return fmt.Errorf("reachable node %#x has transient op kind %d in quiescent tree", k, op.kind)
 	}
-	if l := n.left.Load(); l != nil {
+	if l := n.left.Load(); !isEmpty(l) {
 		hiL := hi
 		if k != 0 && k-1 < hiL {
 			hiL = k - 1
@@ -488,7 +505,7 @@ func (t *Tree) audit(n *node, lo, hi uint64) error {
 			return err
 		}
 	}
-	if r := n.right.Load(); r != nil {
+	if r := n.right.Load(); !isEmpty(r) {
 		loR := lo
 		if k+1 > loR {
 			loR = k + 1

@@ -51,8 +51,10 @@ type Rule struct {
 	// (0 = unlimited), modeled as a per-chunk sleep.
 	BandwidthBPS int
 	// DropAfterBytes hard-closes a connection once it has forwarded this
-	// many bytes in total, both directions combined (0 = never). Models a
-	// link that dies mid-transfer — snapshot ships, catch-up replays.
+	// many bytes in total, both directions combined (0 = never): the chunk
+	// that reaches the budget is forwarded only up to it, then the link
+	// closes. Models a link that dies mid-transfer — snapshot ships,
+	// catch-up replays.
 	DropAfterBytes int64
 }
 
@@ -129,7 +131,9 @@ func (p *Proxy) Sever() {
 	p.mu.Unlock()
 }
 
-// BytesForwarded reports total forwarded traffic (up, down).
+// BytesForwarded reports total forwarded traffic (up, down). A chunk is
+// counted before it is written, so bytes a peer has received are always
+// included.
 func (p *Proxy) BytesForwarded() (up, down int64) {
 	return p.bytesUp.Load(), p.bytesDown.Load()
 }
@@ -226,15 +230,18 @@ func (p *Proxy) pump(src, dst net.Conn, up bool, total *atomic.Int64, done chan<
 				if r.BandwidthBPS > 0 {
 					time.Sleep(time.Duration(float64(nr) / float64(r.BandwidthBPS) * float64(time.Second)))
 				}
-				if _, werr := dst.Write(buf[:nr]); werr != nil {
-					return
-				}
+				n, last := reserve(total, int64(nr), r.DropAfterBytes)
 				if up {
-					p.bytesUp.Add(int64(nr))
+					p.bytesUp.Add(n)
 				} else {
-					p.bytesDown.Add(int64(nr))
+					p.bytesDown.Add(n)
 				}
-				if n := total.Add(int64(nr)); r.DropAfterBytes > 0 && n >= r.DropAfterBytes {
+				if n > 0 {
+					if _, werr := dst.Write(buf[:n]); werr != nil {
+						return
+					}
+				}
+				if last {
 					src.Close()
 					dst.Close()
 					return
@@ -243,6 +250,25 @@ func (p *Proxy) pump(src, dst net.Conn, up bool, total *atomic.Int64, done chan<
 		}
 		if err != nil {
 			return
+		}
+	}
+}
+
+// reserve claims up to n bytes of a connection's forwarding budget, shared
+// by both directions: it returns how many of them may be forwarded, and
+// last when the budget is spent and the link must close after them. A
+// budget of 0 is unlimited. The claim is one CAS, so the two pumps can
+// never forward more than the budget between them.
+func reserve(total *atomic.Int64, n, budget int64) (int64, bool) {
+	if budget <= 0 {
+		total.Add(n)
+		return n, false
+	}
+	for {
+		cur := total.Load()
+		grant := min(n, max(budget-cur, 0))
+		if total.CompareAndSwap(cur, cur+grant) {
+			return grant, cur+grant >= budget
 		}
 	}
 }

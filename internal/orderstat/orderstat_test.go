@@ -2,6 +2,7 @@ package orderstat
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -115,14 +116,14 @@ func TestExactReusesCleanSummary(t *testing.T) {
 		tree.Insert(keys.Map(int64(i)))
 	}
 	s1 := ix.Acquire(true, 0)
-	w := ix.Waves()
+	w := ix.Stats().Waves
 	for i := 0; i < 10; i++ {
 		if got := ix.Acquire(true, 0); got != s1 {
 			t.Fatalf("quiescent exact query %d rebuilt the summary", i)
 		}
 	}
-	if ix.Waves() != w {
-		t.Fatalf("quiescent exact queries ran %d extra waves", ix.Waves()-w)
+	if ix.Stats().Waves != w {
+		t.Fatalf("quiescent exact queries ran %d extra waves", ix.Stats().Waves-w)
 	}
 	tree.Delete(keys.Map(int64(3)))
 	s2 := ix.Acquire(true, 0)
@@ -147,12 +148,12 @@ func TestBoundedStaleBound(t *testing.T) {
 	const budget = 64
 	// Mutate fewer than budget keys: the stale summary must still be served
 	// (no wave), and its counts sit within budget of the live truth.
-	w := ix.Waves()
+	w := ix.Stats().Waves
 	for i := 0; i < budget-1; i++ {
 		tree.Insert(keys.Map(int64(n + i)))
 	}
 	stale := ix.Acquire(false, budget)
-	if ix.Waves() != w {
+	if ix.Stats().Waves != w {
 		t.Fatalf("BoundedStale(%d) refreshed with only %d mutations pending", budget, budget-1)
 	}
 	liveCount := n + budget - 1
@@ -164,7 +165,7 @@ func TestBoundedStaleBound(t *testing.T) {
 	tree.Insert(keys.Map(int64(n + budget - 1)))
 	tree.Insert(keys.Map(int64(n + budget)))
 	fresh := ix.Acquire(false, budget)
-	if ix.Waves() == w {
+	if ix.Stats().Waves == w {
 		t.Fatalf("BoundedStale(%d) served a summary %d mutations stale", budget, budget+1)
 	}
 	if fresh.Len() != n+budget+1 {
@@ -224,4 +225,185 @@ func TestExactUnderConcurrentChurn(t *testing.T) {
 			t.Fatalf("exact count %d outside monotone window [%d, %d]", got, lowerBound, upperBound)
 		}
 	}
+}
+
+// walkAll returns the tree's keys by a fresh full walk (quiescent).
+func walkAll(h *core.Handle) []uint64 {
+	var ks []uint64
+	h.Range(0, keys.Map(keys.MaxUser), func(u uint64) bool {
+		ks = append(ks, u)
+		return true
+	})
+	return ks
+}
+
+// checkSummary asserts the bucket directory's invariants and that its
+// keys are exactly want.
+func checkSummary(t *testing.T, s *Summary, want []uint64) {
+	t.Helper()
+	nb := len(s.buckets)
+	if nb == 0 || len(s.lo) != nb || len(s.cumCount) != nb+1 || len(s.cumSum) != nb+1 {
+		t.Fatalf("directory shape: %d buckets, %d bounds, %d/%d cumulative entries",
+			nb, len(s.lo), len(s.cumCount), len(s.cumSum))
+	}
+	if s.lo[0] != 0 || s.cumCount[0] != 0 || s.cumSum[0] != 0 {
+		t.Fatalf("directory does not start at the bottom of the key space: lo[0]=%d", s.lo[0])
+	}
+	var got []uint64
+	for j, b := range s.buckets {
+		if j > 0 && s.lo[j] <= s.lo[j-1] {
+			t.Fatalf("bucket %d bound %d not above bucket %d bound %d", j, s.lo[j], j-1, s.lo[j-1])
+		}
+		if n := len(b.keys); nb > 1 && (n < minBucket || n > maxBucket) {
+			t.Fatalf("bucket %d of %d holds %d keys, outside [%d, %d]", j, nb, n, minBucket, maxBucket)
+		}
+		if want := (len(b.keys) + sumStride - 1) / sumStride; len(b.sums) != want {
+			t.Fatalf("bucket %d: %d sums for %d keys, want %d", j, len(b.sums), len(b.keys), want)
+		}
+		var sum int64
+		for i, u := range b.keys {
+			if u < s.lo[j] || (j+1 < nb && u >= s.lo[j+1]) {
+				t.Fatalf("bucket %d key %d outside its range [%d, %d)", j, u, s.lo[j], s.lo[min(j+1, nb-1)])
+			}
+			sum += keys.Unmap(u)
+			if (i+1)%sumStride == 0 || i+1 == len(b.keys) {
+				if got := b.sums[i/sumStride]; got != sum {
+					t.Fatalf("bucket %d sums[%d] = %d, want %d", j, i/sumStride, got, sum)
+				}
+			}
+		}
+		if s.cumCount[j+1] != s.cumCount[j]+len(b.keys) || s.cumSum[j+1] != s.cumSum[j]+sum {
+			t.Fatalf("cumulative arrays disagree with bucket %d", j)
+		}
+		got = append(got, b.keys...)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("summary holds %d keys, full walk %d (first difference at %d)",
+			len(got), len(want), firstDiff(got, want))
+	}
+}
+
+func firstDiff(a, b []uint64) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestIncrementalWavesMatchFullWalk drives waves through every path —
+// incremental rescans, the lapped-ring fallback, a closed handle's log,
+// splits and merges — and after every wave compares the summary with a
+// fresh full walk and checks the bucket invariants. The index counters
+// pin which path each wave took.
+func TestIncrementalWavesMatchFullWalk(t *testing.T) {
+	tree, ix := newTracked(t)
+	h := tree.NewHandle()
+	defer h.Close()
+	walker := tree.NewHandle()
+	defer walker.Close()
+	rng := rand.New(rand.NewSource(11))
+	const span = 1_000_000
+	// Keys on a stride of 50 leave room inside every bucket's range;
+	// shuffled, since ascending inserts would build a spine.
+	for _, i := range rng.Perm(span / 50) {
+		h.Insert(keys.Map(int64(i) * 50))
+	}
+	wave := func(name string, wantFull bool) Stats {
+		t.Helper()
+		before := ix.Stats()
+		s := ix.Acquire(true, 0)
+		after := ix.Stats()
+		if after.Waves != before.Waves+1 {
+			t.Fatalf("%s: ran %d waves, want 1", name, after.Waves-before.Waves)
+		}
+		if full := after.FullWaves == before.FullWaves+1; full != wantFull {
+			t.Fatalf("%s: full walk = %v, want %v (rescanned %d buckets)",
+				name, full, wantFull, after.BucketsRescanned-before.BucketsRescanned)
+		}
+		if !wantFull && after.BucketsRescanned == before.BucketsRescanned {
+			t.Fatalf("%s: incremental wave rescanned no bucket", name)
+		}
+		checkSummary(t, s, walkAll(walker))
+		return after
+	}
+	wave("first wave", true)
+
+	for round := 0; round < 30; round++ {
+		switch round % 5 {
+		case 0: // a random burst smaller than the ring
+			for i := 0; i < 32; i++ {
+				k := keys.Map(int64(rng.Intn(span)))
+				if rng.Intn(2) == 0 {
+					h.Insert(k)
+				} else {
+					h.Delete(k)
+				}
+			}
+			wave("small burst", false)
+		case 1: // a burst larger than the ring: the overflow fallback
+			for i := 0; i < core.DirtyRing+1; i++ {
+				h.Insert(keys.Map(int64(rng.Intn(span))))
+			}
+			wave("lapped ring", true)
+		case 2: // a handle that mutates and closes before the wave
+			hc := tree.NewHandle()
+			for i := 0; i < 20; i++ {
+				hc.Insert(keys.Map(int64(rng.Intn(span))))
+			}
+			hc.Close()
+			wave("closed handle", false)
+		case 3: // a burst into one bucket's range: split
+			s := ix.Acquire(true, 0)
+			j := rng.Intn(len(s.buckets) - 1)
+			lo, hi := keys.Unmap(s.lo[j]), keys.Unmap(s.lo[j+1])
+			n, want, nb := 0, maxBucket+1-len(s.buckets[j].keys), len(s.buckets)
+			for k := lo; k < hi && n < want; k++ {
+				if h.Insert(keys.Map(k)) {
+					n++
+				}
+			}
+			if n < want {
+				t.Fatalf("bucket %d's range [%d, %d) took only %d new keys", j, lo, hi, n)
+			}
+			if st := wave("split", false); st.Buckets <= nb {
+				t.Fatalf("split: %d buckets after the wave, %d before", st.Buckets, nb)
+			}
+		case 4: // deletes that empty one bucket: merge
+			s := ix.Acquire(true, 0)
+			j := rng.Intn(len(s.buckets))
+			for _, u := range s.buckets[j].keys {
+				h.Delete(u)
+			}
+			nb := len(s.buckets)
+			if st := wave("merge", false); st.Buckets >= nb {
+				t.Fatalf("merge: %d buckets after the wave, %d before", st.Buckets, nb)
+			}
+		}
+	}
+}
+
+// TestSmallTreeBuckets covers the single-bucket regime: a summary of one
+// bucket may hold fewer than minBucket keys, including none.
+func TestSmallTreeBuckets(t *testing.T) {
+	tree, ix := newTracked(t)
+	walker := tree.NewHandle()
+	defer walker.Close()
+	checkSummary(t, ix.Acquire(false, 0), nil)
+	for i := int64(0); i < 10; i++ {
+		tree.Insert(keys.Map(i))
+	}
+	checkSummary(t, ix.Acquire(true, 0), walkAll(walker))
+	for i := int64(0); i < 10; i++ {
+		tree.Delete(keys.Map(i))
+		checkSummary(t, ix.Acquire(true, 0), walkAll(walker))
+	}
+	for i := int64(0); i < 3*maxBucket; i++ {
+		tree.Insert(keys.Map(i))
+		if i%37 == 0 {
+			checkSummary(t, ix.Acquire(true, 0), walkAll(walker))
+		}
+	}
+	checkSummary(t, ix.Acquire(true, 0), walkAll(walker))
 }

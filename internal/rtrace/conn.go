@@ -71,8 +71,8 @@ func (c *Conn) Close() {
 		}
 	}
 	c.r.free = append(c.r.free, c.ring)
+	c.ring = nil // under mu: Snapshot reads a listed conn's ring under it
 	c.r.mu.Unlock()
-	c.ring = nil
 }
 
 // ID returns the connection's recorder-assigned ID (0 on nil).

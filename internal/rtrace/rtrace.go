@@ -409,18 +409,16 @@ func (r *Recorder) Snapshot() []Span {
 		return nil
 	}
 	out := r.shared.snapshot(nil)
+	// Collect the rings under mu: Close detaches a conn's ring under it.
 	r.mu.Lock()
-	conns := append([]*Conn(nil), r.conns...)
-	free := append([]*ring(nil), r.free...)
-	r.mu.Unlock()
-	seen := make(map[*ring]bool, len(conns)+len(free))
-	for _, c := range conns {
-		if c.ring != nil && !seen[c.ring] {
-			seen[c.ring] = true
-			out = c.ring.snapshot(out)
-		}
+	rings := make([]*ring, 0, len(r.conns)+len(r.free))
+	for _, c := range r.conns {
+		rings = append(rings, c.ring)
 	}
-	for _, rg := range free {
+	rings = append(rings, r.free...)
+	r.mu.Unlock()
+	seen := make(map[*ring]bool, len(rings))
+	for _, rg := range rings {
 		if !seen[rg] {
 			seen[rg] = true
 			out = rg.snapshot(out)

@@ -229,3 +229,36 @@ func TestSampledPathAllocs(t *testing.T) {
 		t.Fatalf("disabled path allocates %.1f per request, want 0", allocs)
 	}
 }
+
+// TestSnapshotRacesClose scrapes while connections close (run under
+// -race: Close detaches a conn's ring while Snapshot may be reading which
+// ring that conn holds). The requests end before the race starts, so no
+// span is written while Snapshot copies: the test isolates Close.
+func TestSnapshotRacesClose(t *testing.T) {
+	r := New(Options{SampleEvery: 1})
+	conns := make([]*Conn, 200)
+	for i := range conns {
+		conns[i] = r.NewConn()
+		conns[i].StartRequest(Context{}, 1, int64(i))
+		conns[i].EndRequest()
+	}
+	want := len(r.Snapshot())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if got := len(r.Snapshot()); got != want {
+				t.Fatalf("closing every conn changed the snapshot from %d spans to %d", want, got)
+			}
+			return
+		default:
+			r.Snapshot()
+		}
+	}
+}

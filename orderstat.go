@@ -5,19 +5,22 @@ import (
 	"fmt"
 
 	"repro/internal/keys"
+	"repro/internal/metrics"
 )
 
 // Order statistics & range aggregates. WithOrderStatistics attaches a
 // lazily-refreshed augmentation layer (internal/orderstat) to the default
 // NatarajanMittal tree — sharded or not — so rank, select, count-in-range
 // and sum-in-range answer in O(log n) instead of an O(range) scan.
-// Writers pay one nil-checked counter bump per successful mutation; no
-// atomic is added to the lock-free hot paths. Every query names its
-// consistency: Exact answers are equivalent to an epoch-pinned scan at
-// the query's linearization point (forcing a summary refresh wave when
-// mutations have completed since the last one), BoundedStale(m) accepts
-// answers at most m completed mutations old in exchange for never paying
-// a wave. See DESIGN.md §15 for the protocol and its staleness bounds.
+// Writers pay one nil-checked counter bump per successful mutation, which
+// also logs the key so a refresh rescans only the key ranges that changed;
+// no atomic read-modify-write is added to the lock-free hot paths. Every
+// query names its consistency: Exact answers are equivalent to an
+// epoch-pinned scan at the query's linearization point (forcing a summary
+// refresh wave when mutations have completed since the last one),
+// BoundedStale(m) accepts answers at most m completed mutations old in
+// exchange for never paying a wave. See DESIGN.md §15 for the protocol
+// and its staleness bounds.
 
 // ErrNoOrderStats is returned by the aggregate queries when the tree was
 // built without WithOrderStatistics (or with an algorithm other than
@@ -166,6 +169,25 @@ func (t *Tree) ScanIndexed(from, to int64, c Consistency, yield func(key int64) 
 		return nil
 	}
 	return ErrNoOrderStats
+}
+
+// ExportOrderStatsMetrics adds the order-statistics refresh telemetry to
+// counters and gauges, under the series names Metrics reports when the
+// tree has WithMetrics (without the "bst_" prefix the exporters add):
+// orderstat_waves_total, orderstat_full_waves_total,
+// orderstat_buckets_rescanned_total, orderstat_keys_walked_total,
+// orderstat_wave_nanos_total, orderstat_served_total and the
+// orderstat_buckets gauge, summed over shards. A server that keeps its own
+// metrics registry calls it from a registry hook. A no-op on a tree
+// without WithOrderStatistics.
+func (t *Tree) ExportOrderStatsMetrics(counters map[string]uint64, gauges map[string]float64) {
+	s := metrics.Snapshot{External: counters, Gauges: gauges}
+	switch {
+	case t.ix != nil:
+		t.ix.MetricsHook(&s)
+	case t.agg != nil:
+		t.agg.MetricsHook(&s)
+	}
 }
 
 // clampRange normalizes an inclusive user-key range the way Scan does:

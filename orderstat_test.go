@@ -271,3 +271,48 @@ func TestBoundedStaleBudgetPublic(t *testing.T) {
 		t.Fatalf("exact count = %d, want %d", got, 1000+budget)
 	}
 }
+
+// TestOrderStatsMetrics checks the refresh telemetry: on a WithMetrics
+// tree the wave counters and the bucket gauge reach Metrics (summed over
+// shards on a forest), they move only when a query runs a wave, and
+// ExportOrderStatsMetrics hands the same series to a foreign registry.
+func TestOrderStatsMetrics(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		tr := bst.New(bst.WithOrderStatistics(), bst.WithReclamation(), bst.WithMetrics(0),
+			bst.WithShards(shards))
+		for k := int64(0); k < 5000; k++ {
+			tr.Insert(k * 7)
+		}
+		if _, err := tr.CountRange(0, 1000, bst.Exact); err != nil {
+			t.Fatal(err)
+		}
+		m := tr.Metrics()
+		if m.Counters["orderstat_waves_total"] == 0 || m.Counters["orderstat_keys_walked_total"] < 5000 ||
+			m.Counters["orderstat_wave_nanos_total"] == 0 || m.Gauges["orderstat_buckets"] < 5000/256 {
+			t.Fatalf("shards=%d: wave telemetry missing after a wave: %v %v", shards, m.Counters, m.Gauges)
+		}
+		for i := 0; i < 10; i++ { // cached: only the served counter moves
+			tr.CountRange(0, 1000, bst.Exact)
+		}
+		d := tr.Metrics().Sub(m)
+		if d.Counters["orderstat_waves_total"] != 0 || d.Counters["orderstat_served_total"] < 10 {
+			t.Fatalf("shards=%d: cached queries moved waves by %d, served by %d",
+				shards, d.Counters["orderstat_waves_total"], d.Counters["orderstat_served_total"])
+		}
+		tr.Delete(7)
+		tr.CountRange(0, 1000, bst.Exact)
+		d = tr.Metrics().Sub(m)
+		if d.Counters["orderstat_waves_total"] == 0 || d.Counters["orderstat_buckets_rescanned_total"] == 0 ||
+			d.Counters["orderstat_full_waves_total"] != 0 {
+			t.Fatalf("shards=%d: one delete should run an incremental wave: %v", shards, d.Counters)
+		}
+
+		counters, gauges := map[string]uint64{}, map[string]float64{}
+		tr.ExportOrderStatsMetrics(counters, gauges)
+		if m := tr.Metrics(); counters["orderstat_waves_total"] != m.Counters["orderstat_waves_total"] ||
+			gauges["orderstat_buckets"] != m.Gauges["orderstat_buckets"] {
+			t.Fatalf("shards=%d: export %v %v disagrees with Metrics", shards, counters, gauges)
+		}
+		tr.Close()
+	}
+}
