@@ -3,7 +3,8 @@
 # packages with real concurrency (the arena-backed core, the epoch
 # reclamation domain, the public API, the network serving layer, the
 # durability stack, the order-statistics index, the flight recorder, the
-# client and the fault-injecting proxy), the deterministic serve smoke test (one shed, one
+# client, the wire codec and the fault-injecting proxy), the deterministic
+# serve smoke test (one shed, one
 # capacity refusal, one graceful drain, one batch/pipelining stage on a
 # real socket), a short batched-operation linearizability round, the
 # crash-stress durability gate (kill -9 a durable fsync server mid-load,
@@ -49,7 +50,7 @@ race:
 	$(GO) test -race . ./internal/core ./internal/reclaim ./internal/server \
 		./internal/wal ./internal/snapshot ./internal/durable
 	$(GO) test -race ./internal/orderstat ./internal/rtrace ./internal/client \
-		./internal/netchaos
+		./internal/netchaos ./internal/wire
 
 serve-smoke:
 	$(GO) run ./cmd/bstserve -smoke

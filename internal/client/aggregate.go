@@ -2,19 +2,18 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	bst "repro"
-	"repro/internal/rtrace"
 	"repro/internal/wire"
 )
 
 // Order-statistics queries over the wire. Each maps to one OpAggregate
-// frame through the same retry loop as the point operations; the server
-// answers from its lazily-refreshed summary (bst.WithOrderStatistics), so
-// a count over a million-key range costs one frame and an O(log n)
-// lookup, not a streamed range. A server whose store has no index answers
+// frame through the same retry loop and status table as the point
+// operations; the server answers from its lazily-refreshed summary
+// (bst.WithOrderStatistics), so a count over a million-key range costs one
+// frame and an O(log n) lookup, not a streamed range. A server whose store has no index answers
 // StatusNoIndex, surfaced as bst.ErrNoOrderStats — permanent, don't retry.
 
 // Consistency names the freshness an aggregate query demands, mirroring
@@ -34,128 +33,35 @@ func (c Consistency) mode() uint8 {
 
 // Rank returns the number of keys strictly less than key.
 func (cl *Client) Rank(ctx context.Context, key int64, c Consistency) (int64, error) {
-	return cl.doAggregate(ctx, wire.AggregateRequest{Kind: wire.AggRank, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: key})
+	return cl.aggregate(ctx, wire.AggregateRequest{Kind: wire.AggRank, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: key})
 }
 
 // Select returns the i-th smallest key (0-based); an index outside
 // [0, count) answers bst.ErrSelectOutOfRange.
 func (cl *Client) Select(ctx context.Context, i int64, c Consistency) (int64, error) {
-	return cl.doAggregate(ctx, wire.AggregateRequest{Kind: wire.AggSelect, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: i})
+	v, err := cl.aggregate(ctx, wire.AggregateRequest{Kind: wire.AggSelect, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: i})
+	if errors.Is(err, bst.ErrKeyOutOfRange) {
+		// The wire's out-of-range status names the index here.
+		err = fmt.Errorf("%w: %d", bst.ErrSelectOutOfRange, i)
+	}
+	return v, err
 }
 
 // CountRange returns the number of keys in [lo, hi], inclusive.
 func (cl *Client) CountRange(ctx context.Context, lo, hi int64, c Consistency) (int64, error) {
-	return cl.doAggregate(ctx, wire.AggregateRequest{Kind: wire.AggCount, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: lo, To: hi})
+	return cl.aggregate(ctx, wire.AggregateRequest{Kind: wire.AggCount, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: lo, To: hi})
 }
 
 // SumRange returns the sum of the keys in [lo, hi], inclusive.
 func (cl *Client) SumRange(ctx context.Context, lo, hi int64, c Consistency) (int64, error) {
-	return cl.doAggregate(ctx, wire.AggregateRequest{Kind: wire.AggSum, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: lo, To: hi})
+	return cl.aggregate(ctx, wire.AggregateRequest{Kind: wire.AggSum, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: lo, To: hi})
 }
 
-// doAggregate runs one aggregate query through the retry loop — the same
-// status policy as do, minus statuses aggregates cannot receive (an
-// aggregate is a read, so NotLeader/Fenced redirects only happen when an
-// operator points the client at a bouncing cluster; they are handled all
-// the same) plus the StatusNoIndex terminal.
-func (cl *Client) doAggregate(ctx context.Context, req wire.AggregateRequest) (int64, error) {
-	cl.stats.requests.Add(1)
-	if req.Trace == (rtrace.Context{}) {
-		req.Trace = cl.cfg.Trace.SampleNext()
+// aggregate runs one aggregate query through the single-op retry loop.
+func (cl *Client) aggregate(ctx context.Context, q wire.AggregateRequest) (int64, error) {
+	x := call{req: wire.Request{Op: wire.OpAggregate, Key: q.Key}, agg: q}
+	if err := cl.do(ctx, &x, 0, nil); err != nil {
+		return 0, err
 	}
-	if req.Trace.Sampled() {
-		start := time.Now()
-		defer cl.cfg.Trace.Span(req.Trace, rtrace.KClientSend, start, req.Key)
-	}
-	var lastErr error
-	for attempt := 0; attempt < cl.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			cl.stats.retries.Add(1)
-			cl.cfg.Trace.Event(req.Trace, rtrace.KRetry, int64(attempt))
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		req.ID = cl.id.Add(1)
-		req.DeadlineMS = deadlineMS(ctx)
-
-		resp, err := cl.roundTripAggregate(ctx, req)
-		if err != nil {
-			cl.stats.transport.Add(1)
-			cl.noteBackpressure()
-			lastErr = err
-			if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-				return 0, fmt.Errorf("%w (last transport error: %v)", context.Cause(ctx), err)
-			}
-			continue
-		}
-
-		switch resp.Status {
-		case wire.StatusOK:
-			cl.noteSuccess()
-			return resp.Value, nil
-		case wire.StatusOverloaded:
-			cl.stats.sheds.Add(1)
-			cl.noteBackpressure()
-			lastErr = ErrOverloaded
-			if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-				return 0, fmt.Errorf("%w after shed", context.Cause(ctx))
-			}
-		case wire.StatusDraining:
-			cl.stats.drains.Add(1)
-			cl.noteBackpressure()
-			lastErr = ErrDraining
-			if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-				return 0, fmt.Errorf("%w during server drain", context.Cause(ctx))
-			}
-		case wire.StatusNoIndex:
-			return 0, fmt.Errorf("%w (server store)", bst.ErrNoOrderStats)
-		case wire.StatusKeyOutOfRange:
-			if req.Kind == wire.AggSelect {
-				return 0, fmt.Errorf("%w: %d", bst.ErrSelectOutOfRange, req.Key)
-			}
-			return 0, fmt.Errorf("%w: key %d", bst.ErrKeyOutOfRange, req.Key)
-		case wire.StatusDeadlineExceeded:
-			return 0, fmt.Errorf("%w: server reported budget exhausted", ErrDeadline)
-		case wire.StatusInternal:
-			return 0, ErrInternal
-		default:
-			return 0, fmt.Errorf("%w: status %v", ErrBadRequest, resp.Status)
-		}
-	}
-	return 0, fmt.Errorf("client: %d attempts exhausted: %w", cl.cfg.MaxAttempts, lastErr)
-}
-
-// roundTripAggregate sends one OpAggregate frame on a pooled connection
-// and reads its response through the aggregate decoder (the generic one
-// cannot parse the value tail).
-func (cl *Client) roundTripAggregate(ctx context.Context, req wire.AggregateRequest) (wire.AggregateResponse, error) {
-	c, err := cl.acquire(ctx)
-	if err != nil {
-		return wire.AggregateResponse{}, err
-	}
-	ok := false
-	defer func() { cl.release(c, ok) }()
-
-	c.scratch = wire.AppendAggregateRequest(c.scratch[:0], req)
-	if err := wire.WriteFrame(c.bw, c.scratch); err != nil {
-		return wire.AggregateResponse{}, fmt.Errorf("client: write: %w", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return wire.AggregateResponse{}, fmt.Errorf("client: flush: %w", err)
-	}
-	payload, scratch, err := wire.ReadFrame(c.br, c.scratch)
-	c.scratch = scratch
-	if err != nil {
-		return wire.AggregateResponse{}, fmt.Errorf("client: read: %w", err)
-	}
-	resp, err := wire.DecodeAggregateResponse(payload)
-	if err != nil {
-		return wire.AggregateResponse{}, fmt.Errorf("client: decode: %w", err)
-	}
-	if resp.ID != req.ID {
-		return wire.AggregateResponse{}, fmt.Errorf("client: response id %d for request %d", resp.ID, req.ID)
-	}
-	ok = resp.Status != wire.StatusDraining && resp.Status != wire.StatusInternal
-	return resp, nil
+	return x.value, nil
 }

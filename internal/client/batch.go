@@ -3,18 +3,18 @@ package client
 // Batched requests: Client.Do packs many point operations into OpBatch
 // frames (internal/wire), so one round trip — and one server admission
 // slot — covers up to wire.MaxBatchOps operations, and the server executes
-// them through the tree's batched seeks. The retry policies of the
-// single-op path apply per operation: a shed or drained *frame* retries
-// wholesale, while per-op capacity failures retry as a shrinking sub-batch
-// under the capacity backoff, and permanent per-op failures (key out of
-// range) surface in their own slot without disturbing their neighbours.
+// them through the tree's batched seeks. The status table that classifies
+// single ops classifies batches too: a frame refused as a whole (shed,
+// drained, redirected) retries wholesale, while per-op retryable failures
+// (capacity, a fenced store) retry as a shrinking sub-batch, and permanent
+// per-op failures (key out of range) surface in their own slot without
+// disturbing their neighbours.
 
 import (
 	"context"
 	"fmt"
 	"time"
 
-	bst "repro"
 	"repro/internal/rtrace"
 	"repro/internal/wire"
 )
@@ -57,17 +57,21 @@ func (cl *Client) Do(ctx context.Context, ops []Op) ([]OpResult, error) {
 }
 
 // doChunk runs one ≤MaxBatchOps slice of operations through the retry
-// loop. out slots for operations that exhaust their attempts keep the
+// loop. Only the sub-batch bookkeeping is its own: a frame refused as a
+// whole is classified through the status table like a single op, and
+// every pending operation shares its fate; otherwise each per-op status
+// is classified, and only the retryable operations ride the next, smaller
+// frame. out slots for operations that exhaust their attempts keep the
 // error of their last attempt.
 func (cl *Client) doChunk(ctx context.Context, ops []Op, out []OpResult) error {
-	cl.stats.requests.Add(uint64(len(ops)))
+	cl.stats[statRequests].Add(uint64(len(ops)))
 
 	// One trace context covers the whole chunk, surviving every retry and
 	// redirect (KClientSend's Arg carries the op count, not a key).
-	tc := cl.cfg.Trace.SampleNext()
-	if tc.Sampled() {
+	x := call{req: wire.Request{Op: wire.OpBatch, Trace: cl.cfg.Trace.SampleNext()}}
+	if x.req.Trace.Sampled() {
 		start := time.Now()
-		defer cl.cfg.Trace.Span(tc, rtrace.KClientSend, start, int64(len(ops)))
+		defer cl.cfg.Trace.Span(x.req.Trace, rtrace.KClientSend, start, int64(len(ops)))
 	}
 
 	// pending holds the indices still awaiting a definitive outcome.
@@ -80,178 +84,66 @@ func (cl *Client) doChunk(ctx context.Context, ops []Op, out []OpResult) error {
 		pending = append(pending, i)
 	}
 
-	bops := make([]wire.BatchOp, 0, len(pending))
-	results := make([]wire.BatchResult, 0, len(pending))
+	x.bops = make([]wire.BatchOp, 0, len(pending))
+	x.results = make([]wire.BatchResult, 0, len(pending))
 	for attempt := 0; attempt < cl.cfg.MaxAttempts && len(pending) > 0; attempt++ {
 		if attempt > 0 {
-			cl.stats.retries.Add(uint64(len(pending)))
-			cl.cfg.Trace.Event(tc, rtrace.KRetry, int64(attempt))
+			cl.stats[statRetries].Add(uint64(len(pending)))
+			cl.cfg.Trace.Event(x.req.Trace, rtrace.KRetry, int64(attempt))
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-
-		bops = bops[:0]
+		x.bops = x.bops[:0]
 		for _, idx := range pending {
-			bops = append(bops, wire.BatchOp{Op: ops[idx].Kind, Key: ops[idx].Key})
+			x.bops = append(x.bops, wire.BatchOp{Op: ops[idx].Kind, Key: ops[idx].Key})
 		}
-		id := cl.id.Add(1)
-		st, res, err := cl.roundTripBatch(ctx, id, deadlineMS(ctx), tc, bops, results[:0])
-		results = res
+		x.req.ID = cl.id.Add(1)
+		x.req.DeadlineMS = deadlineMS(ctx)
 
+		class := backoff
+		err := cl.exchange(ctx, &x)
+		switch {
+		case err != nil:
+			cl.stats[statTransport].Add(1)
+		case x.resp.Status != wire.StatusOK:
+			class, err = cl.fail(x.resp.Status, x.resp.Leader, x.req.Trace, attempt)
+		case len(x.results) != len(pending):
+			return fmt.Errorf("%w: batch response carries %d results for %d ops", ErrBadRequest, len(x.results), len(pending))
+		}
 		if err != nil {
-			cl.stats.transport.Add(1)
-			cl.noteBackpressure()
 			for _, idx := range pending {
 				out[idx] = OpResult{Err: err}
 			}
-			if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-				return fmt.Errorf("%w (last transport error: %v)", context.Cause(ctx), err)
+			if class == permanent {
+				return nil
 			}
-			continue
-		}
-
-		switch st {
-		case wire.StatusOK:
+		} else {
 			cl.noteSuccess()
-			// Fall through to per-op triage.
-		case wire.StatusOverloaded, wire.StatusDraining:
-			err := ErrOverloaded
-			if st == wire.StatusDraining {
-				cl.stats.drains.Add(1)
-				err = ErrDraining
-			} else {
-				cl.stats.sheds.Add(1)
-			}
-			cl.noteBackpressure()
-			for _, idx := range pending {
+			next := pending[:0]
+			class = permanent
+			for k, idx := range pending {
+				r := x.results[k]
+				if r.Status == wire.StatusOK {
+					out[idx] = OpResult{OK: r.OK}
+					continue
+				}
+				// A per-op status names no leader and records no event.
+				c, err := cl.fail(r.Status, "", rtrace.Context{}, attempt)
 				out[idx] = OpResult{Err: err}
-			}
-			if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-				return fmt.Errorf("%w after batch rejection", context.Cause(ctx))
-			}
-			continue
-		case wire.StatusNotLeader:
-			// The whole frame bounced off a follower; roundTripBatch
-			// already adopted the leader address the response named, so
-			// retry immediately against it (pause only while the cluster
-			// is between leaders, to avoid a hot redirect loop).
-			cl.stats.redirects.Add(1)
-			cl.cfg.Trace.Event(tc, rtrace.KRedirect, int64(attempt))
-			rerr := error(&NotLeaderError{Leader: cl.Leader()})
-			for _, idx := range pending {
-				out[idx] = OpResult{Err: rerr}
-			}
-			if cl.Leader() == "" {
-				if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-					return fmt.Errorf("%w awaiting leader election", context.Cause(ctx))
+				if c != permanent {
+					next = append(next, idx)
+					class = max(class, c)
 				}
 			}
-			continue
-		default:
-			// Frame-level permanent failure: every pending op inherits it.
-			err := statusErr(st)
-			for _, idx := range pending {
-				out[idx] = OpResult{Err: err}
-			}
-			return nil
-		}
-
-		if len(results) != len(pending) {
-			return fmt.Errorf("%w: batch response carries %d results for %d ops", ErrBadRequest, len(results), len(pending))
-		}
-
-		next := pending[:0]
-		capacityRetry := false
-		for k, idx := range pending {
-			r := results[k]
-			switch r.Status {
-			case wire.StatusOK:
-				out[idx] = OpResult{OK: r.OK}
-			case wire.StatusCapacity:
-				cl.stats.capacity.Add(1)
-				out[idx] = OpResult{Err: bst.ErrCapacity}
-				next = append(next, idx)
-				capacityRetry = true
-			case wire.StatusOverloaded:
-				cl.stats.sheds.Add(1)
-				out[idx] = OpResult{Err: ErrOverloaded}
-				next = append(next, idx)
-			case wire.StatusKeyOutOfRange:
-				out[idx] = OpResult{Err: fmt.Errorf("%w: key %d", bst.ErrKeyOutOfRange, ops[idx].Key)}
-			case wire.StatusDeadlineExceeded:
-				out[idx] = OpResult{Err: fmt.Errorf("%w: server reported budget exhausted", ErrDeadline)}
-			default:
-				out[idx] = OpResult{Err: statusErr(r.Status)}
+			if pending = next; len(pending) == 0 {
+				return nil
 			}
 		}
-		pending = next
-		if len(pending) > 0 {
-			cl.noteBackpressure()
-			base := cl.cfg.Backoff
-			if capacityRetry {
-				base = cl.cfg.CapacityBackoff
-			}
-			if !cl.sleep(ctx, cl.backoff(base, cl.shifted(attempt))) {
-				return fmt.Errorf("%w retrying %d batched ops", context.Cause(ctx), len(pending))
-			}
+		if !cl.pause(ctx, class, x.resp.Leader, attempt) {
+			return fmt.Errorf("%w retrying %d batched ops", context.Cause(ctx), len(pending))
 		}
 	}
 	// Attempts exhausted: the pending slots keep their last per-op error.
 	return nil
-}
-
-// statusErr maps a permanent wire status to the client's error space.
-func statusErr(st wire.Status) error {
-	switch st {
-	case wire.StatusInternal:
-		return ErrInternal
-	case wire.StatusKeyOutOfRange:
-		return bst.ErrKeyOutOfRange
-	case wire.StatusDeadlineExceeded:
-		return ErrDeadline
-	default:
-		return fmt.Errorf("%w: status %v", ErrBadRequest, st)
-	}
-}
-
-// roundTripBatch sends one OpBatch frame on a pooled connection and reads
-// its response, appending the per-op results to dst.
-func (cl *Client) roundTripBatch(ctx context.Context, id uint64, deadlineMS uint32, tc rtrace.Context, bops []wire.BatchOp, dst []wire.BatchResult) (wire.Status, []wire.BatchResult, error) {
-	c, err := cl.acquire(ctx)
-	if err != nil {
-		return 0, dst, err
-	}
-	keep := false
-	defer func() { cl.release(c, keep) }()
-
-	c.scratch = wire.AppendBatchRequest(c.scratch[:0], id, deadlineMS, tc, bops)
-	if err := wire.WriteFrame(c.bw, c.scratch); err != nil {
-		return 0, dst, fmt.Errorf("client: write: %w", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, dst, fmt.Errorf("client: flush: %w", err)
-	}
-	payload, scratch, err := wire.ReadFrame(c.br, c.scratch)
-	c.scratch = scratch
-	if err != nil {
-		return 0, dst, fmt.Errorf("client: read: %w", err)
-	}
-	rid, st, results, err := wire.DecodeBatchResponse(payload, dst)
-	if err != nil {
-		return 0, dst, fmt.Errorf("client: decode: %w", err)
-	}
-	if rid != id {
-		return 0, dst, fmt.Errorf("client: response id %d for request %d", rid, id)
-	}
-	if st == wire.StatusNotLeader {
-		// DecodeBatchResponse stops at the status byte on a frame-level
-		// rejection; the leader address rides the single-response tail,
-		// so re-decode the same payload through that view to learn it.
-		if resp, derr := wire.DecodeResponse(payload); derr == nil {
-			cl.noteLeader(resp.Leader)
-		}
-	}
-	keep = st != wire.StatusDraining && st != wire.StatusInternal
-	return st, results, nil
 }

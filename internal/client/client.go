@@ -1,27 +1,28 @@
 // Package client is the retrying network client for the bstserve protocol
 // (internal/wire, served by internal/server).
 //
-// The client owns a small pool of TCP connections and classifies every
-// failure into one of three retry policies:
+// The client owns a small pool of TCP connections. One table
+// (statusTable) classifies every wire status — for single ops, aggregates,
+// batch frames and their per-op slots, and pipelined futures alike — into
+// the error it surfaces as and one of four retry classes:
 //
-//   - transport trouble (dial failure, connection reset, server drain):
-//     redial and retry with short exponential backoff — the server is
-//     restarting, a peer will come back;
-//   - load shed (wire.StatusOverloaded): retry on the same connection
-//     after short exponential backoff with jitter — the server is alive
-//     and explicitly asked us to slow down, and jitter keeps a fleet of
+//   - backoff (wire.StatusOverloaded, StatusDraining, StatusReplLag, and
+//     transport trouble such as a dial failure or reset): retry after
+//     short exponential backoff with jitter — the server is alive (or
+//     restarting) and asked us to slow down, and jitter keeps a fleet of
 //     clients from re-converging in lockstep;
-//   - capacity (wire.StatusCapacity): retry after a *longer* backoff —
-//     arena slots return only after deletes plus reclamation grace
-//     periods, so hammering is pointless; the error surfaces as
-//     bst.ErrCapacity when attempts run out, so errors.Is works across
-//     the network boundary exactly as it does in process.
+//   - capacity backoff (wire.StatusCapacity): retry after a *longer*
+//     backoff — arena slots return only after deletes plus reclamation
+//     grace periods, so hammering is pointless;
+//   - redirect (wire.StatusNotLeader, StatusFenced): see below;
+//   - permanent (key out of range, malformed request, server panic,
+//     deadline, no order-statistics index): never retried.
 //
-// Permanent failures (key out of range, malformed request, server panic)
-// are never retried; wire.StatusKeyOutOfRange likewise surfaces as
-// bst.ErrKeyOutOfRange. Deadlines flow from the context: the remaining
-// budget rides in every request frame, and backoff sleeps never overrun
-// the context.
+// Statuses surface as the in-process sentinels where one exists
+// (bst.ErrCapacity, bst.ErrKeyOutOfRange, bst.ErrNoOrderStats), so
+// errors.Is works across the network boundary exactly as it does in
+// process. Deadlines flow from the context: the remaining budget rides in
+// every request frame, and backoff sleeps never overrun the context.
 //
 // The client is replication-aware: a wire.StatusNotLeader response
 // (mutation sent to a follower) carries the leader's advertised address,
@@ -39,9 +40,9 @@
 // the replica must have applied before answering, and a replica that
 // cannot catch up in time answers StatusReplLag, surfacing as ErrReplLag.
 //
-// Backoff adapts to observed contention: every shed, capacity rejection,
-// drain, or transport failure raises a contention level that widens the
-// base backoff window (each level doubles it, up to 2^6×), and every
+// Backoff adapts to observed contention: every backoff- or capacity-class
+// status and every transport failure raises a contention level that widens
+// the base backoff window (each level doubles it, up to 2^6×), and every
 // clean response lowers it. A fleet of clients hammering a struggling
 // server therefore backs off more aggressively than the per-attempt
 // exponential alone, and recovers to tight latencies as soon as the
@@ -174,6 +175,24 @@ type Stats struct {
 	ContentionLevel int64  // current adaptive backoff level (0..contentionCap)
 }
 
+// stat indexes the client's monotonic counters; statNone marks a status
+// that bumps none.
+type stat uint8
+
+const (
+	statNone stat = iota
+	statRequests
+	statRetries
+	statSheds
+	statDrains
+	statCapacity
+	statTransport
+	statRedirects
+	statFenced
+	statReplLags
+	numStats
+)
+
 // Client is a retrying bstserve client. All methods are safe for
 // concurrent use; concurrency beyond cfg.Conns queues on the pool.
 type Client struct {
@@ -206,10 +225,7 @@ type Client struct {
 	// its sleeps even on fresh operations.
 	contention atomic.Int64
 
-	stats struct {
-		requests, retries, sheds, drains, capacity, transport atomic.Uint64
-		redirects, fenced, replLags                           atomic.Uint64
-	}
+	stats [numStats]atomic.Uint64
 
 	closed atomic.Bool
 }
@@ -269,15 +285,15 @@ func Dial(cfg Config) (*Client, error) {
 // Stats returns a snapshot of the client's retry counters.
 func (cl *Client) Stats() Stats {
 	return Stats{
-		Requests:        cl.stats.requests.Load(),
-		Retries:         cl.stats.retries.Load(),
-		Sheds:           cl.stats.sheds.Load(),
-		DrainsSeen:      cl.stats.drains.Load(),
-		CapacityErrs:    cl.stats.capacity.Load(),
-		TransportErrors: cl.stats.transport.Load(),
-		Redirects:       cl.stats.redirects.Load(),
-		FencedSeen:      cl.stats.fenced.Load(),
-		ReplLags:        cl.stats.replLags.Load(),
+		Requests:        cl.stats[statRequests].Load(),
+		Retries:         cl.stats[statRetries].Load(),
+		Sheds:           cl.stats[statSheds].Load(),
+		DrainsSeen:      cl.stats[statDrains].Load(),
+		CapacityErrs:    cl.stats[statCapacity].Load(),
+		TransportErrors: cl.stats[statTransport].Load(),
+		Redirects:       cl.stats[statRedirects].Load(),
+		FencedSeen:      cl.stats[statFenced].Load(),
+		ReplLags:        cl.stats[statReplLags].Load(),
 		ContentionLevel: cl.contention.Load(),
 	}
 }
@@ -367,19 +383,19 @@ func (cl *Client) Close() error {
 
 // Insert adds key; it reports whether the set changed.
 func (cl *Client) Insert(ctx context.Context, key int64) (bool, error) {
-	resp, err := cl.do(ctx, wire.Request{Op: wire.OpInsert, Key: key})
+	resp, err := cl.point(ctx, wire.Request{Op: wire.OpInsert, Key: key})
 	return resp.OK, err
 }
 
 // Delete removes key; it reports whether the set changed.
 func (cl *Client) Delete(ctx context.Context, key int64) (bool, error) {
-	resp, err := cl.do(ctx, wire.Request{Op: wire.OpDelete, Key: key})
+	resp, err := cl.point(ctx, wire.Request{Op: wire.OpDelete, Key: key})
 	return resp.OK, err
 }
 
 // Lookup reports whether key is present.
 func (cl *Client) Lookup(ctx context.Context, key int64) (bool, error) {
-	resp, err := cl.do(ctx, wire.Request{Op: wire.OpLookup, Key: key})
+	resp, err := cl.point(ctx, wire.Request{Op: wire.OpLookup, Key: key})
 	return resp.OK, err
 }
 
@@ -389,133 +405,178 @@ func (cl *Client) Lookup(ctx context.Context, key int64) (bool, error) {
 // horizon) and the answer can never predate that write. A replica that
 // cannot reach seq within the deadline answers ErrReplLag after retries.
 func (cl *Client) ReadAtLeast(ctx context.Context, key int64, seq uint64) (bool, error) {
-	resp, err := cl.do(ctx, wire.Request{Op: wire.OpLookupAt, Key: key, MinSeq: seq})
+	resp, err := cl.point(ctx, wire.Request{Op: wire.OpLookupAt, Key: key, MinSeq: seq})
 	return resp.OK, err
 }
 
 // Range returns up to limit keys in [from, to] in ascending order (0 uses
 // the server's default limit).
 func (cl *Client) Range(ctx context.Context, from, to int64, limit int) ([]int64, error) {
-	resp, err := cl.do(ctx, wire.Request{Op: wire.OpRange, Key: from, To: to, Limit: uint32(max(limit, 0))})
+	resp, err := cl.point(ctx, wire.Request{Op: wire.OpRange, Key: from, To: to, Limit: uint32(max(limit, 0))})
 	return resp.Keys, err
 }
 
-// do runs one operation through the retry loop. A trace context already
-// present on req (a pipeline fallback re-running its operation) is kept;
-// otherwise the recorder decides whether this operation originates a
-// sampled trace. Either way the context survives every retry and redirect
-// unchanged — the whole client-side effort is one trace.
-func (cl *Client) do(ctx context.Context, req wire.Request) (wire.Response, error) {
-	cl.stats.requests.Add(1)
-	if req.Trace == (rtrace.Context{}) {
-		req.Trace = cl.cfg.Trace.SampleNext()
+// point runs one single-op request through the retry loop.
+func (cl *Client) point(ctx context.Context, req wire.Request) (wire.Response, error) {
+	x := call{req: req}
+	if err := cl.do(ctx, &x, 0, nil); err != nil {
+		return wire.Response{}, err
 	}
-	if req.Trace.Sampled() {
+	return x.resp, nil
+}
+
+// retryClass is what the retry loop does after a status. The classes are
+// ordered: when the per-op statuses of one batch frame differ, the retry
+// waits as the highest class among them asks.
+type retryClass uint8
+
+const (
+	permanent       retryClass = iota // surface the error; never retry
+	redirect                          // follow the leader the response names
+	backoff                           // retry after the base backoff
+	capacityBackoff                   // retry after the longer CapacityBackoff
+)
+
+// statusRow is one wire status's entry in the status table.
+type statusRow struct {
+	err    error // what it surfaces as (redirects: the sentinel their error matches)
+	class  retryClass
+	stat   stat  // the counter it bumps
+	event  uint8 // the trace event it records (0: none)
+	closes bool  // the server closes the connection after sending it
+}
+
+// statusTable classifies every wire status. It is the client's only
+// classification of wire.Status: the single-op and aggregate retry loop,
+// batch frames and their per-op slots, and pipelined futures all read it
+// through fail.
+var statusTable = [...]statusRow{
+	wire.StatusOK:               {},
+	wire.StatusOverloaded:       {err: ErrOverloaded, class: backoff, stat: statSheds},
+	wire.StatusCapacity:         {err: bst.ErrCapacity, class: capacityBackoff, stat: statCapacity},
+	wire.StatusKeyOutOfRange:    {err: bst.ErrKeyOutOfRange},
+	wire.StatusDeadlineExceeded: {err: ErrDeadline},
+	wire.StatusDraining:         {err: ErrDraining, class: backoff, stat: statDrains, closes: true},
+	wire.StatusBadRequest:       {err: ErrBadRequest},
+	wire.StatusInternal:         {err: ErrInternal, closes: true},
+	wire.StatusNotLeader:        {err: ErrNotLeader, class: redirect, stat: statRedirects, event: rtrace.KRedirect},
+	wire.StatusReplLag:          {err: ErrReplLag, class: backoff, stat: statReplLags, event: rtrace.KReplLag},
+	wire.StatusFenced:           {err: ErrFenced, class: redirect, stat: statFenced, event: rtrace.KRedirect},
+	wire.StatusNoIndex:          {err: bst.ErrNoOrderStats},
+}
+
+// rowOf returns st's row of the status table; a status the table does
+// not know is a permanent ErrBadRequest.
+func rowOf(st wire.Status) statusRow {
+	if int(st) < len(statusTable) {
+		return statusTable[st]
+	}
+	return statusRow{err: fmt.Errorf("%w: status %v", ErrBadRequest, st)}
+}
+
+// fail applies a non-OK status's row of the status table: it bumps the
+// row's counter and records its trace event, and a redirect adopts the
+// leader the response named. A fence that names no successor voids what
+// the client learned about the deposed node, so dials re-discover from the
+// seed address. It returns the status's retry class and the error it
+// surfaces as.
+func (cl *Client) fail(st wire.Status, leader string, tc rtrace.Context, attempt int) (retryClass, error) {
+	r := rowOf(st)
+	if r.stat != statNone {
+		cl.stats[r.stat].Add(1)
+	}
+	if r.event != 0 {
+		cl.cfg.Trace.Event(tc, r.event, int64(attempt))
+	}
+	switch st {
+	case wire.StatusNotLeader:
+		cl.noteLeader(leader)
+		return r.class, &NotLeaderError{Leader: leader}
+	case wire.StatusFenced:
+		if leader == "" {
+			cl.invalidateLeader()
+		} else {
+			cl.noteLeader(leader)
+		}
+		return r.class, &FencedError{Leader: leader}
+	}
+	return r.class, r.err
+}
+
+// pause waits before the next attempt as class asks; false means ctx ended
+// first. The backoff classes raise the contention level and sleep a
+// jittered exponential backoff from their base. A redirect is routing, not
+// load: it retries at once when the response named a leader, and otherwise
+// (the cluster is between leaders) sleeps the base backoff without raising
+// the level, so a mid-election cluster is not hammered with redirect
+// probes.
+func (cl *Client) pause(ctx context.Context, class retryClass, leader string, attempt int) bool {
+	if class != redirect {
+		cl.noteBackpressure()
+	} else if leader != "" {
+		return true
+	}
+	base := cl.cfg.Backoff
+	if class == capacityBackoff {
+		base = cl.cfg.CapacityBackoff
+	}
+	return cl.sleep(ctx, cl.backoff(base, cl.shifted(attempt)))
+}
+
+// call is one request's trip through the retry loop: the frame to send
+// (req.Op picks its shape) and the reply the last exchange decoded.
+type call struct {
+	req  wire.Request          // every kind's id, deadline and trace; a point op itself
+	agg  wire.AggregateRequest // OpAggregate: the query
+	bops []wire.BatchOp        // OpBatch: the pending operations
+
+	resp    wire.Response      // reply id, status, ok bit, range keys, redirect address
+	value   int64              // OpAggregate reply
+	results []wire.BatchResult // OpBatch reply: one per bop
+}
+
+// do runs a single-op or aggregate call through the retry loop, starting
+// at attempt first. A new call starts at 0, counts as a request and
+// samples its trace. A pipeline fallback starts at 1 — its pipelined send
+// was the first attempt, lastErr is that attempt's error — and keeps the
+// trace context stamped at Submit. Either way the context survives every
+// retry and redirect unchanged: the whole client-side effort is one trace.
+func (cl *Client) do(ctx context.Context, x *call, first int, lastErr error) error {
+	if first == 0 {
+		cl.stats[statRequests].Add(1)
+		x.req.Trace = cl.cfg.Trace.SampleNext()
+	}
+	if x.req.Trace.Sampled() {
 		start := time.Now()
-		defer cl.cfg.Trace.Span(req.Trace, rtrace.KClientSend, start, req.Key)
+		defer cl.cfg.Trace.Span(x.req.Trace, rtrace.KClientSend, start, x.req.Key)
 	}
-	var lastErr error
-	for attempt := 0; attempt < cl.cfg.MaxAttempts; attempt++ {
+	for attempt := first; attempt < cl.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			cl.stats.retries.Add(1)
-			cl.cfg.Trace.Event(req.Trace, rtrace.KRetry, int64(attempt))
+			cl.stats[statRetries].Add(1)
+			cl.cfg.Trace.Event(x.req.Trace, rtrace.KRetry, int64(attempt))
 		}
 		if err := ctx.Err(); err != nil {
-			return wire.Response{}, err
+			return err
 		}
-		req.ID = cl.id.Add(1)
-		req.DeadlineMS = deadlineMS(ctx)
+		x.req.ID = cl.id.Add(1)
+		x.req.DeadlineMS = deadlineMS(ctx)
 
-		resp, err := cl.roundTrip(ctx, req)
-		if err != nil {
-			// Transport: the conn is gone; retry redials.
-			cl.stats.transport.Add(1)
-			cl.noteBackpressure()
+		class := backoff
+		if err := cl.exchange(ctx, x); err != nil {
+			// Transport: the conn is gone; the retry redials.
+			cl.stats[statTransport].Add(1)
 			lastErr = err
-			if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-				return wire.Response{}, fmt.Errorf("%w (last transport error: %v)", context.Cause(ctx), err)
-			}
-			continue
-		}
-
-		switch resp.Status {
-		case wire.StatusOK:
+		} else if x.resp.Status == wire.StatusOK {
 			cl.noteSuccess()
-			return resp, nil
-		case wire.StatusOverloaded:
-			cl.stats.sheds.Add(1)
-			cl.noteBackpressure()
-			lastErr = ErrOverloaded
-			if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-				return wire.Response{}, fmt.Errorf("%w after shed", context.Cause(ctx))
-			}
-		case wire.StatusDraining:
-			cl.stats.drains.Add(1)
-			cl.noteBackpressure()
-			lastErr = ErrDraining
-			if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-				return wire.Response{}, fmt.Errorf("%w during server drain", context.Cause(ctx))
-			}
-		case wire.StatusCapacity:
-			cl.stats.capacity.Add(1)
-			cl.noteBackpressure()
-			lastErr = bst.ErrCapacity
-			if !cl.sleep(ctx, cl.backoff(cl.cfg.CapacityBackoff, cl.shifted(attempt))) {
-				return wire.Response{}, fmt.Errorf("%w while tree at capacity", context.Cause(ctx))
-			}
-		case wire.StatusNotLeader:
-			// A follower holds our mutation at the door. Adopt the leader
-			// address it named and retry there immediately — this is
-			// routing, not load, so no backoff unless the cluster has no
-			// leader to name yet (mid-failover), where pausing avoids a
-			// hot redirect loop.
-			cl.stats.redirects.Add(1)
-			cl.noteLeader(resp.Leader)
-			cl.cfg.Trace.Event(req.Trace, rtrace.KRedirect, int64(attempt))
-			lastErr = &NotLeaderError{Leader: resp.Leader}
-			if resp.Leader == "" {
-				if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-					return wire.Response{}, fmt.Errorf("%w awaiting leader election", context.Cause(ctx))
-				}
-			}
-		case wire.StatusFenced:
-			// The node we were writing to has been deposed by a newer
-			// term. Whatever we learned about it is void: adopt the named
-			// successor, or — when the fence can't name one yet — forget
-			// the cached leader entirely and re-discover from the seed,
-			// paced by the capped backoff so a mid-election cluster isn't
-			// hammered with redirect probes.
-			cl.stats.fenced.Add(1)
-			cl.cfg.Trace.Event(req.Trace, rtrace.KRedirect, int64(attempt))
-			lastErr = &FencedError{Leader: resp.Leader}
-			if resp.Leader != "" {
-				cl.noteLeader(resp.Leader)
-			} else {
-				cl.invalidateLeader()
-				if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-					return wire.Response{}, fmt.Errorf("%w awaiting post-fence leader", context.Cause(ctx))
-				}
-			}
-		case wire.StatusReplLag:
-			// The replica hasn't applied the sequence a ReadAtLeast asked
-			// for; it usually will have after a short wait.
-			cl.stats.replLags.Add(1)
-			cl.cfg.Trace.Event(req.Trace, rtrace.KReplLag, int64(req.MinSeq))
-			lastErr = fmt.Errorf("%w: seq %d not yet applied", ErrReplLag, req.MinSeq)
-			if !cl.sleep(ctx, cl.backoff(cl.cfg.Backoff, cl.shifted(attempt))) {
-				return wire.Response{}, fmt.Errorf("%w waiting out replica lag", context.Cause(ctx))
-			}
-		case wire.StatusKeyOutOfRange:
-			return wire.Response{}, fmt.Errorf("%w: key %d", bst.ErrKeyOutOfRange, req.Key)
-		case wire.StatusDeadlineExceeded:
-			return wire.Response{}, fmt.Errorf("%w: server reported budget exhausted", ErrDeadline)
-		case wire.StatusInternal:
-			return wire.Response{}, ErrInternal
-		default:
-			return wire.Response{}, fmt.Errorf("%w: status %v", ErrBadRequest, resp.Status)
+			return nil
+		} else if class, lastErr = cl.fail(x.resp.Status, x.resp.Leader, x.req.Trace, attempt); class == permanent {
+			return lastErr
+		}
+		if !cl.pause(ctx, class, x.resp.Leader, attempt) {
+			return fmt.Errorf("%w (last error: %v)", context.Cause(ctx), lastErr)
 		}
 	}
-	return wire.Response{}, fmt.Errorf("client: %d attempts exhausted: %w", cl.cfg.MaxAttempts, lastErr)
+	return fmt.Errorf("client: %d attempts exhausted: %w", cl.cfg.MaxAttempts, lastErr)
 }
 
 // acquire takes a pooled connection, dialing if the slot is empty. A
@@ -577,42 +638,69 @@ func (cl *Client) release(c *conn, keep bool) {
 	cl.pool <- nil
 }
 
-// roundTrip sends req on a pooled connection and reads its response. Any
-// error closes the connection; the pool slot is replaced with nil so the
-// next use redials.
-func (cl *Client) roundTrip(ctx context.Context, req wire.Request) (wire.Response, error) {
+// exchange sends x's frame on a pooled connection and decodes the reply
+// into x: acquire, write, flush, read, check the id, then keep the
+// connection or drop it. Only the encode and decode steps differ by frame
+// kind. An error is a transport failure, and the connection is closed; the
+// pool slot is replaced with nil so the next use redials.
+func (cl *Client) exchange(ctx context.Context, x *call) error {
 	c, err := cl.acquire(ctx)
 	if err != nil {
-		return wire.Response{}, err
+		return err
 	}
-	ok := false
-	defer func() { cl.release(c, ok) }()
+	keep := false
+	defer func() { cl.release(c, keep) }()
 
-	c.scratch = wire.AppendRequest(c.scratch[:0], req)
+	switch x.req.Op {
+	case wire.OpBatch:
+		c.scratch = wire.AppendBatchRequest(c.scratch[:0], x.req.ID, x.req.DeadlineMS, x.req.Trace, x.bops)
+	case wire.OpAggregate:
+		x.agg.ID, x.agg.DeadlineMS, x.agg.Trace = x.req.ID, x.req.DeadlineMS, x.req.Trace
+		c.scratch = wire.AppendAggregateRequest(c.scratch[:0], x.agg)
+	default:
+		c.scratch = wire.AppendRequest(c.scratch[:0], x.req)
+	}
 	if err := wire.WriteFrame(c.bw, c.scratch); err != nil {
-		return wire.Response{}, fmt.Errorf("client: write: %w", err)
+		return fmt.Errorf("client: write: %w", err)
 	}
 	if err := c.bw.Flush(); err != nil {
-		return wire.Response{}, fmt.Errorf("client: flush: %w", err)
+		return fmt.Errorf("client: flush: %w", err)
 	}
 	payload, scratch, err := wire.ReadFrame(c.br, c.scratch)
 	c.scratch = scratch
 	if err != nil {
-		return wire.Response{}, fmt.Errorf("client: read: %w", err)
+		return fmt.Errorf("client: read: %w", err)
 	}
-	resp, err := wire.DecodeResponse(payload)
+	switch x.req.Op {
+	case wire.OpAggregate:
+		var ar wire.AggregateResponse
+		ar, err = wire.DecodeAggregateResponse(payload)
+		x.resp, x.value = wire.Response{ID: ar.ID, Status: ar.Status}, ar.Value
+	case wire.OpBatch:
+		var id uint64
+		var st wire.Status
+		id, st, x.results, err = wire.DecodeBatchResponse(payload, x.results[:0])
+		x.resp = wire.Response{ID: id, Status: st}
+		if err == nil && st != wire.StatusOK {
+			// A frame refused as a whole carries no per-op tail: it is a
+			// plain response, whose redirect tail names the leader.
+			x.resp, err = wire.DecodeResponse(payload)
+		}
+	default:
+		x.resp, err = wire.DecodeResponse(payload)
+	}
 	if err != nil {
-		return wire.Response{}, fmt.Errorf("client: decode: %w", err)
+		return fmt.Errorf("client: decode: %w", err)
 	}
-	if resp.ID != req.ID {
-		return wire.Response{}, fmt.Errorf("client: response id %d for request %d", resp.ID, req.ID)
+	if x.resp.ID != x.req.ID {
+		return fmt.Errorf("client: response id %d for request %d", x.resp.ID, x.req.ID)
 	}
 	// Draining and internal-error responses are terminal for the
 	// connection: the server closes it right after (for internal errors the
 	// connection is poisoned by the recovered panic). Drop it now instead
 	// of failing the next use.
-	ok = resp.Status != wire.StatusDraining && resp.Status != wire.StatusInternal
-	return resp, nil
+	keep = !rowOf(x.resp.Status).closes
+	return nil
 }
 
 // backoff computes the jittered exponential delay for attempt n (0-based):

@@ -2,8 +2,15 @@ package client
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/durable"
+	"repro/internal/rtrace"
+	"repro/internal/server"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 func TestBackoffEqualJitter(t *testing.T) {
@@ -85,5 +92,107 @@ func TestDialValidation(t *testing.T) {
 	}
 	if err := cl.Close(); err != nil {
 		t.Fatal("second Close errored:", err)
+	}
+}
+
+// TestStatusTable: every status the wire defines has a row, the
+// retryable set is the one the protocol documents (overloaded, capacity
+// and draining back off; redirects follow the leader; the rest are
+// permanent), only draining and internal responses drop the connection
+// (the server closes it after them), and a status the table does not know
+// fails permanently as ErrBadRequest.
+func TestStatusTable(t *testing.T) {
+	cl, err := Dial(Config{Addr: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[wire.Status]retryClass{
+		wire.StatusOverloaded:       backoff,
+		wire.StatusCapacity:         capacityBackoff,
+		wire.StatusKeyOutOfRange:    permanent,
+		wire.StatusDeadlineExceeded: permanent,
+		wire.StatusDraining:         backoff,
+		wire.StatusBadRequest:       permanent,
+		wire.StatusInternal:         permanent,
+		wire.StatusNotLeader:        redirect,
+		wire.StatusReplLag:          backoff,
+		wire.StatusFenced:           redirect,
+		wire.StatusNoIndex:          permanent,
+	}
+	if len(statusTable) != int(wire.StatusNoIndex)+1 {
+		t.Fatalf("status table has %d rows, the wire defines %d statuses", len(statusTable), wire.StatusNoIndex+1)
+	}
+	for st := wire.StatusOverloaded; st <= wire.StatusNoIndex; st++ {
+		class, err := cl.fail(st, "", rtrace.Context{}, 0)
+		if class != want[st] || err == nil || !errors.Is(err, statusTable[st].err) {
+			t.Errorf("%v → (%d, %v), want class %d and an error matching %v", st, class, err, want[st], statusTable[st].err)
+		}
+		if closes := st == wire.StatusDraining || st == wire.StatusInternal; statusTable[st].closes != closes {
+			t.Errorf("%v closes the connection = %v, want %v", st, statusTable[st].closes, closes)
+		}
+	}
+	if class, err := cl.fail(wire.StatusNoIndex+1, "", rtrace.Context{}, 0); class != permanent || !errors.Is(err, ErrBadRequest) {
+		t.Errorf("unknown status → (%d, %v), want a permanent ErrBadRequest", class, err)
+	}
+}
+
+// TestFencedStoreEveryPath: a write refused by a fenced store surfaces as
+// ErrFenced on every client path — single op, batch slot, pipelined
+// future — and a pipelined operation that falls back to the pooled path
+// counts as one request whose fallback is its retry.
+func TestFencedStoreEveryPath(t *testing.T) {
+	store, err := durable.Open(t.TempDir(), durable.Options{Sync: wal.SyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	store.Fence(7)
+	srv := server.New(server.Config{Store: store})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	ctx := context.Background()
+
+	for _, attempts := range []int{1, 2} {
+		cl, err := Dial(Config{Addr: srv.Addr().String(), MaxAttempts: attempts, Backoff: time.Millisecond, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if _, err := cl.Insert(ctx, 1); !errors.Is(err, ErrFenced) {
+			t.Errorf("MaxAttempts %d: Insert err = %v, want ErrFenced", attempts, err)
+		}
+		res, err := cl.Do(ctx, []Op{InsertOp(2), LookupOp(2)})
+		if err != nil || !errors.Is(res[0].Err, ErrFenced) || res[1].Err != nil {
+			t.Errorf("MaxAttempts %d: Do = (%+v, %v), want the insert slot ErrFenced and the lookup OK", attempts, res, err)
+		}
+
+		p, err := cl.NewPipeline(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := cl.Stats()
+		f, err := p.Submit(ctx, InsertOp(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Wait(ctx); !errors.Is(err, ErrFenced) {
+			t.Errorf("MaxAttempts %d: pipelined insert err = %v, want ErrFenced", attempts, err)
+		}
+		p.Close()
+		after := cl.Stats()
+		if got := after.Requests - before.Requests; got != 1 {
+			t.Errorf("MaxAttempts %d: a fallen-back pipelined op added %d requests, want 1", attempts, got)
+		}
+		if got := after.Retries - before.Retries; got != uint64(attempts-1) {
+			t.Errorf("MaxAttempts %d: the fallback added %d retries, want %d", attempts, got, attempts-1)
+		}
+		if got := after.FencedSeen - before.FencedSeen; got != uint64(attempts) {
+			t.Errorf("MaxAttempts %d: %d fenced responses counted, want %d", attempts, got, attempts)
+		}
+	}
+	if store.Contains(1) || store.Contains(2) || store.Contains(3) {
+		t.Fatal("a fenced store applied a write")
 	}
 }

@@ -10,11 +10,13 @@ package client
 // make the pairing robust and cheap to assert).
 //
 // Retries deliberately do not happen inside the pipeline: a retry must
-// not block the reader (backoff sleeps) or reorder the stream. Instead a
-// future whose outcome is retryable (shed, drain, capacity, transport
-// failure) reports it, and Future.Wait re-runs that one operation through
-// the client's pooled single-op path, which owns the full backoff policy.
-// The pipeline stays a pure fast path; the slow path is the proven one.
+// not block the reader (backoff sleeps) or reorder the stream. Instead
+// Future.Wait asks the client's status table whether the outcome is
+// permanent; a retryable one (shed, drain, capacity, redirect, transport
+// failure) re-runs that one operation through the pooled single-op retry
+// loop, which owns the full backoff policy and counts the re-run as the
+// operation's second attempt. The pipeline stays a pure fast path; the
+// slow path is the proven one.
 
 import (
 	"bufio"
@@ -24,7 +26,6 @@ import (
 	"net"
 	"sync"
 
-	bst "repro"
 	"repro/internal/rtrace"
 	"repro/internal/wire"
 )
@@ -94,7 +95,7 @@ func (p *Pipeline) Submit(ctx context.Context, op Op) (*Future, error) {
 		Key:        op.Key,
 		Trace:      f.trace,
 	}
-	p.cl.stats.requests.Add(1)
+	p.cl.stats[statRequests].Add(1)
 
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
@@ -198,11 +199,12 @@ func (p *Pipeline) readLoop() {
 	}
 }
 
-// Wait blocks for the operation's outcome. Retryable outcomes — a shed or
-// draining server, a capacity-full tree, a broken pipeline — are re-run
-// through the client's pooled single-op retry path, so Wait returns what
-// the equivalent synchronous call would have: the same results, the same
-// sentinel errors, the same backoff discipline.
+// Wait blocks for the operation's outcome. The status table decides what
+// a non-OK outcome means: a permanent one returns its error, a retryable
+// one — or a broken pipeline — re-runs the operation through the client's
+// pooled retry loop as its second attempt, so Wait returns what the
+// equivalent synchronous call would have: the same results, the same
+// sentinel errors, the same redirect following and backoff discipline.
 func (f *Future) Wait(ctx context.Context) (bool, error) {
 	select {
 	case <-f.done:
@@ -218,42 +220,23 @@ func (f *Future) Wait(ctx context.Context) (bool, error) {
 		}
 	}
 
-	if f.err != nil {
-		// The pipeline died before answering; the operation may or may not
-		// have executed. All three point ops are safe to re-run: they are
-		// idempotent in effect, and the retried observation is as valid a
-		// linearization as the lost one.
-		return f.fallback(ctx)
+	// A pipeline that died before answering leaves the operation's effect
+	// unknown. All three point ops are safe to re-run: they are idempotent
+	// in effect, and the retried observation is as valid a linearization
+	// as the lost one.
+	cl, lastErr := f.p.cl, f.err
+	if lastErr == nil {
+		if f.resp.Status == wire.StatusOK {
+			return f.resp.OK, nil
+		}
+		var class retryClass
+		if class, lastErr = cl.fail(f.resp.Status, f.resp.Leader, f.trace, 0); class == permanent {
+			return false, lastErr
+		}
 	}
-	switch f.resp.Status {
-	case wire.StatusOK:
-		return f.resp.OK, nil
-	case wire.StatusOverloaded, wire.StatusDraining, wire.StatusCapacity:
-		return f.fallback(ctx)
-	case wire.StatusNotLeader:
-		// The pipeline's dedicated connection points at a follower. Teach
-		// the client the leader's address and let the pooled path (which
-		// follows redirects) finish this operation; new pipelines should
-		// be built against Leader().
-		f.p.cl.stats.redirects.Add(1)
-		f.p.cl.noteLeader(f.resp.Leader)
-		f.p.cl.cfg.Trace.Event(f.trace, rtrace.KRedirect, 0)
-		return f.fallback(ctx)
-	case wire.StatusKeyOutOfRange:
-		return false, fmt.Errorf("%w: key %d", bst.ErrKeyOutOfRange, f.op.Key)
-	case wire.StatusDeadlineExceeded:
-		return false, fmt.Errorf("%w: server reported budget exhausted", ErrDeadline)
-	case wire.StatusInternal:
-		return false, ErrInternal
-	default:
-		return false, fmt.Errorf("%w: status %v", ErrBadRequest, f.resp.Status)
+	x := call{req: wire.Request{Op: f.op.Kind, Key: f.op.Key, Trace: f.trace}}
+	if err := cl.do(ctx, &x, 1, lastErr); err != nil {
+		return false, err
 	}
-}
-
-// fallback re-runs the operation on the pooled connections with the full
-// retry loop, carrying the Future's trace context so a redirected or
-// re-run operation stays one trace end to end.
-func (f *Future) fallback(ctx context.Context) (bool, error) {
-	resp, err := f.p.cl.do(ctx, wire.Request{Op: f.op.Kind, Key: f.op.Key, Trace: f.trace})
-	return resp.OK, err
+	return x.resp.OK, nil
 }

@@ -51,6 +51,7 @@ import (
 
 	bst "repro"
 	"repro/internal/failpoint"
+	"repro/internal/metrics"
 	"repro/internal/rtrace"
 	"repro/internal/snapshot"
 	"repro/internal/wal"
@@ -174,7 +175,7 @@ type Tree struct {
 	// Cumulative checkpoint/recovery telemetry for MetricsHook.
 	snapshots     atomic.Uint64
 	snapshotKeys  atomic.Uint64
-	snapshotHist  latencyHist
+	snapshotHist  metrics.Histogram
 	lastCkptSeq   atomic.Uint64
 	replayedTotal atomic.Uint64
 }
@@ -897,7 +898,7 @@ func (d *Tree) checkpointLocked() (CheckpointStats, error) {
 	d.lastCkptSeq.Store(h)
 	d.snapshots.Add(uint64(len(d.lanes)))
 	d.snapshotKeys.Add(stats.Keys)
-	d.snapshotHist.observe(stats.Duration)
+	d.snapshotHist.Observe(stats.Duration)
 	// Checkpoints are rare enough to record unconditionally: a loose span
 	// with no trace identity, visible in /debug/rtrace and the phase
 	// aggregates (Arg = the horizon the snapshot covers).

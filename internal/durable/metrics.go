@@ -1,45 +1,6 @@
 package durable
 
-import (
-	"sync/atomic"
-	"time"
-
-	"repro/internal/metrics"
-)
-
-// latencyHist is a single-writer power-of-two nanosecond histogram (same
-// discipline as the metrics shards: plain stores by the one writer, atomic
-// loads by scrapers — scrapes never block a checkpoint).
-type latencyHist struct {
-	buckets [metrics.NumBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	ns := uint64(d.Nanoseconds())
-	i := 0
-	for v := ns; v != 0; v >>= 1 {
-		i++
-	}
-	if i >= metrics.NumBuckets {
-		i = metrics.NumBuckets - 1
-	}
-	b := &h.buckets[i]
-	b.Store(b.Load() + 1)
-	h.count.Store(h.count.Load() + 1)
-	h.sum.Store(h.sum.Load() + ns)
-}
-
-func (h *latencyHist) snapshot() metrics.LatencySnapshot {
-	var l metrics.LatencySnapshot
-	for i := range h.buckets {
-		l.Buckets[i] = h.buckets[i].Load()
-	}
-	l.Count = h.count.Load()
-	l.SumNanos = h.sum.Load()
-	return l
-}
+import "repro/internal/metrics"
 
 // MetricsHook folds the durability subsystem's telemetry into a registry
 // snapshot. Register it on the serving registry:
@@ -70,15 +31,6 @@ func (d *Tree) MetricsHook(s *metrics.Snapshot) {
 	s.Gauges["checkpoint_last_wal_seq"] = float64(d.lastCkptSeq.Load())
 	s.Gauges["checkpoint_backlog_ops"] = float64(st.LastSeq - d.lastCkptSeq.Load())
 
-	fold := func(name string, l metrics.LatencySnapshot) {
-		cur := s.ExternalLatency[name]
-		for i := range l.Buckets {
-			cur.Buckets[i] += l.Buckets[i]
-		}
-		cur.Count += l.Count
-		cur.SumNanos += l.SumNanos
-		s.ExternalLatency[name] = cur
-	}
-	fold("wal_fsync_seconds", st.FsyncNanos)
-	fold("snapshot_duration_seconds", d.snapshotHist.snapshot())
+	s.AddLatency("wal_fsync_seconds", st.FsyncNanos)
+	s.AddLatency("snapshot_duration_seconds", d.snapshotHist.Snapshot())
 }

@@ -137,11 +137,40 @@ const NumBuckets = 40
 // BucketUpperNanos returns bucket i's exclusive upper bound in nanoseconds.
 func BucketUpperNanos(i int) uint64 { return uint64(1) << uint(i) }
 
-// hist is one operation kind's latency histogram within a shard.
-type hist struct {
+// Histogram is a single-writer power-of-two-bucket nanosecond histogram:
+// the one writer updates it with plain atomic load/store pairs (no
+// read-modify-write), readers load atomically, so a scrape never blocks
+// the writer. Bucket i counts durations in [2^(i-1), 2^i) ns. The shards'
+// per-op latencies, the WAL's fsync durations and the checkpointer's
+// snapshot durations all record into it.
+type Histogram struct {
 	buckets [NumBuckets]atomic.Uint64
 	count   atomic.Uint64
 	sum     atomic.Uint64 // nanoseconds
+}
+
+// Observe records one duration. Single-writer; allocation-free.
+func (h *Histogram) Observe(d time.Duration) {
+	ns := uint64(d.Nanoseconds())
+	i := bits.Len64(ns)
+	if i >= NumBuckets {
+		i = NumBuckets - 1
+	}
+	b := &h.buckets[i]
+	b.Store(b.Load() + 1)
+	h.count.Store(h.count.Load() + 1)
+	h.sum.Store(h.sum.Load() + ns)
+}
+
+// Snapshot returns the histogram's cumulative contents.
+func (h *Histogram) Snapshot() LatencySnapshot {
+	var l LatencySnapshot
+	for i := range h.buckets {
+		l.Buckets[i] = h.buckets[i].Load()
+	}
+	l.Count = h.count.Load()
+	l.SumNanos = h.sum.Load()
+	return l
 }
 
 // DefaultSampleEvery is the default latency sampling period: one timed
@@ -157,7 +186,7 @@ const shardPad = 64 - (int(NumCounters)*8+int(NumOps)*(NumBuckets+2)*8)%64
 // goroutine writes a shard; any number may read it through snapshots.
 type Shard struct {
 	counters [NumCounters]atomic.Uint64
-	hists    [NumOps]hist
+	hists    [NumOps]Histogram
 	_        [shardPad]byte
 }
 
@@ -176,18 +205,7 @@ func (s *Shard) Add(c Counter, delta uint64) {
 }
 
 // Observe records one sampled operation latency. Allocation-free.
-func (s *Shard) Observe(op Op, d time.Duration) {
-	ns := uint64(d.Nanoseconds())
-	i := bits.Len64(ns)
-	if i >= NumBuckets {
-		i = NumBuckets - 1
-	}
-	h := &s.hists[op]
-	b := &h.buckets[i]
-	b.Store(b.Load() + 1)
-	h.count.Store(h.count.Load() + 1)
-	h.sum.Store(h.sum.Load() + ns)
-}
+func (s *Shard) Observe(op Op, d time.Duration) { s.hists[op].Observe(d) }
 
 // Registry aggregates shards for one tree. Shard creation and snapshots
 // take a mutex; shard *writes* never do.
@@ -283,6 +301,15 @@ func (l LatencySnapshot) Quantile(q float64) uint64 {
 	return BucketUpperNanos(NumBuckets - 1)
 }
 
+// Add folds o's samples into l.
+func (l *LatencySnapshot) Add(o LatencySnapshot) {
+	for i := range o.Buckets {
+		l.Buckets[i] += o.Buckets[i]
+	}
+	l.Count += o.Count
+	l.SumNanos += o.SumNanos
+}
+
 // MeanNanos returns the mean sampled latency in nanoseconds.
 func (l LatencySnapshot) MeanNanos() float64 {
 	if l.Count == 0 {
@@ -338,13 +365,7 @@ func (s *Snapshot) addShard(sh *Shard) {
 		s.Counters[i] += sh.counters[i].Load()
 	}
 	for op := range sh.hists {
-		h := &sh.hists[op]
-		l := &s.Latency[op]
-		for b := range h.buckets {
-			l.Buckets[b] += h.buckets[b].Load()
-		}
-		l.Count += h.count.Load()
-		l.SumNanos += h.sum.Load()
+		s.Latency[op].Add(sh.hists[op].Snapshot())
 	}
 }
 
@@ -353,12 +374,7 @@ func (s *Snapshot) add(o *Snapshot) {
 		s.Counters[i] += o.Counters[i]
 	}
 	for op := range o.Latency {
-		l, ol := &s.Latency[op], &o.Latency[op]
-		for b := range ol.Buckets {
-			l.Buckets[b] += ol.Buckets[b]
-		}
-		l.Count += ol.Count
-		l.SumNanos += ol.SumNanos
+		s.Latency[op].Add(o.Latency[op])
 	}
 	for k, v := range o.External {
 		s.External[k] += v
@@ -367,14 +383,16 @@ func (s *Snapshot) add(o *Snapshot) {
 		s.Gauges[k] = v
 	}
 	for k, v := range o.ExternalLatency {
-		l := s.ExternalLatency[k]
-		for i := range v.Buckets {
-			l.Buckets[i] += v.Buckets[i]
-		}
-		l.Count += v.Count
-		l.SumNanos += v.SumNanos
-		s.ExternalLatency[k] = l
+		s.AddLatency(k, v)
 	}
+}
+
+// AddLatency folds l into the hook-supplied histogram name, so several
+// sources (one per WAL lane, one per store) sum into one series.
+func (s *Snapshot) AddLatency(name string, l LatencySnapshot) {
+	cur := s.ExternalLatency[name]
+	cur.Add(l)
+	s.ExternalLatency[name] = cur
 }
 
 // Sub returns the delta s−prev for all monotonic values; gauges keep their

@@ -72,6 +72,26 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
+// TestHistogramDirect pins the bucket edges of the standalone histogram
+// the WAL flusher and the checkpointer record into: 0ns lands in bucket 0,
+// [2^(i-1), 2^i) in bucket i.
+func TestHistogramDirect(t *testing.T) {
+	var h Histogram
+	for _, ns := range []int64{0, 1, 2, 3, 4, 1023, 1024} {
+		h.Observe(time.Duration(ns))
+	}
+	l := h.Snapshot()
+	want := map[int]uint64{0: 1, 1: 1, 2: 2, 3: 1, 10: 1, 11: 1}
+	for i, n := range l.Buckets {
+		if n != want[i] {
+			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, n, want[i], l.Buckets)
+		}
+	}
+	if l.Count != 7 || l.SumNanos != 2057 {
+		t.Fatalf("Count, SumNanos = %d, %d, want 7, 2057", l.Count, l.SumNanos)
+	}
+}
+
 func TestQuantileEdgeCases(t *testing.T) {
 	var l LatencySnapshot
 	if q := l.Quantile(0.99); q != 0 {

@@ -1,12 +1,7 @@
 package server
 
 import (
-	"context"
-	"errors"
-	"time"
-
 	bst "repro"
-	"repro/internal/rtrace"
 	"repro/internal/wire"
 )
 
@@ -23,123 +18,33 @@ type AggregateStore interface {
 	SumRange(lo, hi int64, c bst.Consistency) (int64, error)
 }
 
-// dispatchAggregate is dispatch for OpAggregate frames: decode the tail,
-// pass admission once, and answer through the aggregate response shape.
-// Aggregates are reads, so there is no role gate — any replica serves
-// them, exactly like lookups — and no WAL ticket. poisoned reports a
-// handler panic, as everywhere.
-func (s *Server) dispatchAggregate(req wire.Request, frame []byte, tr *rtrace.Conn) (resp wire.AggregateResponse, poisoned bool) {
-	resp.ID = req.ID
-	start := time.Now()
-	if s.draining.Load() {
-		s.stats.drainRejected.Add(1)
-		resp.Status = wire.StatusDraining
-		return resp, false
-	}
-	aq, err := wire.DecodeAggregate(frame)
-	if err != nil {
-		// The frame boundary held; only the aggregate tail is malformed,
-		// so the connection survives (same contract as a bad batch tail).
-		s.stats.badRequests.Add(1)
-		resp.Status = wire.StatusBadRequest
-		return resp, false
-	}
-	tr.StartRequest(req.Trace, wire.OpAggregate, aq.Key)
-
-	agg, can := s.cfg.Store.(AggregateStore)
-	if !can {
-		s.stats.noIndex.Add(1)
-		resp.Status = wire.StatusNoIndex
-		return resp, false
-	}
-
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		if s.cfg.AdmissionWait <= 0 {
-			s.stats.shed.Add(1)
-			resp.Status = wire.StatusOverloaded
-			return resp, false
-		}
-		qStart := time.Now()
-		t := time.NewTimer(s.cfg.AdmissionWait)
-		select {
-		case s.sem <- struct{}{}:
-			t.Stop()
-			tr.Span(rtrace.KQueueWait, qStart, 0)
-		case <-t.C:
-			s.stats.shed.Add(1)
-			resp.Status = wire.StatusOverloaded
-			return resp, false
-		}
-	}
-	s.stats.inFlight.Add(1)
-	defer func() {
-		s.stats.inFlight.Add(-1)
-		<-s.sem
-		if p := recover(); p != nil {
-			s.stats.panics.Add(1)
-			s.log.Error("panic serving aggregate", "kind", wire.AggName(aq.Kind), "key", aq.Key,
-				"conn", tr.ID(), "trace", tr.Context().TraceID, "panic", p)
-			resp = wire.AggregateResponse{ID: req.ID, Status: wire.StatusInternal}
-			poisoned = true
-		}
-	}()
-	s.stats.requests.Add(1)
+// executeAggregate answers an OpAggregate from the store's order-statistics
+// summary. Aggregates are reads: the role gate lets them through on any
+// replica, and they log nothing. A store without the capability answers
+// StatusNoIndex, like a tree built without order statistics.
+func (s *Server) executeAggregate(x *call) {
 	s.stats.aggregates.Add(1)
-
-	if fp := s.cfg.Failpoints; fp != nil {
-		fp.Hit(FPHandle)
-		if fp.Hit(FPPanic) {
-			panic("failpoint " + FPPanic)
-		}
-	}
-
-	budget := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		budget = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithDeadline(context.Background(), start.Add(budget))
-	defer cancel()
-	if ctx.Err() != nil {
-		s.stats.timeouts.Add(1)
-		resp.Status = wire.StatusDeadlineExceeded
-		return resp, false
-	}
-
-	cons := bst.BoundedStale(aq.MaxDirty)
-	if aq.Mode == wire.AggModeExact {
+	q := &x.agg
+	cons := bst.BoundedStale(q.MaxDirty)
+	if q.Mode == wire.AggModeExact {
 		cons = bst.Exact
 	}
-	opStart := time.Now()
-	var value int64
-	switch aq.Kind {
-	case wire.AggRank:
-		var r int
-		r, err = agg.Rank(aq.Key, cons)
-		value = int64(r)
-	case wire.AggSelect:
-		value, err = agg.Select(int(aq.Key), cons)
-	case wire.AggCount:
-		var n int
-		n, err = agg.CountRange(aq.Key, aq.To, cons)
-		value = int64(n)
-	case wire.AggSum:
-		value, err = agg.SumRange(aq.Key, aq.To, cons)
-	}
-	tr.Span(rtrace.KTreeOp, opStart, aq.Key)
+	agg, can := s.cfg.Store.(AggregateStore)
+	var n int
+	err := bst.ErrNoOrderStats
 	switch {
-	case err == nil:
-		resp.Status, resp.Value = wire.StatusOK, value
-	case errors.Is(err, bst.ErrNoOrderStats):
-		s.stats.noIndex.Add(1)
-		resp.Status = wire.StatusNoIndex
-	case errors.Is(err, bst.ErrSelectOutOfRange):
-		s.stats.outOfRange.Add(1)
-		resp.Status = wire.StatusKeyOutOfRange
-	default:
-		s.stats.badRequests.Add(1)
-		resp.Status = wire.StatusBadRequest
+	case !can:
+	case q.Kind == wire.AggRank:
+		n, err = agg.Rank(q.Key, cons)
+	case q.Kind == wire.AggSelect:
+		x.value, err = agg.Select(int(q.Key), cons)
+	case q.Kind == wire.AggCount:
+		n, err = agg.CountRange(q.Key, q.To, cons)
+	case q.Kind == wire.AggSum:
+		x.value, err = agg.SumRange(q.Key, q.To, cons)
 	}
-	return resp, false
+	if q.Kind == wire.AggRank || q.Kind == wire.AggCount {
+		x.value = int64(n)
+	}
+	x.resp.Status = s.statusOf(err)
 }

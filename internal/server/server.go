@@ -314,12 +314,15 @@ func New(cfg Config) *Server {
 	s.reg.AddHook(func(sn *metrics.Snapshot) {
 		c := s.Counters()
 		sn.External["server_conns_accepted_total"] += c.ConnsAccepted
+		sn.External["server_conns_closed_total"] += c.ConnsClosed
 		sn.External["server_requests_total"] += c.Requests
 		sn.External["server_batch_ops_total"] += c.BatchOps
 		sn.External["server_shed_total"] += c.Shed
 		sn.External["server_drain_rejected_total"] += c.DrainRejected
 		sn.External["server_deadline_timeouts_total"] += c.Timeouts
 		sn.External["server_capacity_errors_total"] += c.CapacityErrs
+		sn.External["server_out_of_range_total"] += c.OutOfRange
+		sn.External["server_bad_requests_total"] += c.BadRequests
 		sn.External["server_panics_total"] += c.Panics
 		sn.External["server_slow_reads_total"] += c.SlowReads
 		sn.External["server_drains_total"] += c.Drains
@@ -327,6 +330,8 @@ func New(cfg Config) *Server {
 		sn.External["server_fenced_total"] += c.Fenced
 		sn.External["server_repl_lag_total"] += c.ReplLag
 		sn.External["server_repl_degraded_total"] += c.ReplDegraded
+		sn.External["server_aggregates_total"] += c.Aggregates
+		sn.External["server_no_index_total"] += c.NoIndex
 		sn.Gauges["server_inflight_requests"] = float64(c.InFlight)
 		sn.Gauges["server_open_conns"] = float64(c.OpenConns)
 		if c.Draining {
@@ -432,14 +437,25 @@ func (s *Server) forgetConn(c net.Conn) {
 	s.stats.connsClosed.Add(1)
 }
 
-// connScratch holds one connection's reusable batch buffers, so the
-// steady-state batch path decodes, executes and encodes without
-// allocating.
-type connScratch struct {
-	ops     []wire.BatchOp
-	results []wire.BatchResult
-	keys    []int64
-	res     []bst.OpResult
+// call is one request's trip through the server: the decoded frame, the
+// outcome its execute step wrote, and the batch buffers. Each connection
+// reuses one, so the steady-state path decodes, executes and encodes
+// without allocating.
+type call struct {
+	req     wire.Request
+	ops     []wire.BatchOp        // OpBatch: the decoded operations
+	agg     wire.AggregateRequest // OpAggregate: the decoded query
+	arg     int64                 // trace argument: the key, or a batch's op count
+	mutates bool                  // a write: only a leader takes it
+
+	resp    wire.Response      // status, ok bit, range keys, redirect address
+	results []wire.BatchResult // OpBatch with StatusOK: one per op
+	value   int64              // OpAggregate with StatusOK
+	ticket  wal.Ticket         // a single-op mutation's WAL record, waited on per window
+	seq     uint64             // WAL horizon the semi-sync gate must cover (0: none)
+
+	keys []int64 // one same-kind run of a batch
+	res  []bst.OpResult
 }
 
 // ticketAccessor is the asynchronous-durability surface of a store's
@@ -486,7 +502,7 @@ func (s *Server) handleConn(c net.Conn) {
 	br := bufio.NewReaderSize(c, 32<<10)
 	bw := bufio.NewWriterSize(c, 32<<10)
 	defer bw.Flush()
-	var cs connScratch
+	var x call
 	var scratch []byte
 	out := wire.GetBuf()
 	defer wire.PutBuf(out)
@@ -610,34 +626,10 @@ func (s *Server) handleConn(c net.Conn) {
 			return
 		}
 
-		var poisoned bool
-		var ticket wal.Ticket
-		var seq uint64
-		if req.Op == wire.OpBatch {
-			var results []wire.BatchResult
-			var st wire.Status
-			results, st, seq, poisoned = s.dispatchBatch(acc, req, frame, &cs, tr)
-			if st == wire.StatusOK {
-				*out = wire.AppendBatchResponse((*out)[:0], req.ID, results)
-			} else {
-				resp := wire.Response{ID: req.ID, Status: st}
-				if st == wire.StatusNotLeader || st == wire.StatusFenced {
-					resp.Leader = s.leaderAddr()
-				}
-				*out = wire.AppendResponse((*out)[:0], resp)
-			}
-		} else if req.Op == wire.OpAggregate {
-			// Aggregates answer through their own response shape (the value
-			// tail), so they take their own dispatch path beside OpBatch.
-			var ar wire.AggregateResponse
-			ar, poisoned = s.dispatchAggregate(req, frame, tr)
-			*out = wire.AppendAggregateResponse((*out)[:0], ar)
-		} else {
-			var resp wire.Response
-			resp, ticket, seq, poisoned = s.dispatch(acc, req, tr)
-			*out = wire.AppendResponse((*out)[:0], resp)
-		}
-		stage(*out, ticket, seq)
+		x.req = req
+		poisoned := s.serve(acc, &x, frame, tr)
+		*out = s.encode((*out)[:0], &x)
+		stage(*out, x.ticket, x.seq)
 		// Flush only when no next request is already buffered: that is
 		// the moment the client is actually waiting on us.
 		if br.Buffered() == 0 || poisoned || nwin >= maxWindow {
@@ -669,66 +661,71 @@ func (s *Server) writeFrame(c net.Conn, bw *bufio.Writer, payload []byte, flush 
 	return true
 }
 
-// dispatch runs one request through admission control, deadline handling
-// and the tree, translating every failure mode to its wire status.
-// poisoned reports that the handler panicked and the connection must
-// close. ticket/seq describe the mutation's WAL record when the accessor
-// supports asynchronous durability — the caller stages the response and
-// waits once per window.
-func (s *Server) dispatch(acc bst.Accessor, req wire.Request, tr *rtrace.Conn) (resp wire.Response, ticket wal.Ticket, seq uint64, poisoned bool) {
-	resp.ID = req.ID
+// serve runs one request through the steps every frame kind shares, in
+// one order: decode the frame-specific tail (a malformed one answers
+// StatusBadRequest and the connection survives, since the frame boundary
+// held), open the trace, refuse while draining, gate writes by role, take
+// an admission slot or shed, guard the slot against panics, count the
+// request, hit the failpoints, start the deadline, refuse a request whose
+// budget is already spent, and execute. The outcome lands in x. poisoned
+// reports a recovered panic: the response is StatusInternal and the
+// connection must close.
+func (s *Server) serve(acc bst.Accessor, x *call, frame []byte, tr *rtrace.Conn) (poisoned bool) {
 	start := time.Now()
-
-	validOp := req.Op >= wire.OpInsert && req.Op <= wire.OpRange || req.Op == wire.OpLookupAt
-	if !validOp {
+	x.resp = wire.Response{ID: x.req.ID}
+	x.ticket, x.seq = wal.Ticket{}, 0
+	if !x.decode(frame) {
 		s.stats.badRequests.Add(1)
-		resp.Status = wire.StatusBadRequest
-		return resp, ticket, 0, false
+		x.resp.Status = wire.StatusBadRequest
+		return false
 	}
-	tr.StartRequest(req.Trace, req.Op, req.Key)
-	// Role gate: a follower refuses writes with a redirect to the leader
-	// instead of silently diverging from it. Reads (including OpLookupAt)
-	// are served from any role. A fenced node — deposed by a newer term —
-	// answers StatusFenced instead of StatusNotLeader so clients (and
-	// audits) can tell "never was the leader" from "stop trusting this
-	// one"; both carry the current leader's address.
-	if cl := s.cfg.Cluster; cl != nil && !cl.IsLeader() && (req.Op == wire.OpInsert || req.Op == wire.OpDelete) {
-		if s.clusterFenced() {
-			s.noteFenced()
-			resp.Status, resp.Leader = wire.StatusFenced, cl.LeaderAddr()
-			return resp, ticket, 0, false
-		}
-		s.stats.notLeader.Add(1)
-		resp.Status, resp.Leader = wire.StatusNotLeader, cl.LeaderAddr()
-		return resp, ticket, 0, false
-	}
+	tr.StartRequest(x.req.Trace, x.req.Op, x.arg)
 	if s.draining.Load() {
 		s.stats.drainRejected.Add(1)
-		resp.Status = wire.StatusDraining
-		return resp, ticket, 0, false
+		x.resp.Status = wire.StatusDraining
+		return false
+	}
+	// Role gate: a follower refuses writes with a redirect to the leader
+	// instead of silently diverging from it; reads (lookups, lookup-only
+	// batches, aggregates) are served from any role. A fenced node —
+	// deposed by a newer term — answers StatusFenced instead of
+	// StatusNotLeader so clients (and audits) can tell "never was the
+	// leader" from "stop trusting this one"; encode adds the leader's
+	// address to both.
+	if cl := s.cfg.Cluster; cl != nil && x.mutates && !cl.IsLeader() {
+		if s.clusterFenced() {
+			s.noteFenced()
+			x.resp.Status = wire.StatusFenced
+		} else {
+			s.stats.notLeader.Add(1)
+			x.resp.Status = wire.StatusNotLeader
+		}
+		return false
 	}
 
-	// Admission: take an in-flight token or shed. The bounded wait (0 by
-	// default) is the only queueing the server ever does; only that waited
-	// path records a KQueueWait span (the fast path never queues).
+	// Admission: take an in-flight token or shed. One token per frame, so
+	// a batch multiplies useful work per slot rather than competing for
+	// more. The bounded wait (0 by default) is the only queueing the server
+	// ever does; only that waited path records a KQueueWait span.
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		if s.cfg.AdmissionWait <= 0 {
-			s.stats.shed.Add(1)
-			resp.Status = wire.StatusOverloaded
-			return resp, ticket, 0, false
+		admitted := false
+		if s.cfg.AdmissionWait > 0 {
+			qStart := time.Now()
+			t := time.NewTimer(s.cfg.AdmissionWait)
+			select {
+			case s.sem <- struct{}{}:
+				t.Stop()
+				tr.Span(rtrace.KQueueWait, qStart, 0)
+				admitted = true
+			case <-t.C:
+			}
 		}
-		qStart := time.Now()
-		t := time.NewTimer(s.cfg.AdmissionWait)
-		select {
-		case s.sem <- struct{}{}:
-			t.Stop()
-			tr.Span(rtrace.KQueueWait, qStart, 0)
-		case <-t.C:
+		if !admitted {
 			s.stats.shed.Add(1)
-			resp.Status = wire.StatusOverloaded
-			return resp, ticket, 0, false
+			x.resp.Status = wire.StatusOverloaded
+			return false
 		}
 	}
 	s.stats.inFlight.Add(1)
@@ -737,10 +734,10 @@ func (s *Server) dispatch(acc bst.Accessor, req wire.Request, tr *rtrace.Conn) (
 		<-s.sem
 		if p := recover(); p != nil {
 			s.stats.panics.Add(1)
-			s.log.Error("panic serving request", "op", wire.OpName(req.Op), "key", req.Key,
+			s.log.Error("panic serving request", "op", wire.OpName(x.req.Op), "arg", x.arg,
 				"conn", tr.ID(), "trace", tr.Context().TraceID, "panic", p)
-			resp = wire.Response{ID: req.ID, Status: wire.StatusInternal}
-			ticket, seq = wal.Ticket{}, 0
+			x.resp = wire.Response{ID: x.req.ID, Status: wire.StatusInternal}
+			x.ticket, x.seq = wal.Ticket{}, 0
 			poisoned = true
 		}
 	}()
@@ -753,143 +750,131 @@ func (s *Server) dispatch(acc bst.Accessor, req wire.Request, tr *rtrace.Conn) (
 		}
 	}
 
-	// Deadline: the request's budget (or the server default) becomes a
-	// context carried through execution.
+	// Deadline: the request's budget (or the server default), counted from
+	// arrival, becomes a context carried through execution.
 	budget := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		budget = time.Duration(req.DeadlineMS) * time.Millisecond
+	if x.req.DeadlineMS > 0 {
+		budget = time.Duration(x.req.DeadlineMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), start.Add(budget))
 	defer cancel()
+	if err := ctx.Err(); err != nil {
+		x.resp.Status = s.statusOf(err)
+		return false
+	}
 
 	opStart := time.Now()
-	resp, ticket, seq = s.execute(ctx, acc, req)
-	tr.Span(rtrace.KTreeOp, opStart, req.Key)
-	if seq != 0 {
-		// Link the WAL sequence this mutation produced to its trace, so the
-		// replication leader can stamp the shipped batch that covers it.
-		s.cfg.Trace.NoteSampledSeq(seq, tr.Context())
+	switch x.req.Op {
+	case wire.OpBatch:
+		s.executeBatch(ctx, acc, x)
+	case wire.OpAggregate:
+		s.executeAggregate(x)
+	default:
+		s.execute(ctx, acc, x)
 	}
-	return resp, ticket, seq, false
+	tr.Span(rtrace.KTreeOp, opStart, x.arg)
+	if x.seq != 0 {
+		// Link the WAL sequence this request produced to its trace, so the
+		// replication leader can stamp the shipped batch that covers it.
+		s.cfg.Trace.NoteSampledSeq(x.seq, tr.Context())
+	}
+	return false
 }
 
-// dispatchBatch is dispatch for OpBatch frames: the whole frame passes
-// admission once (one in-flight token per frame, so batching multiplies
-// useful work per admission slot rather than competing for more slots) and
-// then executes through the accessor's batched operations. A non-OK status
-// applies to the whole batch and carries no per-op results; otherwise every
-// operation reports its own status. seq is the WAL horizon the batch's
-// mutations reached (0 when none) — the durability wait already happened
-// inside the batched accessor, but the semi-sync replication wait is the
-// window's.
-func (s *Server) dispatchBatch(acc bst.Accessor, req wire.Request, frame []byte, cs *connScratch, tr *rtrace.Conn) (results []wire.BatchResult, st wire.Status, seq uint64, poisoned bool) {
-	start := time.Now()
-	if s.draining.Load() {
-		s.stats.drainRejected.Add(1)
-		return nil, wire.StatusDraining, 0, false
-	}
-	ops, err := wire.DecodeBatchOps(frame, cs.ops[:0])
-	cs.ops = ops
-	if err != nil {
-		// The frame boundary held — only the batch payload is malformed —
-		// so the connection survives, unlike an unframeable stream.
-		s.stats.badRequests.Add(1)
-		return nil, wire.StatusBadRequest, 0, false
-	}
-	tr.StartRequest(req.Trace, wire.OpBatch, int64(len(ops))) // Arg = op count
-	mutates := false
-	for i := range ops {
-		if ops[i].Op == wire.OpInsert || ops[i].Op == wire.OpDelete {
-			mutates = true
-			break
+// decode fills the frame-specific fields of x from frame; false means an
+// unknown op or a malformed batch or aggregate tail.
+func (x *call) decode(frame []byte) bool {
+	var err error
+	switch op := x.req.Op; op {
+	case wire.OpInsert, wire.OpDelete, wire.OpLookup, wire.OpLookupAt, wire.OpRange:
+		x.arg, x.mutates = x.req.Key, op == wire.OpInsert || op == wire.OpDelete
+	case wire.OpBatch:
+		x.ops, err = wire.DecodeBatchOps(frame, x.ops[:0])
+		x.arg, x.mutates = int64(len(x.ops)), false
+		for i := range x.ops {
+			if x.ops[i].Op != wire.OpLookup {
+				x.mutates = true
+				break
+			}
 		}
-	}
-	// Role gate, same as the single-op path: lookup-only batches serve
-	// from any role, anything mutating redirects off a follower — with
-	// StatusFenced when this node is a deposed leader.
-	if cl := s.cfg.Cluster; cl != nil && !cl.IsLeader() && mutates {
-		if s.clusterFenced() {
-			s.noteFenced()
-			return nil, wire.StatusFenced, 0, false
-		}
-		s.stats.notLeader.Add(1)
-		return nil, wire.StatusNotLeader, 0, false
-	}
-
-	select {
-	case s.sem <- struct{}{}:
+	case wire.OpAggregate:
+		x.agg, err = wire.DecodeAggregate(frame)
+		x.arg, x.mutates = x.agg.Key, false
 	default:
-		if s.cfg.AdmissionWait <= 0 {
-			s.stats.shed.Add(1)
-			return nil, wire.StatusOverloaded, 0, false
-		}
-		qStart := time.Now()
-		t := time.NewTimer(s.cfg.AdmissionWait)
-		select {
-		case s.sem <- struct{}{}:
-			t.Stop()
-			tr.Span(rtrace.KQueueWait, qStart, 0)
-		case <-t.C:
-			s.stats.shed.Add(1)
-			return nil, wire.StatusOverloaded, 0, false
-		}
+		return false
 	}
-	s.stats.inFlight.Add(1)
-	defer func() {
-		s.stats.inFlight.Add(-1)
-		<-s.sem
-		if p := recover(); p != nil {
-			s.stats.panics.Add(1)
-			s.log.Error("panic serving batch", "ops", len(ops),
-				"conn", tr.ID(), "trace", tr.Context().TraceID, "panic", p)
-			results, st, seq, poisoned = nil, wire.StatusInternal, 0, true
-		}
-	}()
-	s.stats.requests.Add(1)
-	s.stats.batchOps.Add(uint64(len(ops)))
+	return err == nil
+}
 
-	if fp := s.cfg.Failpoints; fp != nil {
-		fp.Hit(FPHandle)
-		if fp.Hit(FPPanic) {
-			panic("failpoint " + FPPanic)
-		}
+// encode appends x's response payload to dst: the aggregate shape with
+// its value, the batch shape with its per-op statuses, or the plain
+// response — which is also how a batch rejected as a whole answers, and
+// which names the leader on a redirect.
+func (s *Server) encode(dst []byte, x *call) []byte {
+	switch {
+	case x.req.Op == wire.OpAggregate:
+		return wire.AppendAggregateResponse(dst, wire.AggregateResponse{ID: x.req.ID, Status: x.resp.Status, Value: x.value})
+	case x.req.Op == wire.OpBatch && x.resp.Status == wire.StatusOK:
+		return wire.AppendBatchResponse(dst, x.req.ID, x.results)
+	case x.resp.Status == wire.StatusNotLeader || x.resp.Status == wire.StatusFenced:
+		x.resp.Leader = s.leaderAddr()
 	}
+	return wire.AppendResponse(dst, x.resp)
+}
 
-	budget := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		budget = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithDeadline(context.Background(), start.Add(budget))
-	defer cancel()
+// errReplLag is execute's error for an OpLookupAt whose sequence floor the
+// local tree did not reach within the request's deadline.
+var errReplLag = errors.New("server: applied sequence below the request's floor")
 
-	opStart := time.Now()
-	results = s.executeBatch(ctx, acc, ops, cs)
-	tr.Span(rtrace.KTreeOp, opStart, int64(len(ops)))
-	if mutates && s.cfg.Cluster != nil {
-		// Conservative horizon for the semi-sync gate: every record this
-		// batch logged has seq at or below the store's current last.
-		if ds, can := s.cfg.Store.(interface{ LastSeq() uint64 }); can {
-			seq = ds.LastSeq()
-		}
+// statusOf maps an execution error to its wire status and counts it: the
+// one place the server turns errors into statuses.
+func (s *Server) statusOf(err error) wire.Status {
+	switch {
+	case err == nil:
+		return wire.StatusOK
+	case errors.Is(err, bst.ErrCapacity):
+		s.stats.capacityErrs.Add(1)
+		return wire.StatusCapacity
+	case errors.Is(err, durable.ErrFenced):
+		// Fenced between the role gate and the apply: the store's own gate
+		// caught it. Redirect like the role gate does.
+		s.noteFenced()
+		return wire.StatusFenced
+	case errors.Is(err, bst.ErrKeyOutOfRange), errors.Is(err, bst.ErrSelectOutOfRange):
+		s.stats.outOfRange.Add(1)
+		return wire.StatusKeyOutOfRange
+	case errors.Is(err, bst.ErrNoOrderStats):
+		s.stats.noIndex.Add(1)
+		return wire.StatusNoIndex
+	case errors.Is(err, context.DeadlineExceeded):
+		s.stats.timeouts.Add(1)
+		return wire.StatusDeadlineExceeded
+	case err == errReplLag:
+		s.stats.replLag.Add(1)
+		return wire.StatusReplLag
+	default:
+		s.stats.badRequests.Add(1)
+		return wire.StatusBadRequest
 	}
-	if seq != 0 {
-		s.cfg.Trace.NoteSampledSeq(seq, tr.Context())
-	}
-	return results, wire.StatusOK, seq, false
 }
 
 // executeBatch runs a batch's operations in program order, carving the
 // batch into maximal same-kind runs so each run amortizes one shared tree
-// descent through the accessor's batched API. The deadline is checked
-// between runs: operations past an expired budget answer
-// StatusDeadlineExceeded without touching the tree (a run already started
-// completes — point operations are not cancellable mid-CAS).
-func (s *Server) executeBatch(ctx context.Context, acc bst.Accessor, ops []wire.BatchOp, cs *connScratch) []wire.BatchResult {
-	results := cs.results[:0]
+// descent through the accessor's batched operations. Every operation
+// reports its own status. The deadline is checked between runs:
+// operations past an expired budget answer StatusDeadlineExceeded without
+// touching the tree (a run already started completes — point operations
+// are not cancellable mid-CAS). The durability wait already happened
+// inside the batched accessor, but the semi-sync replication wait is the
+// response window's, so x.seq is the WAL horizon the batch reached.
+func (s *Server) executeBatch(ctx context.Context, acc bst.Accessor, x *call) {
+	ops := x.ops
+	s.stats.batchOps.Add(uint64(len(ops)))
+	results := x.results[:0]
 	for range ops {
 		results = append(results, wire.BatchResult{})
 	}
-	cs.results = results
+	x.results = results
 
 	i := 0
 	for i < len(ops) {
@@ -904,15 +889,15 @@ func (s *Server) executeBatch(ctx context.Context, acc bst.Accessor, ops []wire.
 		for j < len(ops) && ops[j].Op == ops[i].Op {
 			j++
 		}
-		keys := cs.keys[:0]
+		keys := x.keys[:0]
 		for k := i; k < j; k++ {
 			keys = append(keys, ops[k].Key)
 		}
-		cs.keys = keys
-		if cap(cs.res) < j-i {
-			cs.res = make([]bst.OpResult, j-i)
+		x.keys = keys
+		if cap(x.res) < j-i {
+			x.res = make([]bst.OpResult, j-i)
 		}
-		res := cs.res[:j-i]
+		res := x.res[:j-i]
 		switch ops[i].Op {
 		case wire.OpInsert:
 			acc.InsertBatch(keys, res)
@@ -923,164 +908,108 @@ func (s *Server) executeBatch(ctx context.Context, acc bst.Accessor, ops []wire.
 		}
 		for k := i; k < j; k++ {
 			r := res[k-i]
-			switch {
-			case r.Err == nil:
-				results[k] = wire.BatchResult{Status: wire.StatusOK, OK: r.OK}
-			case errors.Is(r.Err, bst.ErrCapacity):
-				s.stats.capacityErrs.Add(1)
-				results[k] = wire.BatchResult{Status: wire.StatusCapacity}
-			case errors.Is(r.Err, durable.ErrFenced):
-				s.noteFenced()
-				results[k] = wire.BatchResult{Status: wire.StatusFenced}
-			case errors.Is(r.Err, bst.ErrKeyOutOfRange):
-				s.stats.outOfRange.Add(1)
-				results[k] = wire.BatchResult{Status: wire.StatusKeyOutOfRange}
-			default:
-				s.stats.badRequests.Add(1)
-				results[k] = wire.BatchResult{Status: wire.StatusBadRequest}
-			}
+			results[k] = wire.BatchResult{Status: s.statusOf(r.Err), OK: r.OK && r.Err == nil}
 		}
 		i = j
 	}
-	return results
+	if x.mutates && s.cfg.Cluster != nil {
+		// Conservative horizon for the semi-sync gate: every record this
+		// batch logged has seq at or below the store's current last.
+		if ds, can := s.cfg.Store.(interface{ LastSeq() uint64 }); can {
+			x.seq = ds.LastSeq()
+		}
+	}
 }
 
-// execute performs the tree operation under ctx. It assumes admission has
-// already been granted. For mutations on a ticket-capable accessor the
-// durability wait is deferred to the caller: the returned ticket/seq let
-// one window flush cover many operations.
-func (s *Server) execute(ctx context.Context, acc bst.Accessor, req wire.Request) (wire.Response, wal.Ticket, uint64) {
-	resp := wire.Response{ID: req.ID}
-	var ticket wal.Ticket
-	var seq uint64
-	if ctx.Err() != nil {
-		s.stats.timeouts.Add(1)
-		resp.Status = wire.StatusDeadlineExceeded
-		return resp, ticket, 0
-	}
+// execute performs a single-op request under ctx. For mutations on a
+// ticket-capable accessor the durability wait is deferred to the caller:
+// x.ticket and x.seq let one window flush cover many operations.
+func (s *Server) execute(ctx context.Context, acc bst.Accessor, x *call) {
+	req := &x.req
+	var err error
 	switch req.Op {
 	case wire.OpInsert:
-		var ok bool
-		var err error
-		if ta, can := acc.(ticketAccessor); can {
-			ok, ticket, err = ta.TryInsertTicket(req.Key)
-			seq = ticket.Seq()
+		if ta, async := acc.(ticketAccessor); async {
+			x.resp.OK, x.ticket, err = ta.TryInsertTicket(req.Key)
 		} else {
-			ok, err = acc.TryInsert(req.Key)
-		}
-		switch {
-		case err == nil:
-			resp.Status, resp.OK = wire.StatusOK, ok
-		case errors.Is(err, bst.ErrCapacity):
-			s.stats.capacityErrs.Add(1)
-			resp.Status = wire.StatusCapacity
-		case errors.Is(err, durable.ErrFenced):
-			// Fenced between the role gate and the apply: the store's own
-			// gate caught it. Redirect like the dispatch-level refusal.
-			s.noteFenced()
-			resp.Status, resp.Leader = wire.StatusFenced, s.leaderAddr()
-		case errors.Is(err, bst.ErrKeyOutOfRange):
-			s.stats.outOfRange.Add(1)
-			resp.Status = wire.StatusKeyOutOfRange
-		default:
-			s.stats.badRequests.Add(1)
-			resp.Status = wire.StatusBadRequest
+			x.resp.OK, err = acc.TryInsert(req.Key)
 		}
 	case wire.OpDelete:
 		if !keyInRange(req.Key) {
-			s.stats.outOfRange.Add(1)
-			resp.Status = wire.StatusKeyOutOfRange
-			return resp, ticket, 0
-		}
-		if ta, can := acc.(ticketAccessor); can {
-			ok, t, err := ta.DeleteTicket(req.Key)
-			if err != nil {
-				if errors.Is(err, durable.ErrFenced) {
-					s.noteFenced()
-					resp.Status, resp.Leader = wire.StatusFenced, s.leaderAddr()
-					return resp, wal.Ticket{}, 0
-				}
-				s.stats.badRequests.Add(1)
-				resp.Status = wire.StatusBadRequest
-				return resp, wal.Ticket{}, 0
-			}
-			ticket, seq = t, t.Seq()
-			resp.Status, resp.OK = wire.StatusOK, ok
+			err = bst.ErrKeyOutOfRange
+		} else if ta, async := acc.(ticketAccessor); async {
+			x.resp.OK, x.ticket, err = ta.DeleteTicket(req.Key)
 		} else {
-			resp.Status, resp.OK = wire.StatusOK, acc.Delete(req.Key)
+			x.resp.OK = acc.Delete(req.Key)
 		}
-	case wire.OpLookup:
-		if !keyInRange(req.Key) {
-			s.stats.outOfRange.Add(1)
-			resp.Status = wire.StatusKeyOutOfRange
-			return resp, ticket, 0
+	case wire.OpLookup, wire.OpLookupAt:
+		// Read-your-writes: OpLookupAt names the last sequence acked to the
+		// client, waits (bounded by the deadline) until the local tree
+		// reflects it, and answers StatusReplLag rather than serve a
+		// provably stale read.
+		switch {
+		case !keyInRange(req.Key):
+			err = bst.ErrKeyOutOfRange
+		case req.Op == wire.OpLookupAt && !s.reached(ctx, req.MinSeq):
+			err = errReplLag
+		default:
+			x.resp.OK = acc.Contains(req.Key)
 		}
-		resp.Status, resp.OK = wire.StatusOK, acc.Contains(req.Key)
-	case wire.OpLookupAt:
-		// Read-your-writes: the client passes the last sequence acked to
-		// it; the lookup waits (bounded by the request deadline) until the
-		// local tree reflects it, and answers StatusReplLag rather than
-		// serve a provably stale read.
-		if !keyInRange(req.Key) {
-			s.stats.outOfRange.Add(1)
-			resp.Status = wire.StatusKeyOutOfRange
-			return resp, ticket, 0
-		}
-		if cl := s.cfg.Cluster; cl != nil {
-			if err := cl.WaitApplied(ctx, req.MinSeq); err != nil {
-				s.stats.replLag.Add(1)
-				resp.Status = wire.StatusReplLag
-				return resp, ticket, 0
-			}
-		} else if ds, can := s.cfg.Store.(interface{ LastSeq() uint64 }); can {
-			if ds.LastSeq() < req.MinSeq {
-				s.stats.replLag.Add(1)
-				resp.Status = wire.StatusReplLag
-				return resp, ticket, 0
-			}
-		} else if req.MinSeq > 0 {
-			// No sequence source at all (plain in-memory store): the floor
-			// cannot be proven, and lying would defeat the contract.
-			s.stats.replLag.Add(1)
-			resp.Status = wire.StatusReplLag
-			return resp, ticket, 0
-		}
-		resp.Status, resp.OK = wire.StatusOK, acc.Contains(req.Key)
 	case wire.OpRange:
-		limit := int(req.Limit)
-		if limit <= 0 || limit > s.cfg.RangeLimit {
-			limit = s.cfg.RangeLimit
+		var keys []int64
+		if keys, err = s.scan(ctx, req); err == nil {
+			x.resp.OK, x.resp.Keys = true, keys
 		}
-		keys := make([]int64, 0, min(limit, 64))
-		expired := false
-		i := 0
-		// Scan is the epoch-protected concurrent traversal; the limit cap
-		// bounds how long one request can pin a reclamation epoch.
-		s.cfg.Store.Scan(req.Key, req.To, func(k int64) bool {
-			// Deadline check every few keys: a huge range cannot hold
-			// its admission slot past its budget.
-			if i++; i&63 == 0 && ctx.Err() != nil {
-				expired = true
-				return false
-			}
-			keys = append(keys, k)
-			return len(keys) < limit
-		})
-		if expired {
-			s.stats.timeouts.Add(1)
-			resp.Status = wire.StatusDeadlineExceeded
-			return resp, ticket, 0
-		}
-		resp.Status, resp.OK, resp.Keys = wire.StatusOK, true, keys
 	}
-	if ctx.Err() != nil && resp.Status == wire.StatusOK && req.Op != wire.OpRange {
+	x.seq = x.ticket.Seq()
+	x.resp.OK = x.resp.OK && err == nil
+	x.resp.Status = s.statusOf(err)
+	if ctx.Err() != nil && err == nil && req.Op != wire.OpRange {
 		// The op completed after its budget. It *was* executed (point
 		// operations are not cancellable mid-CAS), so report success:
 		// dropping the acknowledgement would make the client retry a
 		// non-idempotent observation. Count it for the operator.
 		s.stats.timeouts.Add(1)
 	}
-	return resp, ticket, seq
+}
+
+// scan collects the keys in [req.Key, req.To], at most the request's
+// limit. Scan is the epoch-protected concurrent traversal; the limit cap
+// bounds how long one request can pin a reclamation epoch.
+func (s *Server) scan(ctx context.Context, req *wire.Request) ([]int64, error) {
+	limit := int(req.Limit)
+	if limit <= 0 || limit > s.cfg.RangeLimit {
+		limit = s.cfg.RangeLimit
+	}
+	keys := make([]int64, 0, min(limit, 64))
+	var err error
+	i := 0
+	s.cfg.Store.Scan(req.Key, req.To, func(k int64) bool {
+		// Deadline check every few keys: a huge range cannot hold its
+		// admission slot past its budget.
+		if i++; i&63 == 0 {
+			if err = ctx.Err(); err != nil {
+				return false
+			}
+		}
+		keys = append(keys, k)
+		return len(keys) < limit
+	})
+	return keys, err
+}
+
+// reached reports whether the local tree reflects WAL sequence seq: a
+// cluster node waits for it (bounded by ctx), a standalone durable store
+// compares its own horizon, and a store with no sequence source can prove
+// only seq 0 — lying would defeat the read-your-writes contract.
+func (s *Server) reached(ctx context.Context, seq uint64) bool {
+	if cl := s.cfg.Cluster; cl != nil {
+		return cl.WaitApplied(ctx, seq) == nil
+	}
+	if ds, can := s.cfg.Store.(interface{ LastSeq() uint64 }); can {
+		return ds.LastSeq() >= seq
+	}
+	return seq == 0
 }
 
 // keyInRange mirrors the public key bound (any int64 up to bst.MaxKey;

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -524,10 +525,50 @@ func TestAdminEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
-	for _, want := range []string{"bst_server_requests_total", "bst_server_shed_total", "bst_server_drains_total", "bst_server_inflight_requests"} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/metrics missing %s:\n%s", want, body)
+	// One series per Counters field: a counter added to Counters without
+	// an export, or an export renamed, fails here.
+	series := map[string]string{
+		"ConnsAccepted": "bst_server_conns_accepted_total",
+		"ConnsClosed":   "bst_server_conns_closed_total",
+		"Requests":      "bst_server_requests_total",
+		"BatchOps":      "bst_server_batch_ops_total",
+		"Shed":          "bst_server_shed_total",
+		"DrainRejected": "bst_server_drain_rejected_total",
+		"Timeouts":      "bst_server_deadline_timeouts_total",
+		"CapacityErrs":  "bst_server_capacity_errors_total",
+		"OutOfRange":    "bst_server_out_of_range_total",
+		"BadRequests":   "bst_server_bad_requests_total",
+		"Panics":        "bst_server_panics_total",
+		"SlowReads":     "bst_server_slow_reads_total",
+		"Drains":        "bst_server_drains_total",
+		"NotLeader":     "bst_server_not_leader_total",
+		"Fenced":        "bst_server_fenced_total",
+		"ReplLag":       "bst_server_repl_lag_total",
+		"ReplDegraded":  "bst_server_repl_degraded_total",
+		"Aggregates":    "bst_server_aggregates_total",
+		"NoIndex":       "bst_server_no_index_total",
+		"InFlight":      "bst_server_inflight_requests",
+		"OpenConns":     "bst_server_open_conns",
+		"Draining":      "bst_server_draining",
+	}
+	ct := reflect.TypeOf(Counters{})
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		name, ok := series[f.Name]
+		if !ok {
+			t.Errorf("Counters.%s has no /metrics series", f.Name)
+			continue
 		}
+		typ := "gauge"
+		if f.Type.Kind() == reflect.Uint64 {
+			typ = "counter"
+		}
+		if !strings.Contains(body, "# TYPE "+name+" "+typ+"\n") {
+			t.Errorf("/metrics missing %s %s for Counters.%s", typ, name, f.Name)
+		}
+	}
+	if len(series) != ct.NumField() {
+		t.Errorf("%d series listed for %d Counters fields", len(series), ct.NumField())
 	}
 	var doc map[string]any
 	if code, body := get("/debug/vars"); code != 200 || json.Unmarshal([]byte(body), &doc) != nil {

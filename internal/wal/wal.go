@@ -205,41 +205,7 @@ type Log struct {
 	rotations    atomic.Uint64
 	tornBytes    atomic.Uint64
 	durableSeq   atomic.Uint64
-	fsyncHist    histo
-}
-
-// histo is a single-writer power-of-two-bucket nanosecond histogram in the
-// style of internal/metrics shards: stores are plain (one writer), loads
-// atomic, so scrapes never block the flusher.
-type histo struct {
-	buckets [metrics.NumBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64
-}
-
-func (h *histo) observe(d time.Duration) {
-	ns := uint64(d.Nanoseconds())
-	i := 0
-	for v := ns; v != 0; v >>= 1 {
-		i++
-	}
-	if i >= metrics.NumBuckets {
-		i = metrics.NumBuckets - 1
-	}
-	b := &h.buckets[i]
-	b.Store(b.Load() + 1)
-	h.count.Store(h.count.Load() + 1)
-	h.sum.Store(h.sum.Load() + ns)
-}
-
-func (h *histo) snapshot() metrics.LatencySnapshot {
-	var l metrics.LatencySnapshot
-	for i := range h.buckets {
-		l.Buckets[i] = h.buckets[i].Load()
-	}
-	l.Count = h.count.Load()
-	l.SumNanos = h.sum.Load()
-	return l
+	fsyncHist    metrics.Histogram
 }
 
 // Open opens (or creates) the log in dir, scanning existing segments to
@@ -419,7 +385,7 @@ func (l *Log) Stats() Stats {
 		LastSeq:       lastSeq,
 		DurableSeq:    l.durableSeq.Load(),
 		Segments:      segs,
-		FsyncNanos:    l.fsyncHist.snapshot(),
+		FsyncNanos:    l.fsyncHist.Snapshot(),
 	}
 }
 
@@ -603,7 +569,7 @@ func (l *Log) flushOnce(sync bool) {
 		}
 		l.needSync = false
 		l.fsyncs.Add(1)
-		l.fsyncHist.observe(time.Since(t0))
+		l.fsyncHist.Observe(time.Since(t0))
 		l.mu.Lock()
 		l.durableSeq.Store(l.nextSeq - 1 - uint64(len(l.buf))/frameLen)
 		l.mu.Unlock()

@@ -40,22 +40,6 @@ const (
 	AggModeExact uint8 = 1 // exact: linearized at the query's refresh point
 )
 
-// AggName returns a human-readable aggregate kind name.
-func AggName(kind uint8) string {
-	switch kind {
-	case AggRank:
-		return "rank"
-	case AggSelect:
-		return "select"
-	case AggCount:
-		return "count"
-	case AggSum:
-		return "sum"
-	default:
-		return fmt.Sprintf("agg(%d)", kind)
-	}
-}
-
 // ErrBadAggregate flags an aggregate frame whose lengths parse but whose
 // kind or mode byte names nothing.
 var ErrBadAggregate = errors.New("wire: bad aggregate kind or mode")

@@ -218,13 +218,6 @@ func (s Status) String() string {
 	}
 }
 
-// Retryable reports whether a client may retry a request that got this
-// status (on the same or a fresh connection). Deadline expiry is not
-// retryable here: whether budget remains is the caller's call.
-func (s Status) Retryable() bool {
-	return s == StatusOverloaded || s == StatusCapacity || s == StatusDraining
-}
-
 // Request is one decoded request frame.
 type Request struct {
 	ID         uint64

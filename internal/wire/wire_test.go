@@ -178,19 +178,6 @@ func TestTruncatedFrames(t *testing.T) {
 	}
 }
 
-func TestStatusClassification(t *testing.T) {
-	retryable := map[Status]bool{
-		StatusOK: false, StatusOverloaded: true, StatusCapacity: true,
-		StatusKeyOutOfRange: false, StatusDeadlineExceeded: false,
-		StatusDraining: true, StatusBadRequest: false, StatusInternal: false,
-	}
-	for s, want := range retryable {
-		if s.Retryable() != want {
-			t.Errorf("%v.Retryable() = %v, want %v", s, s.Retryable(), want)
-		}
-	}
-}
-
 func TestBatchRequestRoundTrip(t *testing.T) {
 	ops := []BatchOp{
 		{Op: OpInsert, Key: 42},
@@ -290,6 +277,9 @@ func TestBatchMalformed(t *testing.T) {
 // cycle — the per-frame work of the server loop and the pipelined
 // client — does not allocate once the pool and scratch slices are warm.
 func TestBatchSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items on purpose under the race detector")
+	}
 	ops := make([]BatchOp, 64)
 	for i := range ops {
 		ops[i] = BatchOp{Op: OpLookup, Key: int64(i)}
