@@ -1,10 +1,6 @@
 # Correctness gate for the lock-free BST repro. `make ci` is the full
-# tier: formatting, vet, build, the unit suite, a race pass over the
-# packages with real concurrency (the arena-backed core, the epoch
-# reclamation domain, the public API, the network serving layer, the
-# durability stack, the order-statistics index, the flight recorder, the
-# client, the wire codec and the fault-injecting proxy), the deterministic
-# serve smoke test (one shed, one
+# tier: formatting, vet, build, the unit suite, a race pass over every
+# package, the deterministic serve smoke test (one shed, one
 # capacity refusal, one graceful drain, one batch/pipelining stage on a
 # real socket), a short batched-operation linearizability round, the
 # crash-stress durability gate (kill -9 a durable fsync server mid-load,
@@ -44,13 +40,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Two invocations, so the second set never shares the CPU with
-# ./internal/core's long race run (internal/forest is raced by shard-smoke).
+# Every package under the race detector, in two invocations so the rest
+# never shares the CPU with ./internal/core's long race run.
 race:
-	$(GO) test -race . ./internal/core ./internal/reclaim ./internal/server \
-		./internal/wal ./internal/snapshot ./internal/durable
-	$(GO) test -race ./internal/orderstat ./internal/rtrace ./internal/client \
-		./internal/netchaos ./internal/wire
+	$(GO) test -race ./internal/core
+	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/core$$')
 
 serve-smoke:
 	$(GO) run ./cmd/bstserve -smoke

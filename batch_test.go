@@ -224,3 +224,44 @@ func TestMapBatch(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", m.Len())
 	}
 }
+
+// TestAccessorBatchAllocs: an accessor's steady-state batch triple — a
+// 64-key InsertBatch, ContainsBatch and DeleteBatch — does not allocate,
+// on the default tree and on a forest whose batch lands in one shard
+// (the shard scratch and the sub-batch dispatch are the handle's own;
+// only a fan-out across shards may allocate).
+func TestAccessorBatchAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []bst.Option
+	}{
+		{"default", nil},
+		{"shards=4/one-shard-batch", []bst.Option{bst.WithShards(4), bst.WithShardRange(0, 1<<20-1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := bst.New(tc.opts...)
+			defer tree.Close()
+			acc := tree.NewAccessor()
+			defer acc.Close()
+			ks := make([]int64, 64)
+			for i := range ks {
+				ks[i] = int64(i * 7)
+			}
+			out := make([]bst.OpResult, len(ks))
+			triple := func() {
+				acc.InsertBatch(ks, out)
+				acc.ContainsBatch(ks, out)
+				acc.DeleteBatch(ks, out)
+			}
+			triple() // size the accessor's scratch
+			if got := testing.AllocsPerRun(200, triple); got != 0 {
+				t.Errorf("batch triple allocates %.1f per run, want 0", got)
+			}
+			for i, r := range out {
+				if r.Err != nil || !r.OK {
+					t.Fatalf("delete %d = %+v", ks[i], r)
+				}
+			}
+		})
+	}
+}

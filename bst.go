@@ -40,9 +40,7 @@ import (
 	"repro/internal/hjbst"
 	"repro/internal/keys"
 	"repro/internal/kst"
-	"repro/internal/metrics"
 	"repro/internal/nmboxed"
-	"repro/internal/orderstat"
 )
 
 // MaxKey is the largest storable key (the top of the int64 range is
@@ -218,13 +216,12 @@ func WithArity(k int) Option { return func(c *config) { c.arity = k } }
 // concurrent use unless noted.
 type Tree struct {
 	algo Algorithm
-	b    backend
+	b    backend // a *forest.Forest (one shard or more) for NatarajanMittal
 
-	// Order-statistics indexes (WithOrderStatistics, NatarajanMittal
-	// only): ix serves a single core tree, agg merges a sharded forest's
-	// per-shard indexes. Both nil when order statistics are off — every
-	// aggregate method then answers ErrNoOrderStats.
-	ix  *orderstat.Index
+	// agg merges the forest's per-shard order-statistics indexes
+	// (WithOrderStatistics, NatarajanMittal only); nil when order
+	// statistics are off, and every aggregate method then answers
+	// ErrNoOrderStats.
 	agg *forest.Aggregates
 }
 
@@ -237,41 +234,11 @@ func New(opts ...Option) *Tree {
 	t := &Tree{algo: cfg.algo}
 	switch cfg.algo {
 	case NatarajanMittal:
-		var reg *metrics.Registry
-		if cfg.metrics {
-			reg = metrics.NewRegistry(cfg.metricsSample)
+		f, agg, err := newForest(cfg)
+		if err != nil {
+			panic(fmt.Sprintf("bst: %v", err))
 		}
-		if cfg.shards > 1 {
-			f, err := newForest(cfg, reg)
-			if err != nil {
-				panic(fmt.Sprintf("bst: %v", err))
-			}
-			t.b = f
-			if cfg.orderstat {
-				agg, err := forest.NewAggregates(f)
-				if err != nil {
-					panic(fmt.Sprintf("bst: %v", err))
-				}
-				t.agg = agg
-				if reg != nil {
-					reg.AddHook(agg.MetricsHook)
-				}
-			}
-		} else {
-			ct := core.New(core.Config{Capacity: cfg.capacity, Reclaim: cfg.reclaim,
-				Metrics: reg, TrackDirty: cfg.orderstat})
-			t.b = ct
-			if cfg.orderstat {
-				ix, err := orderstat.New(ct)
-				if err != nil {
-					panic(fmt.Sprintf("bst: %v", err))
-				}
-				t.ix = ix
-				if reg != nil {
-					reg.AddHook(ix.MetricsHook)
-				}
-			}
-		}
+		t.b, t.agg = f, agg
 	case NatarajanMittalBoxed:
 		t.b = nmboxed.New()
 	case EllenEtAl:
@@ -403,16 +370,10 @@ func (t *Tree) Scan(from, to int64, yield func(key int64) bool) {
 	if from > to {
 		return
 	}
-	switch b := t.b.(type) {
-	case *core.Tree:
-		b.Range(mapKey(from), mapKey(to), func(u uint64) bool {
-			return yield(keys.Unmap(u))
-		})
-		return
-	case *forest.Forest:
+	if f, ok := t.b.(*forest.Forest); ok {
 		// One epoch pin per shard; the merged stream is sorted because the
 		// shards cover disjoint ascending ranges.
-		b.Range(mapKey(from), mapKey(to), func(u uint64) bool {
+		f.Range(mapKey(from), mapKey(to), func(u uint64) bool {
 			return yield(keys.Unmap(u))
 		})
 		return
@@ -462,15 +423,11 @@ type Health struct {
 // tree near its capacity bound or a stalled reader blocking reclamation.
 func (t *Tree) Health() Health {
 	h := Health{Algorithm: t.algo}
-	var ch core.Health
-	switch b := t.b.(type) {
-	case *core.Tree:
-		ch = b.Health()
-	case *forest.Forest:
-		ch = b.Health()
-	default:
+	f, ok := t.b.(*forest.Forest)
+	if !ok {
 		return h
 	}
+	ch := f.Health()
 	h.Capacity = ch.Capacity
 	h.NodesAllocated = ch.Allocated
 	h.NodesRecycled = ch.Recycled
@@ -510,17 +467,11 @@ func (t *Tree) Stats() Stats {
 // operation is in flight. After Close the tree must not be used. Close is
 // idempotent and a no-op for algorithms without reclamation state.
 func (t *Tree) Close() error {
-	if t.ix != nil {
-		t.ix.Close()
-	}
 	if t.agg != nil {
 		t.agg.Close()
 	}
-	switch b := t.b.(type) {
-	case *core.Tree:
-		b.Close()
-	case *forest.Forest:
-		b.Close()
+	if f, ok := t.b.(*forest.Forest); ok {
+		f.Close()
 	}
 	return nil
 }
@@ -529,8 +480,6 @@ func (t *Tree) Close() error {
 // shared between goroutines; the Tree itself remains safe for shared use.
 func (t *Tree) NewAccessor() Accessor {
 	switch b := t.b.(type) {
-	case *core.Tree:
-		return &accessor{r: b.NewHandle()}
 	case *forest.Forest:
 		return &accessor{r: b.NewHandle()}
 	case *nmboxed.Tree:

@@ -187,7 +187,7 @@ func main() {
 		tree = dur.Underlying()
 	} else {
 		tree = bst.New(opts...)
-		cfg.Tree = tree
+		cfg.Store = tree
 	}
 	if *orderStats {
 		reg.AddHook(func(s *metrics.Snapshot) { tree.ExportOrderStatsMetrics(s.External, s.Gauges) })
@@ -347,7 +347,7 @@ func main() {
 func runSmoke() error {
 	tree := bst.New(bst.WithCapacity(128), bst.WithReclamation())
 	fp := failpoint.NewSet()
-	srv := server.New(server.Config{Tree: tree, MaxInFlight: 1, Failpoints: fp})
+	srv := server.New(server.Config{Store: tree, MaxInFlight: 1, Failpoints: fp})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return err
 	}
@@ -472,7 +472,7 @@ func runSmoke() error {
 // connection — and the pipeline must win by at least 2× ops/sec.
 func smokeBatchPipeline() error {
 	tree := bst.New(bst.WithReclamation())
-	srv := server.New(server.Config{Tree: tree})
+	srv := server.New(server.Config{Store: tree})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return err
 	}

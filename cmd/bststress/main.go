@@ -438,7 +438,7 @@ func exhaustRound(capacity, workers int, keySpace int64, seed uint64, reg *metri
 // acknowledged operation, stuck drain, or structural damage fails the round.
 func serveRound(workers int, keySpace int64, seed uint64) error {
 	tree := bst.New(bst.WithCapacity(1<<20), bst.WithReclamation())
-	srv := server.New(server.Config{Tree: tree, MaxInFlight: max(2, workers/2)})
+	srv := server.New(server.Config{Store: tree, MaxInFlight: max(2, workers/2)})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return err
 	}

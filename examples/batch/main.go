@@ -41,7 +41,7 @@ func main() {
 	}
 
 	// --- Over the wire: one frame, one admission token, per-op statuses. ---
-	srv := server.New(server.Config{Tree: tree})
+	srv := server.New(server.Config{Store: tree})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}

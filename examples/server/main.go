@@ -26,7 +26,7 @@ func main() {
 	// A 256-node arena with reclamation: small enough to exhaust in
 	// milliseconds, recoverable because deletes recycle nodes.
 	tree := bst.New(bst.WithCapacity(256), bst.WithReclamation())
-	srv := server.New(server.Config{Tree: tree})
+	srv := server.New(server.Config{Store: tree})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}

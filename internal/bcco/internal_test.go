@@ -8,19 +8,21 @@ import (
 )
 
 // TestWaitUntilNotChanging exercises the reader-side spin directly: a node
-// marked "changing" must block readers until the bit clears.
+// marked "changing" must block readers until the bit clears. The channel
+// closes before the bit clears, so a correct return always finds it
+// closed, and an early one (while the bit is still set) does not.
 func TestWaitUntilNotChanging(t *testing.T) {
 	n := &node{}
 	n.version.Store(vChanging)
-	released := make(chan struct{})
+	clearing := make(chan struct{})
 	go func() {
 		time.Sleep(2 * time.Millisecond)
+		close(clearing)
 		n.version.Store(vCountInc) // rotation finished: bump count, clear bit
-		close(released)
 	}()
 	waitUntilNotChanging(n)
 	select {
-	case <-released:
+	case <-clearing:
 	default:
 		t.Fatal("waitUntilNotChanging returned while the changing bit was set")
 	}

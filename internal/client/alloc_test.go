@@ -85,7 +85,7 @@ func TestRequestPathAllocs(t *testing.T) {
 	// 70/20/10 lookups, inserts and deletes over 64 distinct keys; the
 	// mutations flip between two key sets, so every one changes the set.
 	ops := make([]Op, 64)
-	check("Do(64 mixed)", 64, func() error {
+	check("Do(64 mixed)", 40, func() error {
 		n++
 		for i := range ops {
 			k := int64(2048 + i)

@@ -509,11 +509,15 @@ func (cl *Client) fail(st wire.Status, leader string, tc rtrace.Context, attempt
 // load: it retries at once when the response named a leader, and otherwise
 // (the cluster is between leaders) sleeps the base backoff without raising
 // the level, so a mid-election cluster is not hammered with redirect
-// probes.
+// probes. After the last allowed attempt nothing is left to wait for, so
+// pause only records the backpressure.
 func (cl *Client) pause(ctx context.Context, class retryClass, leader string, attempt int) bool {
 	if class != redirect {
 		cl.noteBackpressure()
 	} else if leader != "" {
+		return true
+	}
+	if attempt+1 >= cl.cfg.MaxAttempts {
 		return true
 	}
 	base := cl.cfg.Backoff

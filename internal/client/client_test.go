@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	bst "repro"
 	"repro/internal/durable"
 	"repro/internal/rtrace"
 	"repro/internal/server"
@@ -194,5 +195,48 @@ func TestFencedStoreEveryPath(t *testing.T) {
 	}
 	if store.Contains(1) || store.Contains(2) || store.Contains(3) {
 		t.Fatal("a fenced store applied a write")
+	}
+}
+
+// TestNoBackoffAfterLastAttempt: when the last allowed attempt fails with
+// a retryable status, the call returns at once instead of sleeping a
+// backoff no attempt follows. With one attempt, 30 s backoffs and a 2 s
+// context, a full tree's capacity refusal must surface as bst.ErrCapacity
+// — in Insert's error and in Do's slot — well before the context ends.
+func TestNoBackoffAfterLastAttempt(t *testing.T) {
+	tree := bst.New(bst.WithCapacity(64))
+	t.Cleanup(func() { tree.Close() })
+	for k := int64(0); ; k++ {
+		if _, err := tree.TryInsert(k); err != nil {
+			if !errors.Is(err, bst.ErrCapacity) {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	srv := server.New(server.Config{Store: tree})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := Dial(Config{Addr: srv.Addr().String(), MaxAttempts: 1, Seed: 1,
+		Backoff: 30 * time.Second, CapacityBackoff: 30 * time.Second, MaxBackoff: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+
+	start := time.Now()
+	if _, err := cl.Insert(ctx, 1<<40); !errors.Is(err, bst.ErrCapacity) {
+		t.Errorf("Insert err = %v, want bst.ErrCapacity", err)
+	}
+	res, err := cl.Do(ctx, []Op{InsertOp(1<<40 + 1)})
+	if err != nil || !errors.Is(res[0].Err, bst.ErrCapacity) {
+		t.Errorf("Do = (%+v, %v), want its slot bst.ErrCapacity", res, err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("two one-attempt calls took %v; the last attempt must not back off", el)
 	}
 }

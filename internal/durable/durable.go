@@ -123,9 +123,9 @@ type CheckpointStats struct {
 	SegmentsGC  int // fully-checkpointed WAL segments removed
 }
 
-// lane is one WAL-and-snapshot chain. An unsharded store has exactly one,
-// rooted at the data directory; a sharded store has one per shard, each in
-// its own shard-NNN subdirectory, covering that shard's key range [lo, hi].
+// lane is one WAL-and-snapshot chain, one per shard, covering that shard's
+// key range [lo, hi]. A one-shard store's lane is rooted at the data
+// directory; a sharded store's lanes each live in a shard-NNN subdirectory.
 type lane struct {
 	dir string
 	log *wal.Log
@@ -148,7 +148,7 @@ type Tree struct {
 	dir  string
 	opts Options
 	tree *bst.Tree
-	log  *wal.Log // lanes[0].log; the only log when unsharded (replication works through it)
+	log  *wal.Log // lanes[0].log; the only log on one shard (replication works through it)
 
 	lanes []*lane
 
@@ -184,15 +184,10 @@ func stripeOf(key int64) int {
 	return int((uint64(key) * 0x9E3779B97F4A7C15) >> 56)
 }
 
-// laneOf routes a key to its WAL lane (always 0 when unsharded). The
-// key→lane mapping mirrors the tree's key→shard routing and is pinned on
-// disk by the forest manifest, so a key's whole history stays in one lane.
-func (d *Tree) laneOf(key int64) int {
-	if len(d.lanes) == 1 {
-		return 0
-	}
-	return d.tree.ShardOf(key)
-}
+// laneOf routes a key to its WAL lane. The key→lane mapping is the tree's
+// key→shard routing, pinned on disk by the forest manifest, so a key's
+// whole history stays in one lane.
+func (d *Tree) laneOf(key int64) int { return d.tree.ShardOf(key) }
 
 // Shards reports the number of WAL lanes (= the tree's shard count).
 func (d *Tree) Shards() int { return len(d.lanes) }
@@ -218,72 +213,65 @@ func Open(dir string, opts Options) (*Tree, error) {
 		return nil, err
 	}
 
-	var horizons []uint64
-	var err error
+	// Every lane recovers in parallel (disjoint key ranges). A one-shard
+	// store's lane is the data directory itself, with the replication tap
+	// wired: the layout of every store created before sharding existed.
+	// A forest's lanes live in shard-NNN subdirectories and tap nothing.
+	var tap func([]byte, uint64, uint64)
 	if n == 1 {
-		// Unsharded: the lane is the data directory itself, with the
-		// replication tap wired (legacy layout, byte-compatible with every
-		// store created before sharding existed).
-		lo, hi := d.tree.ShardKeyRange(0)
-		ln := &lane{dir: dir, lo: lo, hi: hi}
-		var h uint64
-		if h, err = d.openLane(ln, d.fireTap, &d.recovery); err != nil {
-			d.tree.Close()
-			return nil, err
+		tap = d.fireTap
+	}
+	d.lanes = make([]*lane, n)
+	horizons := make([]uint64, n)
+	stats := make([]RecoveryStats, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range d.lanes {
+		ln := &lane{dir: laneDir(dir, i, n)}
+		ln.lo, ln.hi = d.tree.ShardKeyRange(i)
+		d.lanes[i] = ln
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			horizons[i], errs[i] = d.openLane(ln, tap, &stats[i])
+		}(i)
+	}
+	wg.Wait()
+	var err error
+	for i, e := range errs {
+		if e != nil && err == nil {
+			err = fmt.Errorf("shard %d: %w", i, e)
 		}
-		horizons = []uint64{h}
-		d.lanes = []*lane{ln}
-	} else {
-		d.lanes = make([]*lane, n)
-		horizons = make([]uint64, n)
-		stats := make([]RecoveryStats, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			lo, hi := d.tree.ShardKeyRange(i)
-			d.lanes[i] = &lane{dir: shardDir(dir, i), lo: lo, hi: hi}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				horizons[i], errs[i] = d.openLane(d.lanes[i], nil, &stats[i])
-			}(i)
-		}
-		wg.Wait()
-		for i, e := range errs {
-			if e != nil && err == nil {
-				err = fmt.Errorf("shard %d: %w", i, e)
+	}
+	if err != nil {
+		for _, ln := range d.lanes {
+			if ln.log != nil {
+				ln.log.Close()
 			}
 		}
-		if err != nil {
-			for _, ln := range d.lanes {
-				if ln.log != nil {
-					ln.log.Close()
-				}
-			}
-			d.tree.Close()
-			return nil, err
-		}
+		d.tree.Close()
+		return nil, err
+	}
+	// The recovered snapshot is the lane's own on one shard, the manifest
+	// that pins every lane's horizon on a forest.
+	d.recovery.SnapshotPath = stats[0].SnapshotPath
+	if n > 1 {
 		d.recovery.SnapshotPath = manifestPath(dir)
-		for i := range stats {
-			d.recovery.SnapshotKeys += stats[i].SnapshotKeys
-			d.recovery.CorruptSnapshots += stats[i].CorruptSnapshots
-			d.recovery.ReplayedOps += stats[i].ReplayedOps
-			d.recovery.WALTornBytes += stats[i].WALTornBytes
-			if stats[i].SnapshotWALSeq > d.recovery.SnapshotWALSeq {
-				d.recovery.SnapshotWALSeq = stats[i].SnapshotWALSeq
-			}
-		}
+	}
+	// lastCkptSeq tracks the horizon sum so checkpoint_backlog_ops stays
+	// meaningful against the summed wal_last_seq.
+	var hsum uint64
+	for i, rs := range stats {
+		d.recovery.SnapshotKeys += rs.SnapshotKeys
+		d.recovery.CorruptSnapshots += rs.CorruptSnapshots
+		d.recovery.ReplayedOps += rs.ReplayedOps
+		d.recovery.WALTornBytes += rs.WALTornBytes
+		d.recovery.SnapshotWALSeq = max(d.recovery.SnapshotWALSeq, rs.SnapshotWALSeq)
+		hsum += horizons[i]
 	}
 	d.log = d.lanes[0].log
 	d.replayedTotal.Store(d.recovery.ReplayedOps)
 	d.recovery.Duration = time.Since(start)
-	// lastCkptSeq tracks the horizon sum so checkpoint_backlog_ops stays
-	// meaningful against the summed wal_last_seq (identical to the single
-	// horizon when unsharded).
-	var hsum uint64
-	for _, h := range horizons {
-		hsum += h
-	}
 	d.lastCkptSeq.Store(hsum)
 	d.logf("durable: recovered %d snapshot key(s) + %d replayed op(s) across %d lane(s) in %s",
 		d.recovery.SnapshotKeys, d.recovery.ReplayedOps, len(d.lanes), d.recovery.Duration)
@@ -619,14 +607,11 @@ func (d *Tree) SumRange(lo, hi int64, c bst.Consistency) (int64, error) {
 // Dir returns the data directory (snapshots + WAL segments live there).
 func (d *Tree) Dir() string { return d.dir }
 
-// LastSeq returns the newest assigned WAL sequence number. On a sharded
-// store it is the SUM across lanes — monotonic and usable as a progress
+// LastSeq returns the newest assigned WAL sequence number, summed across
+// lanes. On a sharded store the sum is monotonic and usable as a progress
 // gauge, but not a position in any one log; replication (which needs the
-// latter) is restricted to unsharded stores.
+// latter) is restricted to one-shard stores.
 func (d *Tree) LastSeq() uint64 {
-	if len(d.lanes) == 1 {
-		return d.log.LastSeq()
-	}
 	var s uint64
 	for _, ln := range d.lanes {
 		s += ln.log.LastSeq()
@@ -635,11 +620,8 @@ func (d *Tree) LastSeq() uint64 {
 }
 
 // DurableSeq returns the newest WAL sequence number known fsynced (the
-// lane sum on a sharded store; see LastSeq).
+// lane sum; see LastSeq).
 func (d *Tree) DurableSeq() uint64 {
-	if len(d.lanes) == 1 {
-		return d.log.DurableSeq()
-	}
 	var s uint64
 	for _, ln := range d.lanes {
 		s += ln.log.DurableSeq()
@@ -649,7 +631,7 @@ func (d *Tree) DurableSeq() uint64 {
 
 // ErrSharded is returned by the replication surface on a sharded store:
 // WAL shipping assumes one dense global sequence, which a forest of
-// independent lanes does not have. Run replication with shards = 1.
+// several independent lanes does not have. Run replication with shards = 1.
 var ErrSharded = errors.New("durable: operation requires an unsharded store (shards = 1)")
 
 // WALFirstSeq returns the oldest WAL sequence number still retained;
@@ -762,12 +744,9 @@ func (d *Tree) ApplySnapshot(keys []int64, walSeq uint64) error {
 // RecoveryStats reports what Open reconstructed.
 func (d *Tree) RecoveryStats() RecoveryStats { return d.recovery }
 
-// WALStats reports the log's counters; on a sharded store the lanes'
-// counters are summed (sequence gauges become lane sums, MaxGroup the max).
+// WALStats reports the lanes' log counters, summed (sequence gauges become
+// lane sums, MaxGroup the max).
 func (d *Tree) WALStats() wal.Stats {
-	if len(d.lanes) == 1 {
-		return d.log.Stats()
-	}
 	var agg wal.Stats
 	for _, ln := range d.lanes {
 		st := ln.log.Stats()
@@ -784,11 +763,7 @@ func (d *Tree) WALStats() wal.Stats {
 		agg.LastSeq += st.LastSeq
 		agg.DurableSeq += st.DurableSeq
 		agg.Segments += st.Segments
-		for i := range st.FsyncNanos.Buckets {
-			agg.FsyncNanos.Buckets[i] += st.FsyncNanos.Buckets[i]
-		}
-		agg.FsyncNanos.Count += st.FsyncNanos.Count
-		agg.FsyncNanos.SumNanos += st.FsyncNanos.SumNanos
+		agg.FsyncNanos.Add(st.FsyncNanos)
 	}
 	return agg
 }
@@ -812,8 +787,7 @@ func (d *Tree) Checkpoint() (CheckpointStats, error) {
 // second — every op with seq ≤ H finished its tree mutation before H was
 // read (stripe critical section), so the scan, which starts strictly
 // later, observes it. The scan covers exactly the lane's key range, which
-// on a sharded tree routes to one shard (one epoch pin, no cross-shard
-// traffic).
+// routes to one shard (one epoch pin, no cross-shard traffic).
 func (d *Tree) checkpointLane(ln *lane) (CheckpointStats, error) {
 	start := time.Now()
 	h := ln.log.LastSeq()
@@ -848,51 +822,43 @@ func (d *Tree) checkpointLane(ln *lane) (CheckpointStats, error) {
 func (d *Tree) checkpointLocked() (CheckpointStats, error) {
 	start := time.Now()
 	baseline := d.sinceCkpt.Load()
+	// Snapshot every lane concurrently (each scan pins only its own
+	// shard's epoch), then, on a forest, publish one manifest atomically.
+	// Lane snapshots are individually atomic and self-describing, so a
+	// crash between lane publishes is safe — each lane still recovers from
+	// its own newest snapshot + WAL tail; the manifest rewrite merely
+	// records the new horizons.
+	per := make([]CheckpointStats, len(d.lanes))
+	errs := make([]error, len(d.lanes))
+	var wg sync.WaitGroup
+	for i, ln := range d.lanes {
+		wg.Add(1)
+		go func(i int, ln *lane) {
+			defer wg.Done()
+			per[i], errs[i] = d.checkpointLane(ln)
+		}(i, ln)
+	}
+	wg.Wait()
 	var stats CheckpointStats
-	if len(d.lanes) == 1 {
-		var err error
-		if stats, err = d.checkpointLane(d.lanes[0]); err != nil {
-			return CheckpointStats{}, err
+	m := forestManifest{Version: manifestVersion, Shards: len(d.lanes)}
+	for i, e := range errs {
+		if e != nil {
+			return CheckpointStats{}, fmt.Errorf("durable: checkpoint shard %d: %w", i, e)
 		}
-	} else {
-		// Sharded: snapshot every lane concurrently (each scan pins only
-		// its own shard's epoch), then publish one manifest atomically.
-		// Lane snapshots are individually atomic and self-describing, so a
-		// crash between lane publishes is safe — each lane still recovers
-		// from its own newest snapshot + WAL tail; the manifest rewrite
-		// merely records the new horizons.
-		per := make([]CheckpointStats, len(d.lanes))
-		errs := make([]error, len(d.lanes))
-		var wg sync.WaitGroup
-		for i, ln := range d.lanes {
-			wg.Add(1)
-			go func(i int, ln *lane) {
-				defer wg.Done()
-				per[i], errs[i] = d.checkpointLane(ln)
-			}(i, ln)
-		}
-		wg.Wait()
-		seqs := make([]uint64, len(d.lanes))
-		for i, e := range errs {
-			if e != nil {
-				return CheckpointStats{}, fmt.Errorf("durable: checkpoint shard %d: %w", i, e)
-			}
-			seqs[i] = per[i].WALSeq
-			stats.WALSeq += per[i].WALSeq // lane sum, matching LastSeq's sharded semantics
-			stats.Keys += per[i].Keys
-			stats.Bytes += per[i].Bytes
-			stats.SnapshotsGC += per[i].SnapshotsGC
-			stats.SegmentsGC += per[i].SegmentsGC
-		}
-		m := forestManifest{Version: manifestVersion, Shards: len(d.lanes), CheckpointSeqs: seqs}
-		for _, ln := range d.lanes {
-			m.BoundHi = append(m.BoundHi, ln.hi)
-		}
+		stats.WALSeq += per[i].WALSeq // lane sum, matching LastSeq
+		stats.Keys += per[i].Keys
+		stats.Bytes += per[i].Bytes
+		stats.SnapshotsGC += per[i].SnapshotsGC
+		stats.SegmentsGC += per[i].SegmentsGC
+		m.CheckpointSeqs = append(m.CheckpointSeqs, per[i].WALSeq)
+		m.BoundHi = append(m.BoundHi, d.lanes[i].hi)
+	}
+	if len(d.lanes) > 1 {
 		if err := writeManifest(d.dir, m); err != nil {
 			return CheckpointStats{}, fmt.Errorf("durable: publishing forest manifest: %w", err)
 		}
-		stats.Duration = time.Since(start)
 	}
+	stats.Duration = time.Since(start)
 	h := stats.WALSeq
 	d.sinceCkpt.Add(-baseline)
 	d.lastCkptSeq.Store(h)

@@ -395,14 +395,31 @@ func TestOpsAfterCloseFail(t *testing.T) {
 	}
 }
 
+// TestTryInsertOutOfRange: a key above MaxKey answers ErrKeyOutOfRange and
+// logs nothing, on one shard and on a forest, through the Tree and through
+// an accessor (single op and batch slot) — routing never panics on it.
 func TestTryInsertOutOfRange(t *testing.T) {
-	dir := t.TempDir()
-	d := openT(t, dir, Options{Sync: wal.SyncNone})
-	defer d.Close()
-	if _, err := d.TryInsert(bst.MaxKey + 1); !errors.Is(err, bst.ErrKeyOutOfRange) {
-		t.Fatalf("TryInsert(MaxKey+1) = %v, want ErrKeyOutOfRange", err)
-	}
-	if got := d.WALStats().Appends; got != 0 {
-		t.Fatalf("failed insert logged %d records", got)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			d := openT(t, t.TempDir(), Options{Sync: wal.SyncNone,
+				TreeOptions: []bst.Option{bst.WithShards(shards)}})
+			defer d.Close()
+			if _, err := d.TryInsert(bst.MaxKey + 1); !errors.Is(err, bst.ErrKeyOutOfRange) {
+				t.Fatalf("TryInsert(MaxKey+1) = %v, want ErrKeyOutOfRange", err)
+			}
+			acc := d.NewAccessor()
+			defer acc.Close()
+			if _, err := acc.TryInsert(bst.MaxKey + 1); !errors.Is(err, bst.ErrKeyOutOfRange) {
+				t.Fatalf("accessor TryInsert(MaxKey+1) = %v, want ErrKeyOutOfRange", err)
+			}
+			out := make([]bst.OpResult, 2)
+			acc.InsertBatch([]int64{bst.MaxKey + 1, 7}, out)
+			if !errors.Is(out[0].Err, bst.ErrKeyOutOfRange) || !out[1].OK {
+				t.Fatalf("InsertBatch = %+v, want slot 0 ErrKeyOutOfRange and slot 1 inserted", out)
+			}
+			if got := d.WALStats().Appends; got != 1 {
+				t.Fatalf("%d records logged, want only the in-range insert's", got)
+			}
+		})
 	}
 }

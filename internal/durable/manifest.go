@@ -38,9 +38,19 @@ type forestManifest struct {
 
 func manifestPath(dir string) string { return filepath.Join(dir, manifestName) }
 
-// shardDir is lane i's subdirectory (its WAL segments and snapshots).
+// shardDir is lane i's subdirectory (its WAL segments and snapshots) in a
+// sharded store.
 func shardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
+}
+
+// laneDir is lane i's directory in a store of n lanes: the data directory
+// itself for one lane, its shard-NNN subdirectory otherwise.
+func laneDir(dir string, i, n int) string {
+	if n == 1 {
+		return dir
+	}
+	return shardDir(dir, i)
 }
 
 // loadManifest reads dir's manifest; ok is false when none exists.

@@ -48,8 +48,8 @@ const MaxShards = 256
 // Config tunes a Forest.
 type Config struct {
 	// Shards is the number of independent trees. Values are rounded up to
-	// a power of two (routing is a shift); 0 or 1 is rejected — use a
-	// plain core.Tree when not sharding.
+	// a power of two (routing is a shift); below 2 means one tree, which
+	// routes every key to shard 0.
 	Shards int
 	// Lo and Hi bound the expected key range (internal mapped key space,
 	// inclusive). The range is split evenly across shards, so a caller
@@ -76,15 +76,18 @@ type Forest struct {
 	met   *metrics.Registry
 }
 
-// New builds a forest of cfg.Shards independent trees.
+// New builds a forest of cfg.Shards independent trees. With one shard the
+// per-shard span is the whole routing range — over the full key space the
+// shift is 64, which Go evaluates to 0 — and keys beyond it clamp, so every
+// key routes to shard 0.
 func New(cfg Config) (*Forest, error) {
-	if cfg.Shards < 2 {
-		return nil, fmt.Errorf("forest: need at least 2 shards, got %d", cfg.Shards)
-	}
 	if cfg.Shards > MaxShards {
 		return nil, fmt.Errorf("forest: %d shards exceeds limit %d", cfg.Shards, MaxShards)
 	}
-	n := 1 << uint(bits.Len(uint(cfg.Shards-1))) // round up to power of two
+	n := 1
+	if cfg.Shards > 1 {
+		n = 1 << uint(bits.Len(uint(cfg.Shards-1))) // round up to power of two
+	}
 	lo, hi := cfg.Lo, cfg.Hi
 	if lo == 0 && hi == 0 {
 		hi = keys.Map(keys.MaxUser)
@@ -304,25 +307,19 @@ func (f *Forest) Close() {
 
 // LookupBatch reports, in out[i], whether ks[i] is present.
 func (f *Forest) LookupBatch(ks []uint64, out []bool) {
-	var h Handle
-	h.f = f
-	h.LookupBatch(ks, out)
+	(&Handle{f: f}).batch(lookupKind, ks, out, nil)
 }
 
 // InsertBatch inserts every key with TryInsert semantics. A shard hitting
 // ErrCapacity fails only its own keys' slots; sibling shards' operations
 // proceed untouched.
 func (f *Forest) InsertBatch(ks []uint64, out []bool, errs []error) {
-	var h Handle
-	h.f = f
-	h.InsertBatch(ks, out, errs)
+	(&Handle{f: f}).batch(insertKind, ks, out, errs)
 }
 
 // DeleteBatch deletes every key.
 func (f *Forest) DeleteBatch(ks []uint64, out []bool) {
-	var h Handle
-	h.f = f
-	h.DeleteBatch(ks, out)
+	(&Handle{f: f}).batch(deleteKind, ks, out, nil)
 }
 
 // Handle is a single goroutine's accessor: one lazily created core handle
@@ -333,12 +330,14 @@ type Handle struct {
 	f  *Forest
 	hs []*core.Handle // lazily created per-shard handles
 
-	// Batch scratch: per-shard key runs and their original positions, and
-	// the per-shard result buffers scattered back after the sub-batches.
-	sks  [][]uint64
-	sps  [][]int32
-	soks [][]bool
-	serr [][]error
+	// Batch scratch: per-shard key runs and their original positions, the
+	// per-shard result buffers scattered back after the sub-batches, and
+	// the shards the current batch touches.
+	sks     [][]uint64
+	sps     [][]int32
+	soks    [][]bool
+	serr    [][]error
+	touched []int
 }
 
 // NewHandle returns a per-goroutine accessor. Shard handles are created on
@@ -420,18 +419,36 @@ func (h *Handle) Close() {
 // handoff costs more than the overlap buys.
 const concurrencyFloor = 32
 
+// batchKind selects the operation a batch applies to every key.
+type batchKind uint8
+
+const (
+	lookupKind batchKind = iota
+	insertKind
+	deleteKind
+)
+
+// shardBatcher is the batch surface of one shard: its tree's pooled
+// handles for a forest-level batch, or the Handle's own core handle.
+type shardBatcher interface {
+	LookupBatch(ks []uint64, out []bool)
+	InsertBatch(ks []uint64, out []bool, errs []error)
+	DeleteBatch(ks []uint64, out []bool)
+}
+
 // split routes ks into per-shard runs, recording each key's original
-// position, and sizes the per-shard result buffers. It returns the touched
-// shard indices. The input does not need to be sorted (a single routing
-// pass beats a sort + binary search at every batch size, and the core
-// sorts its sub-batch internally anyway).
-func (h *Handle) split(ks []uint64) []int {
+// position, sizes the per-shard result buffers, and lists the touched
+// shards in h.touched. The input does not need to be sorted (a single
+// routing pass beats a sort + binary search at every batch size, and the
+// core sorts its sub-batch internally anyway).
+func (h *Handle) split(ks []uint64) {
 	n := h.f.n
 	if h.sks == nil {
 		h.sks = make([][]uint64, n)
 		h.sps = make([][]int32, n)
 		h.soks = make([][]bool, n)
 		h.serr = make([][]error, n)
+		h.touched = make([]int, 0, n)
 	}
 	for s := range h.sks {
 		h.sks[s] = h.sks[s][:0]
@@ -442,13 +459,13 @@ func (h *Handle) split(ks []uint64) []int {
 		h.sks[s] = append(h.sks[s], u)
 		h.sps[s] = append(h.sps[s], int32(i))
 	}
-	touched := make([]int, 0, n)
+	h.touched = h.touched[:0]
 	for s := 0; s < n; s++ {
 		m := len(h.sks[s])
 		if m == 0 {
 			continue
 		}
-		touched = append(touched, s)
+		h.touched = append(h.touched, s)
 		if cap(h.soks[s]) < m {
 			h.soks[s] = make([]bool, m)
 			h.serr[s] = make([]error, m)
@@ -459,99 +476,83 @@ func (h *Handle) split(ks []uint64) []int {
 			h.handle(s)
 		}
 	}
-	return touched
 }
 
-// runShards executes fn once per touched shard — concurrently when the
-// batch is large enough to amortize the fan-out. Each invocation owns its
-// shard's core handle and buffers exclusively, so no locking is needed;
-// shard failures are per-op statuses inside the buffers and can never
-// affect a sibling shard's run.
-func (h *Handle) runShards(touched []int, total int, fn func(s int)) {
-	if len(touched) == 1 || total < concurrencyFloor {
-		for _, s := range touched {
-			fn(s)
-		}
-		return
+// batch runs one batch of the given kind: split at shard boundaries, run
+// each touched shard's sub-batch, then scatter the per-shard results back
+// into out (and errs, which only inserts pass). Shards run concurrently
+// when the batch is large enough to amortize the fan-out; otherwise on
+// the caller's goroutine, with no allocation.
+func (h *Handle) batch(kind batchKind, ks []uint64, out []bool, errs []error) {
+	if len(out) != len(ks) || (kind == insertKind && len(errs) != len(ks)) {
+		panic("forest: batch result length mismatch")
 	}
+	h.split(ks)
+	if len(h.touched) == 1 || len(ks) < concurrencyFloor {
+		for _, s := range h.touched {
+			h.runShard(kind, s)
+		}
+	} else {
+		h.fanOut(kind)
+	}
+	for _, s := range h.touched {
+		oks, es := h.soks[s], h.serr[s]
+		for j, p := range h.sps[s] {
+			out[p] = oks[j]
+			if errs != nil {
+				errs[p] = es[j]
+			}
+		}
+	}
+}
+
+// fanOut runs every touched shard's sub-batch on its own goroutine, the
+// first on the caller's. Each run owns its shard's core handle and buffers
+// exclusively, so no locking is needed; shard failures are per-op statuses
+// inside the buffers and can never affect a sibling shard's run.
+func (h *Handle) fanOut(kind batchKind) {
 	var wg sync.WaitGroup
-	for _, s := range touched[1:] {
+	for _, s := range h.touched[1:] {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			fn(s)
+			h.runShard(kind, s)
 		}(s)
 	}
-	fn(touched[0]) // run the first shard on the caller's goroutine
+	h.runShard(kind, h.touched[0])
 	wg.Wait()
+}
+
+// runShard applies shard s's sub-batch.
+func (h *Handle) runShard(kind batchKind, s int) {
+	var b shardBatcher = h.f.trees[s]
+	if h.hs != nil {
+		b = h.hs[s]
+	}
+	ks := h.sks[s]
+	oks := h.soks[s][:len(ks)]
+	switch kind {
+	case lookupKind:
+		b.LookupBatch(ks, oks)
+	case insertKind:
+		b.InsertBatch(ks, oks, h.serr[s][:len(ks)])
+	case deleteKind:
+		b.DeleteBatch(ks, oks)
+	}
 }
 
 // LookupBatch reports, in out[i], whether ks[i] is present. Same contract
 // as core.Handle.LookupBatch, with the batch split at shard boundaries and
 // touched shards seeking their wavefronts concurrently.
-func (h *Handle) LookupBatch(ks []uint64, out []bool) {
-	if len(out) != len(ks) {
-		panic("forest: batch result length mismatch")
-	}
-	touched := h.split(ks)
-	h.runShards(touched, len(ks), func(s int) {
-		if h.hs == nil || h.hs[s] == nil {
-			h.f.trees[s].LookupBatch(h.sks[s], h.soks[s][:len(h.sks[s])])
-		} else {
-			h.hs[s].LookupBatch(h.sks[s], h.soks[s][:len(h.sks[s])])
-		}
-	})
-	for _, s := range touched {
-		oks := h.soks[s]
-		for j, p := range h.sps[s] {
-			out[p] = oks[j]
-		}
-	}
-}
+func (h *Handle) LookupBatch(ks []uint64, out []bool) { h.batch(lookupKind, ks, out, nil) }
 
 // InsertBatch inserts every key with TryInsert semantics; out and errs are
 // per-op. A shard exhausting its arena (ErrCapacity) fails only that
 // shard's slots — the other shards' sub-batches run to completion
 // regardless, by construction (they share no state).
 func (h *Handle) InsertBatch(ks []uint64, out []bool, errs []error) {
-	if len(out) != len(ks) || len(errs) != len(ks) {
-		panic("forest: batch result length mismatch")
-	}
-	touched := h.split(ks)
-	h.runShards(touched, len(ks), func(s int) {
-		m := len(h.sks[s])
-		if h.hs == nil || h.hs[s] == nil {
-			h.f.trees[s].InsertBatch(h.sks[s], h.soks[s][:m], h.serr[s][:m])
-		} else {
-			h.hs[s].InsertBatch(h.sks[s], h.soks[s][:m], h.serr[s][:m])
-		}
-	})
-	for _, s := range touched {
-		oks, es := h.soks[s], h.serr[s]
-		for j, p := range h.sps[s] {
-			out[p] = oks[j]
-			errs[p] = es[j]
-		}
-	}
+	h.batch(insertKind, ks, out, errs)
 }
 
 // DeleteBatch deletes every key; out[i] reports whether the set changed.
-func (h *Handle) DeleteBatch(ks []uint64, out []bool) {
-	if len(out) != len(ks) {
-		panic("forest: batch result length mismatch")
-	}
-	touched := h.split(ks)
-	h.runShards(touched, len(ks), func(s int) {
-		if h.hs == nil || h.hs[s] == nil {
-			h.f.trees[s].DeleteBatch(h.sks[s], h.soks[s][:len(h.sks[s])])
-		} else {
-			h.hs[s].DeleteBatch(h.sks[s], h.soks[s][:len(h.sks[s])])
-		}
-	})
-	for _, s := range touched {
-		oks := h.soks[s]
-		for j, p := range h.sps[s] {
-			out[p] = oks[j]
-		}
-	}
-}
+func (h *Handle) DeleteBatch(ks []uint64, out []bool) { h.batch(deleteKind, ks, out, nil) }

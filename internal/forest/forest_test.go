@@ -14,8 +14,19 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Shards: 1}); err == nil {
-		t.Fatal("want error for 1 shard")
+	for _, n := range []int{0, 1} {
+		f, err := New(Config{Shards: n})
+		if err != nil {
+			t.Fatalf("%d shards: %v", n, err)
+		}
+		if f.Shards() != 1 {
+			t.Fatalf("%d shards should build one shard, got %d", n, f.Shards())
+		}
+		for _, u := range []uint64{0, 1 << 63, keys.Map(keys.MaxUser)} {
+			if s := f.ShardOf(u); s != 0 {
+				t.Fatalf("one shard routes %d to shard %d", u, s)
+			}
+		}
 	}
 	if _, err := New(Config{Shards: MaxShards + 1}); err == nil {
 		t.Fatal("want error above MaxShards")
@@ -33,7 +44,7 @@ func TestNewValidation(t *testing.T) {
 // bounds route back to it, bounds tile the key space without gaps, and
 // keys outside a narrowed routing range clamp to the edge shards.
 func TestRoutingPartition(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 64} {
+	for _, n := range []int{1, 2, 4, 8, 64} {
 		for _, narrow := range []bool{false, true} {
 			cfg := Config{Shards: n}
 			if narrow {

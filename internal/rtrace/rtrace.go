@@ -134,40 +134,76 @@ const (
 // ring is a fixed-size overwrite-oldest span buffer. Writers claim a slot
 // by fetch-add and publish it by storing claim+1 into the slot's stamp
 // (0 while the write is in flight); readers copy the span and re-check the
-// stamp, dropping the slot on a mismatch. Single-writer rings never tear;
-// on the shared ring a writer lapped by a full ring of faster writers can
-// race a slot, and the stamp protocol makes that a dropped sample rather
-// than a lock.
+// stamp, dropping the slot on a mismatch. Every word of a slot is stored
+// and loaded atomically, so a reader copying a slot a writer is filling
+// never races it — the stamp only decides whether the copy is whole.
+// Single-writer rings never tear; on the shared ring a writer lapped by a
+// full ring of faster writers can race a slot, and the stamp protocol
+// makes that a dropped sample rather than a lock.
 type ring struct {
-	slots []Span
-	stamp []atomic.Uint64
+	slots []slot
 	cur   atomic.Uint64
 }
 
+// spanWords is a Span's size in 64-bit words.
+const spanWords = 6
+
+// slot is one ring entry: a publication stamp and a span packed into
+// atomic words.
+type slot struct {
+	stamp atomic.Uint64
+	w     [spanWords]atomic.Uint64
+}
+
 func newRing(size int) *ring {
-	return &ring{slots: make([]Span, size), stamp: make([]atomic.Uint64, size)}
+	return &ring{slots: make([]slot, size)}
+}
+
+// words packs sp into spanWords words; spanOf unpacks them.
+func (sp *Span) words() [spanWords]uint64 {
+	return [spanWords]uint64{
+		sp.TraceID,
+		uint64(sp.SpanID)<<32 | uint64(sp.Parent),
+		uint64(sp.Kind)<<40 | uint64(sp.Op)<<32 | uint64(sp.Conn),
+		uint64(sp.Start), uint64(sp.Dur), uint64(sp.Arg),
+	}
+}
+
+func spanOf(w [spanWords]uint64) Span {
+	return Span{
+		TraceID: w[0],
+		SpanID:  uint32(w[1] >> 32), Parent: uint32(w[1]),
+		Kind: uint8(w[2] >> 40), Op: uint8(w[2] >> 32), Conn: uint32(w[2]),
+		Start: int64(w[3]), Dur: int64(w[4]), Arg: int64(w[5]),
+	}
 }
 
 func (r *ring) record(sp Span) {
 	i := r.cur.Add(1) - 1
-	slot := i & uint64(len(r.slots)-1)
-	r.stamp[slot].Store(0)
-	r.slots[slot] = sp
-	r.stamp[slot].Store(i + 1)
+	s := &r.slots[i&uint64(len(r.slots)-1)]
+	s.stamp.Store(0)
+	for j, w := range sp.words() {
+		s.w[j].Store(w)
+	}
+	s.stamp.Store(i + 1)
 }
 
 // snapshot appends every currently-published span to dst.
 func (r *ring) snapshot(dst []Span) []Span {
 	for i := range r.slots {
-		s1 := r.stamp[i].Load()
+		s := &r.slots[i]
+		s1 := s.stamp.Load()
 		if s1 == 0 {
 			continue
 		}
-		sp := r.slots[i]
-		if r.stamp[i].Load() != s1 {
+		var w [spanWords]uint64
+		for j := range w {
+			w[j] = s.w[j].Load()
+		}
+		if s.stamp.Load() != s1 {
 			continue // torn: a writer replaced the slot mid-copy
 		}
-		dst = append(dst, sp)
+		dst = append(dst, spanOf(w))
 	}
 	return dst
 }

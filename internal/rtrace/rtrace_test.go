@@ -262,3 +262,35 @@ func TestSnapshotRacesClose(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotRacesRecord: a scrape copying ring slots while a writer
+// fills them is race-free (run with -race), and every copy it keeps is a
+// whole span, never a mix of two.
+func TestSnapshotRacesRecord(t *testing.T) {
+	r := New(Options{SampleEvery: 1})
+	done := make(chan struct{})
+	stop := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(1); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.Record(Span{TraceID: uint64(i), SpanID: uint32(i), Parent: uint32(i), Kind: KCheckpoint,
+				Conn: uint32(i), Start: i, Dur: i, Arg: i})
+		}
+	}()
+	for n := 0; n < 200; n++ {
+		for _, sp := range r.Snapshot() {
+			i := sp.Arg
+			if sp.TraceID != uint64(i) || sp.SpanID != uint32(i) || sp.Parent != uint32(i) ||
+				sp.Kind != KCheckpoint || sp.Conn != uint32(i) || sp.Start != i || sp.Dur != i {
+				t.Fatalf("snapshot kept a torn span: %+v", sp)
+			}
+		}
+	}
+	close(stop)
+	<-done
+}

@@ -139,15 +139,13 @@ func (s *Server) noteFenced() {
 	}
 }
 
-// Config tunes a Server. One of Store or Tree is required; everything else
-// has serving defaults.
+// Config tunes a Server. Store is required; everything else has serving
+// defaults.
 type Config struct {
-	// Store is the data plane. Leave nil to serve Tree directly.
+	// Store is the data plane: a *bst.Tree serves the in-memory set, a
+	// durable.Tree the logged one. The server creates one Accessor per
+	// connection and Closes it when the connection ends.
 	Store Store
-	// Tree is the shared in-memory store, used when Store is nil. The
-	// server creates one Accessor per connection and Closes it when the
-	// connection ends.
-	Tree *bst.Tree
 	// MaxInFlight bounds concurrently executing requests across all
 	// connections; excess requests are shed with StatusOverloaded.
 	// Default 256.
@@ -275,10 +273,7 @@ type Server struct {
 // Start or Serve is called.
 func New(cfg Config) *Server {
 	if cfg.Store == nil {
-		if cfg.Tree == nil {
-			panic("server: Config.Store or Config.Tree is required")
-		}
-		cfg.Store = cfg.Tree
+		panic("server: Config.Store is required")
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 256

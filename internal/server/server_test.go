@@ -25,7 +25,7 @@ import (
 func startServer(t *testing.T, treeOpts []bst.Option, cfg Config) (*bst.Tree, *Server, *client.Client) {
 	t.Helper()
 	tree := bst.New(treeOpts...)
-	cfg.Tree = tree
+	cfg.Store = tree
 	srv := New(cfg)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,8 @@ import (
 
 	bst "repro"
 	"repro/internal/client"
+	"repro/internal/durable"
+	"repro/internal/wal"
 )
 
 // TestShardedBatchPartialFailureOverWire pins the sharded partial-failure
@@ -99,5 +101,42 @@ func TestShardedBatchPartialFailureOverWire(t *testing.T) {
 	}
 	if srv.Counters().CapacityErrs == 0 {
 		t.Fatal("Counters.CapacityErrs = 0 after per-shard capacity failures")
+	}
+}
+
+// TestShardedOutOfRangeOverWire: a key above MaxKey sent to a 4-shard
+// durable store answers ErrKeyOutOfRange exactly as a one-shard store
+// does — no recovered panic, no poisoned connection, and the client's next
+// call on the same connection succeeds.
+func TestShardedOutOfRangeOverWire(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		dur, err := durable.Open(t.TempDir(), durable.Options{Sync: wal.SyncNone,
+			TreeOptions: []bst.Option{bst.WithShards(shards)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Store: dur})
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := client.Dial(client.Config{Addr: srv.Addr().String(), Conns: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if _, err := cl.Insert(ctx, bst.MaxKey+1); !errors.Is(err, bst.ErrKeyOutOfRange) {
+			t.Errorf("shards=%d: Insert(MaxKey+1) err = %v, want ErrKeyOutOfRange", shards, err)
+		}
+		if ok, err := cl.Insert(ctx, 42); err != nil || !ok {
+			t.Errorf("shards=%d: the next Insert = (%v, %v), want (true, nil)", shards, ok, err)
+		}
+		if c := srv.Counters(); c.Panics != 0 || c.OutOfRange != 1 {
+			t.Errorf("shards=%d: Panics = %d, OutOfRange = %d, want 0 and 1", shards, c.Panics, c.OutOfRange)
+		}
+		cl.Close()
+		shutdown(t, srv)
+		if err := dur.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/forest"
 	"repro/internal/metrics"
 )
@@ -106,14 +105,10 @@ func (t *Tree) Metrics() Metrics {
 }
 
 func (t *Tree) metricsRegistry() *metrics.Registry {
-	switch b := t.b.(type) {
-	case *core.Tree:
-		return b.Metrics()
-	case *forest.Forest:
-		return b.Metrics()
-	default:
-		return nil
+	if f, ok := t.b.(*forest.Forest); ok {
+		return f.Metrics()
 	}
+	return nil
 }
 
 func fromSnapshot(s metrics.Snapshot) Metrics {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -213,4 +215,64 @@ func ExampleTree_Metrics() {
 	m := tr.Metrics()
 	fmt.Println(m.Counters["ops_insert_total"], m.Counters["ops_delete_total"])
 	// Output: 2 1
+}
+
+// treeSeries is every series a WithMetrics(0), WithOrderStatistics() tree
+// serves on /metrics, as its "# TYPE" name and type. A renamed or removed
+// series fails TestServedSeriesGolden; a new one must be added here.
+var treeSeries = []string{
+	"bst_arena_allocated_nodes gauge",
+	"bst_arena_capacity_nodes gauge",
+	"bst_arena_recycled_nodes_total counter",
+	"bst_arena_spill_hits_total counter",
+	"bst_batch_ops_total counter",
+	"bst_batch_seek_skipped_levels_total counter",
+	"bst_capacity_failures_total counter",
+	"bst_capacity_retries_total counter",
+	"bst_cas_failures_total counter",
+	"bst_forest_shards gauge",
+	"bst_help_total counter",
+	"bst_insert_retries_total counter",
+	"bst_latency_sample_period_ops gauge",
+	"bst_op_latency_seconds histogram",
+	"bst_ops_total counter",
+	"bst_orderstat_buckets gauge",
+	"bst_orderstat_buckets_rescanned_total counter",
+	"bst_orderstat_full_waves_total counter",
+	"bst_orderstat_keys_walked_total counter",
+	"bst_orderstat_served_total counter",
+	"bst_orderstat_wave_nanos_total counter",
+	"bst_orderstat_waves_total counter",
+	"bst_pruned_leaves_total counter",
+	"bst_seek_restarts_total counter",
+	"bst_splice_wins_total counter",
+}
+
+// TestServedSeriesGolden pins the series names and types MetricsHandler
+// serves for an order-statistics tree with metrics, on one shard and on
+// four: the same list for both.
+func TestServedSeriesGolden(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		tr := New(WithMetrics(0), WithOrderStatistics(), WithShards(shards))
+		for i := int64(0); i < 500; i++ {
+			tr.Insert(i << 52)
+			tr.Contains(i << 52)
+		}
+		if _, err := tr.CountRange(0, MaxKey, Exact); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(MetricsHandler(map[string]*Tree{"t": tr}))
+		var got []string
+		for _, l := range strings.Split(httpGet(t, srv.URL+"/metrics"), "\n") {
+			if name, ok := strings.CutPrefix(l, "# TYPE "); ok {
+				got = append(got, name)
+			}
+		}
+		srv.Close()
+		tr.Close()
+		slices.Sort(got)
+		if !slices.Equal(got, treeSeries) {
+			t.Errorf("shards=%d serves\n%s\nwant\n%s", shards, strings.Join(got, "\n"), strings.Join(treeSeries, "\n"))
+		}
+	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Order statistics & range aggregates. WithOrderStatistics attaches a
-// lazily-refreshed augmentation layer (internal/orderstat) to the default
-// NatarajanMittal tree — sharded or not — so rank, select, count-in-range
+// lazily-refreshed augmentation layer (internal/orderstat) to every shard
+// of the default NatarajanMittal tree, so rank, select, count-in-range
 // and sum-in-range answer in O(log n) instead of an O(range) scan.
 // Writers pay one nil-checked counter bump per successful mutation, which
 // also logs the key so a refresh rescans only the key ranges that changed;
@@ -34,8 +34,8 @@ var ErrSelectOutOfRange = errors.New("bst: select index out of range")
 
 // WithOrderStatistics enables the order-statistics layer on the
 // NatarajanMittal algorithm (other algorithms ignore it and answer
-// ErrNoOrderStats). On a sharded tree every shard gets its own index and
-// aggregates merge across shards.
+// ErrNoOrderStats). Every shard gets its own index and aggregates merge
+// across shards.
 func WithOrderStatistics() Option { return func(c *config) { c.orderstat = true } }
 
 // Consistency selects how fresh an aggregate answer must be. The zero
@@ -72,34 +72,22 @@ func (c Consistency) String() string {
 // consistency. Keys above MaxKey are permitted (every stored key ranks
 // below them).
 func (t *Tree) Rank(key int64, c Consistency) (int, error) {
-	switch {
-	case t.ix != nil:
-		if !keys.InRange(key) {
-			return t.ix.Acquire(c.exact, c.maxDirty).Len(), nil
-		}
-		return t.ix.Acquire(c.exact, c.maxDirty).Rank(keys.Map(key)), nil
-	case t.agg != nil:
-		if !keys.InRange(key) {
-			return t.agg.Len(c.exact, c.maxDirty), nil
-		}
-		return t.agg.Rank(keys.Map(key), c.exact, c.maxDirty), nil
+	if t.agg == nil {
+		return 0, ErrNoOrderStats
 	}
-	return 0, ErrNoOrderStats
+	if !keys.InRange(key) {
+		return t.agg.Len(c.exact, c.maxDirty), nil
+	}
+	return t.agg.Rank(keys.Map(key), c.exact, c.maxDirty), nil
 }
 
 // Select returns the i-th smallest key (0-based) under the given
 // consistency, or ErrSelectOutOfRange when i is outside [0, count).
 func (t *Tree) Select(i int, c Consistency) (int64, error) {
-	var u uint64
-	var ok bool
-	switch {
-	case t.ix != nil:
-		u, ok = t.ix.Acquire(c.exact, c.maxDirty).Select(i)
-	case t.agg != nil:
-		u, ok = t.agg.Select(i, c.exact, c.maxDirty)
-	default:
+	if t.agg == nil {
 		return 0, ErrNoOrderStats
 	}
+	u, ok := t.agg.Select(i, c.exact, c.maxDirty)
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrSelectOutOfRange, i)
 	}
@@ -110,39 +98,19 @@ func (t *Tree) Select(i int, c Consistency) (int64, error) {
 // Scan) under the given consistency. Bounds above MaxKey clamp; lo > hi
 // counts zero.
 func (t *Tree) CountRange(lo, hi int64, c Consistency) (int, error) {
-	lo, hi, empty := clampRange(lo, hi)
-	if empty {
-		if t.ix == nil && t.agg == nil {
-			return 0, ErrNoOrderStats
-		}
-		return 0, nil
+	if t.agg == nil {
+		return 0, ErrNoOrderStats
 	}
-	switch {
-	case t.ix != nil:
-		return t.ix.Acquire(c.exact, c.maxDirty).Count(keys.Map(lo), keys.Map(hi)), nil
-	case t.agg != nil:
-		return t.agg.Count(keys.Map(lo), keys.Map(hi), c.exact, c.maxDirty), nil
-	}
-	return 0, ErrNoOrderStats
+	return t.agg.Count(keys.Map(lo), keys.Map(min(hi, MaxKey)), c.exact, c.maxDirty), nil
 }
 
 // SumRange returns the sum of the keys in [lo, hi] (inclusive) under the
 // given consistency, with ordinary int64 wraparound on overflow.
 func (t *Tree) SumRange(lo, hi int64, c Consistency) (int64, error) {
-	lo, hi, empty := clampRange(lo, hi)
-	if empty {
-		if t.ix == nil && t.agg == nil {
-			return 0, ErrNoOrderStats
-		}
-		return 0, nil
+	if t.agg == nil {
+		return 0, ErrNoOrderStats
 	}
-	switch {
-	case t.ix != nil:
-		return t.ix.Acquire(c.exact, c.maxDirty).Sum(keys.Map(lo), keys.Map(hi)), nil
-	case t.agg != nil:
-		return t.agg.Sum(keys.Map(lo), keys.Map(hi), c.exact, c.maxDirty), nil
-	}
-	return 0, ErrNoOrderStats
+	return t.agg.Sum(keys.Map(lo), keys.Map(min(hi, MaxKey)), c.exact, c.maxDirty), nil
 }
 
 // ScanIndexed visits the keys in [from, to] ascending through the
@@ -152,23 +120,13 @@ func (t *Tree) SumRange(lo, hi int64, c Consistency) (int64, error) {
 // freshness is the summary's (per the consistency mode); for a
 // walk-the-live-tree scan use Scan.
 func (t *Tree) ScanIndexed(from, to int64, c Consistency, yield func(key int64) bool) error {
-	from, to, empty := clampRange(from, to)
-	if empty {
-		if t.ix == nil && t.agg == nil {
-			return ErrNoOrderStats
-		}
-		return nil
+	if t.agg == nil {
+		return ErrNoOrderStats
 	}
-	wrap := func(u uint64) bool { return yield(keys.Unmap(u)) }
-	switch {
-	case t.ix != nil:
-		t.ix.Acquire(c.exact, c.maxDirty).Visit(keys.Map(from), keys.Map(to), wrap)
-		return nil
-	case t.agg != nil:
-		t.agg.Visit(keys.Map(from), keys.Map(to), c.exact, c.maxDirty, wrap)
-		return nil
-	}
-	return ErrNoOrderStats
+	t.agg.Visit(keys.Map(from), keys.Map(min(to, MaxKey)), c.exact, c.maxDirty, func(u uint64) bool {
+		return yield(keys.Unmap(u))
+	})
+	return nil
 }
 
 // ExportOrderStatsMetrics adds the order-statistics refresh telemetry to
@@ -181,23 +139,7 @@ func (t *Tree) ScanIndexed(from, to int64, c Consistency, yield func(key int64) 
 // metrics registry calls it from a registry hook. A no-op on a tree
 // without WithOrderStatistics.
 func (t *Tree) ExportOrderStatsMetrics(counters map[string]uint64, gauges map[string]float64) {
-	s := metrics.Snapshot{External: counters, Gauges: gauges}
-	switch {
-	case t.ix != nil:
-		t.ix.MetricsHook(&s)
-	case t.agg != nil:
-		t.agg.MetricsHook(&s)
+	if t.agg != nil {
+		t.agg.MetricsHook(&metrics.Snapshot{External: counters, Gauges: gauges})
 	}
-}
-
-// clampRange normalizes an inclusive user-key range the way Scan does:
-// bounds above MaxKey clamp, an inverted range is empty.
-func clampRange(lo, hi int64) (int64, int64, bool) {
-	if hi > MaxKey {
-		hi = MaxKey
-	}
-	if lo > hi {
-		return lo, hi, true
-	}
-	return lo, hi, false
 }

@@ -6,20 +6,21 @@ import (
 	"repro/internal/metrics"
 )
 
-// Sharding options. WithShards partitions the key space across several
-// independent core trees (a "forest"): each shard owns its own arena,
-// reclamation domain, and WAL lane (when wrapped by internal/durable), so
-// write throughput scales with shard count instead of funneling through
-// one allocator and one group-commit line. Only the default
-// NatarajanMittal algorithm shards; other algorithms ignore these options.
+// Sharding options. Every default NatarajanMittal tree is a forest of
+// independent core trees over disjoint key ranges (internal/forest); a
+// tree built without WithShards is a forest of one. Each shard owns its
+// own arena, reclamation domain, and WAL lane (when wrapped by
+// internal/durable), so write throughput scales with shard count instead
+// of funneling through one allocator and one group-commit line. Other
+// algorithms ignore these options.
 
 // WithShards splits the key space across n independent trees (n is rounded
-// up to a power of two; 0 and 1 keep the single-tree layout). Point
-// operations route by a range split — one subtract and one shift in the
-// hot path. Scan merges per-shard iterators into one sorted stream. Each
-// operation remains individually linearizable; operations on different
-// shards are as independent as operations on one tree (see DESIGN.md §14
-// for the exact consistency scope).
+// up to a power of two; 0 and 1 mean one shard). Point operations route by
+// a range split — one subtract and one shift in the hot path. Scan merges
+// per-shard iterators into one sorted stream. Each operation remains
+// individually linearizable; operations on different shards are as
+// independent as operations on one tree (see DESIGN.md §14 for the exact
+// consistency scope).
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithShardRange declares the expected user key range [lo, hi] (inclusive)
@@ -34,8 +35,10 @@ func WithShardRange(lo, hi int64) Option {
 	}
 }
 
-// newForest builds the sharded backend for New.
-func newForest(cfg config, reg *metrics.Registry) (*forest.Forest, error) {
+// newForest builds the NatarajanMittal backend for New: the forest, its
+// metrics registry (WithMetrics) and its order-statistics aggregates
+// (WithOrderStatistics, else nil).
+func newForest(cfg config) (*forest.Forest, *forest.Aggregates, error) {
 	fc := forest.Config{Shards: cfg.shards}
 	if cfg.shardRange {
 		lo, hi := cfg.shardLo, cfg.shardHi
@@ -49,13 +52,26 @@ func newForest(cfg config, reg *metrics.Registry) (*forest.Forest, error) {
 	}
 	fc.Tree.Capacity = cfg.capacity
 	fc.Tree.Reclaim = cfg.reclaim
-	fc.Tree.Metrics = reg
 	fc.Tree.TrackDirty = cfg.orderstat
-	return forest.New(fc)
+	if cfg.metrics {
+		fc.Tree.Metrics = metrics.NewRegistry(cfg.metricsSample)
+	}
+	f, err := forest.New(fc)
+	if err != nil || !cfg.orderstat {
+		return f, nil, err
+	}
+	agg, err := forest.NewAggregates(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	if reg := fc.Tree.Metrics; reg != nil {
+		reg.AddHook(agg.MetricsHook)
+	}
+	return f, agg, nil
 }
 
-// Shards reports the tree's effective shard count: 1 for every unsharded
-// tree, the rounded power-of-two count for a forest.
+// Shards reports the tree's effective shard count: the rounded
+// power-of-two count for the default algorithm, 1 for the others.
 func (t *Tree) Shards() int {
 	if f, ok := t.b.(*forest.Forest); ok {
 		return f.Shards()
@@ -63,18 +79,23 @@ func (t *Tree) Shards() int {
 	return 1
 }
 
-// ShardOf reports which shard stores key (always 0 when unsharded). The
+// ShardOf reports which shard stores key (always 0 on one shard). The
 // mapping is stable for the lifetime of the tree; the durable layer keys
-// its WAL lanes on it.
+// its WAL lanes on it. Keys above MaxKey route to the last shard, whose
+// mutations answer ErrKeyOutOfRange; ShardOf itself never panics.
 func (t *Tree) ShardOf(key int64) int {
-	if f, ok := t.b.(*forest.Forest); ok {
-		return f.ShardOf(mapKey(key))
+	f, ok := t.b.(*forest.Forest)
+	switch {
+	case !ok:
+		return 0
+	case !keys.InRange(key):
+		return f.Shards() - 1
 	}
-	return 0
+	return f.ShardOf(keys.Map(key))
 }
 
 // ShardKeyRange returns the inclusive user key range routed to shard i
-// (the full storable range when unsharded). Checkpoints scan one shard by
+// (the full storable range on one shard). Checkpoints scan one shard by
 // passing these bounds to Scan.
 func (t *Tree) ShardKeyRange(i int) (lo, hi int64) {
 	if f, ok := t.b.(*forest.Forest); ok {
