@@ -117,70 +117,6 @@ func (t *termLeaders) check() error {
 	return nil
 }
 
-// chaosLoad runs the -crash ledger discipline (one conn, one attempt,
-// disjoint per-worker ranges, every 4th op deletes an acked insert)
-// against addr until stop closes or the connection dies. Transport errors
-// land the key in the in-flight set; only protocol violations set r.err.
-func chaosLoad(addr string, workers int, seed uint64, base func(w int) int64, stop <-chan struct{}) []crashWorker {
-	results := make([]crashWorker, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := &results[w]
-			cl, err := client.Dial(client.Config{
-				Addr: addr, Conns: 1, MaxAttempts: 1, Seed: int64(seed)*1000 + int64(w),
-			})
-			if err != nil {
-				r.err = err
-				return
-			}
-			defer cl.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			defer cancel()
-			next := base(w)
-			delCursor := 0
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if i%4 == 3 && delCursor < len(r.ackedIns) {
-					k := r.ackedIns[delCursor]
-					ok, err := cl.Delete(ctx, k)
-					if err != nil {
-						r.inflight = append(r.inflight, k)
-						return
-					}
-					if !ok {
-						r.err = fmt.Errorf("Delete(%d) of an acked key = false", k)
-						return
-					}
-					r.ackedDel = append(r.ackedDel, k)
-					delCursor++
-					continue
-				}
-				k := next
-				next++
-				ok, err := cl.Insert(ctx, k)
-				if err != nil {
-					r.inflight = append(r.inflight, k)
-					return
-				}
-				if !ok {
-					r.err = fmt.Errorf("Insert(%d) of a fresh key = false", k)
-					return
-				}
-				r.ackedIns = append(r.ackedIns, k)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return results
-}
-
 // waitHealth polls adminAddr until cond is satisfied or the budget runs
 // out. The last health (and fetch error) ride along in the failure.
 func waitHealth(adminAddr, what string, budget time.Duration, cond func(clusterHealth) bool) (clusterHealth, error) {
@@ -340,19 +276,13 @@ func chaosRound(workers int, seed uint64) (err error) {
 
 	stop1 := make(chan struct{})
 	time.AfterFunc(1600*time.Millisecond, func() { close(stop1) })
-	phase1 := chaosLoad(a.data, workers, seed, func(w int) int64 { return int64(w+1) << 32 }, stop1)
+	phase1 := ledgerLoad(a.data, workers, seed, disjointBase, stop1)
 	if serr := <-scheduleDone; serr != nil {
 		return fmt.Errorf("noise schedule: %w", serr)
 	}
-	acked1 := 0
-	for w := range phase1 {
-		if phase1[w].err != nil {
-			return fmt.Errorf("phase-1 worker %d: %v", w, phase1[w].err)
-		}
-		acked1 += len(phase1[w].ackedIns) + len(phase1[w].ackedDel)
-	}
-	if acked1 == 0 {
-		return errors.New("phase 1 acked nothing; round is inconclusive")
+	acked1, inflight1, err := tally(phase1, "phase 1")
+	if err != nil {
+		return err
 	}
 
 	// Quiesce to a converged cut (see the file comment for why).
@@ -494,8 +424,8 @@ func chaosRound(workers int, seed uint64) (err error) {
 	stop2 := make(chan struct{})
 	phase2ch := make(chan []crashWorker, 1)
 	go func() {
-		phase2ch <- chaosLoad(b.data, workers, seed+101,
-			func(w int) int64 { return int64(w+1)<<32 | 1<<30 }, stop2)
+		phase2ch <- ledgerLoad(b.data, workers, seed+101,
+			func(w int) int64 { return disjointBase(w) | 1<<30 }, stop2)
 	}()
 	time.Sleep(time.Second)
 	killStart := time.Now()
@@ -503,15 +433,9 @@ func chaosRound(workers int, seed uint64) (err error) {
 	close(stop2)
 	phase2 := <-phase2ch
 	pAB.SetRule(netchaos.Rule{})
-	acked2 := 0
-	for w := range phase2 {
-		if phase2[w].err != nil {
-			return fmt.Errorf("phase-2 worker %d: %v", w, phase2[w].err)
-		}
-		acked2 += len(phase2[w].ackedIns) + len(phase2[w].ackedDel)
-	}
-	if acked2 == 0 {
-		return errors.New("phase 2 acked nothing before the kill; round is inconclusive")
+	acked2, inflight2, err := tally(phase2, "phase 2")
+	if err != nil {
+		return err
 	}
 
 	// C must outrank the fenced, lowest-priority A and take the next term.
@@ -552,38 +476,9 @@ func chaosRound(workers int, seed uint64) (err error) {
 		termC, servedC.Round(time.Millisecond))
 
 	// The audit, against the final leader C. Phase-1 acks are covered by
-	// the pre-partition quiesce; phase-2 acks by the one-way blackhole.
+	// the pre-partition quiesce; phase-2 acks by the lagged link to A.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	mustPresent := map[int64]bool{}
-	mayEither := map[int64]bool{}
-	for _, results := range [][]crashWorker{phase1, phase2} {
-		for w := range results {
-			r := &results[w]
-			for _, k := range r.ackedIns {
-				mustPresent[k] = true
-			}
-			for _, k := range r.ackedDel {
-				delete(mustPresent, k)
-				if ok, lerr := clC.Lookup(ctx, k); lerr != nil {
-					return fmt.Errorf("audit Lookup(%d): %w", k, lerr)
-				} else if ok {
-					return fmt.Errorf("key %d: delete was acked but the key survived the failovers", k)
-				}
-			}
-			for _, k := range r.inflight {
-				delete(mustPresent, k)
-				mayEither[k] = true
-			}
-		}
-	}
-	for k := range mustPresent {
-		if ok, lerr := clC.Lookup(ctx, k); lerr != nil {
-			return fmt.Errorf("audit Lookup(%d): %w", k, lerr)
-		} else if !ok {
-			return fmt.Errorf("key %d: insert was acked (semi-sync) but is gone on the final leader", k)
-		}
-	}
 	for i := int64(0); i < 5; i++ {
 		if ok, lerr := clC.Lookup(ctx, chaosFenceBase+i); lerr != nil {
 			return fmt.Errorf("audit Lookup(fence %d): %w", i, lerr)
@@ -591,42 +486,10 @@ func chaosRound(workers int, seed uint64) (err error) {
 			return fmt.Errorf("fenced write %d leaked into the cluster despite StatusFenced", i)
 		}
 	}
-	for _, k := range []int64{chaosProbeB, chaosCanary, chaosRedirect} {
-		if ok, lerr := clC.Lookup(ctx, k); lerr != nil {
-			return fmt.Errorf("audit Lookup(%d): %w", k, lerr)
-		} else if !ok {
-			return fmt.Errorf("acked probe key %d missing on the final leader", k)
-		}
-	}
-
-	seen := 0
-	from := int64(-1) << 62
-	for {
-		keys, rerr := clC.Range(ctx, from, 1<<62, 4096)
-		if rerr != nil {
-			return fmt.Errorf("audit Range from %d: %w", from, rerr)
-		}
-		if len(keys) == 0 {
-			break
-		}
-		for _, k := range keys {
-			seen++
-			if k >= 0 && k < int64(chaosSnapKeys+chaosTailOps) {
-				continue // seeded
-			}
-			switch k {
-			case chaosProbeB, chaosProbeC, chaosCanary, chaosRedirect:
-				continue
-			}
-			if mustPresent[k] || mayEither[k] {
-				continue
-			}
-			return fmt.Errorf("ghost key %d on the final leader: never seeded, acknowledged, or in flight", k)
-		}
-		from = keys[len(keys)-1] + 1
-	}
-	if seen < chaosSnapKeys+chaosTailOps {
-		return fmt.Errorf("audit scan saw %d keys, fewer than the %d seeded", seen, chaosSnapKeys+chaosTailOps)
+	seen, err := auditOverWire(ctx, clC, [][]crashWorker{phase1, phase2}, chaosSnapKeys+chaosTailOps,
+		chaosProbeB, chaosProbeC, chaosCanary, chaosRedirect)
+	if err != nil {
+		return err
 	}
 
 	close(pollStop)
@@ -635,13 +498,7 @@ func chaosRound(workers int, seed uint64) (err error) {
 		return fmt.Errorf("leader-per-term audit: %w", oerr)
 	}
 
-	inflight := 0
-	for _, results := range [][]crashWorker{phase1, phase2} {
-		for w := range results {
-			inflight += len(results[w].inflight)
-		}
-	}
 	logf("OK — 2 elections (terms %d→%d→%d), 1 fenced ex-leader, %d acked ops (%d in flight) audited 100%% present, 0 ghosts across %d keys, exactly one leader per term",
-		term0, termB, termC, acked1+acked2, inflight, seen)
+		term0, termB, termC, acked1+acked2, inflight1+inflight2, seen)
 	return nil
 }

@@ -87,6 +87,99 @@ type crashWorker struct {
 	err      error   // a semantic violation observed before the kill
 }
 
+// disjointBase is worker w's first key: (w+1)<<32, clear of the seeded
+// keys and of every other worker's range.
+func disjointBase(w int) int64 { return int64(w+1) << 32 }
+
+// ledgerLoad is the load of every durability round: workers hammer addr
+// until stop closes (nil: never) or their connection dies, each recording
+// exactly which of its mutations were acknowledged. One connection, one
+// attempt, sequential ops: at any instant a worker has at most one op in
+// flight, so the "either way" set stays tight. Retries are off because a
+// retried insert that already landed would come back (false, nil) — an
+// ack that does NOT imply the first attempt's WAL record was fsynced,
+// which would poison the audit. Worker w draws fresh keys upward from
+// base(w) (ranges must be disjoint) and every 4th op deletes one of its
+// acked inserts. Transport errors land the key in the in-flight set; only
+// protocol violations set r.err.
+func ledgerLoad(addr string, workers int, seed uint64, base func(w int) int64, stop <-chan struct{}) []crashWorker {
+	results := make([]crashWorker, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := &results[w]
+			cl, err := client.Dial(client.Config{
+				Addr: addr, Conns: 1, MaxAttempts: 1, Seed: int64(seed)*1000 + int64(w),
+			})
+			if err != nil {
+				r.err = err
+				return
+			}
+			defer cl.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			next := base(w)
+			delCursor := 0
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if i%4 == 3 && delCursor < len(r.ackedIns) {
+					k := r.ackedIns[delCursor]
+					ok, err := cl.Delete(ctx, k)
+					if err != nil {
+						r.inflight = append(r.inflight, k)
+						return
+					}
+					if !ok {
+						r.err = fmt.Errorf("Delete(%d) of an acked key = false", k)
+						return
+					}
+					r.ackedDel = append(r.ackedDel, k)
+					delCursor++
+					continue
+				}
+				k := next
+				next++
+				ok, err := cl.Insert(ctx, k)
+				if err != nil {
+					r.inflight = append(r.inflight, k)
+					return
+				}
+				if !ok {
+					r.err = fmt.Errorf("Insert(%d) of a fresh key = false", k)
+					return
+				}
+				r.ackedIns = append(r.ackedIns, k)
+			}
+		}(w)
+	}
+	wg.Wait()
+	return results
+}
+
+// tally counts a load phase's acknowledged and in-flight ops. A worker's
+// protocol violation, or a phase that acked nothing (and so proves
+// nothing), is an error.
+func tally(results []crashWorker, phase string) (acked, inflight int, err error) {
+	for w := range results {
+		r := &results[w]
+		if r.err != nil {
+			return 0, 0, fmt.Errorf("%s worker %d: %v", phase, w, r.err)
+		}
+		acked += len(r.ackedIns) + len(r.ackedDel)
+		inflight += len(r.inflight)
+	}
+	if acked == 0 {
+		return 0, 0, fmt.Errorf("%s acked nothing; round is inconclusive", phase)
+	}
+	return acked, inflight, nil
+}
+
 func crashRound(workers, shards int, seed uint64) error {
 	dir, err := os.MkdirTemp("", "bst-crash-data-")
 	if err != nil {
@@ -135,79 +228,17 @@ func crashRound(workers, shards int, seed uint64) error {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Drive load until the kill. One connection, one attempt, sequential
-	// ops per worker: at any instant a worker has at most one op in
-	// flight, so the "either way" set stays tight. Retries are off
-	// because a retried insert that already landed would come back
-	// (false, nil) — an ack that does NOT imply the first attempt's WAL
-	// record was fsynced, which would poison the audit.
-	results := make([]crashWorker, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := &results[w]
-			cl, err := client.Dial(client.Config{
-				Addr: addr, Conns: 1, MaxAttempts: 1, Seed: int64(seed)*1000 + int64(w),
-			})
-			if err != nil {
-				r.err = err
-				return
-			}
-			defer cl.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-
-			next := int64(w+1) << 32 // disjoint ranges
-			delCursor := 0
-			for i := 0; ; i++ {
-				if i%4 == 3 && delCursor < len(r.ackedIns) {
-					k := r.ackedIns[delCursor]
-					ok, err := cl.Delete(ctx, k)
-					if err != nil {
-						r.inflight = append(r.inflight, k)
-						return
-					}
-					if !ok {
-						r.err = fmt.Errorf("Delete(%d) of an acked key = false", k)
-						return
-					}
-					r.ackedDel = append(r.ackedDel, k)
-					delCursor++
-					continue
-				}
-				k := next
-				next++
-				ok, err := cl.Insert(ctx, k)
-				if err != nil {
-					r.inflight = append(r.inflight, k)
-					return
-				}
-				if !ok {
-					r.err = fmt.Errorf("Insert(%d) of a fresh key = false", k)
-					return
-				}
-				r.ackedIns = append(r.ackedIns, k)
-			}
-		}(w)
-	}
-
+	// Drive load until the kill.
+	load := make(chan []crashWorker, 1)
+	go func() { load <- ledgerLoad(addr, workers, seed, disjointBase, nil) }()
 	time.Sleep(500 * time.Millisecond)
 	cmd.Process.Kill() // SIGKILL: no drain, no final fsync, no checkpoint
 	cmd.Wait()
 	killed = true
-	wg.Wait()
-
-	totalAcked := 0
-	for w := range results {
-		if results[w].err != nil {
-			return fmt.Errorf("worker %d before the kill: %v", w, results[w].err)
-		}
-		totalAcked += len(results[w].ackedIns) + len(results[w].ackedDel)
-	}
-	if totalAcked == 0 {
-		return fmt.Errorf("no operation was acknowledged before the kill; round is inconclusive")
+	results := <-load
+	totalAcked, inflight, err := tally(results, "pre-kill load")
+	if err != nil {
+		return err
 	}
 
 	// Recover in-process and audit against the ledgers.
@@ -258,10 +289,6 @@ func crashRound(workers, shards int, seed uint64) error {
 		return err
 	}
 
-	inflight := 0
-	for w := range results {
-		inflight += len(results[w].inflight)
-	}
 	if got := dur.Shards(); got != max(shards, 1) {
 		return fmt.Errorf("recovered store has %d WAL lanes, want %d", got, max(shards, 1))
 	}

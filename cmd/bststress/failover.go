@@ -336,74 +336,17 @@ func failoverRound(workers int, seed uint64) (err error) {
 	fmt.Printf("failover: follower caught up %d-key + %d-op seed in %v\n",
 		snapKeys, tailOps, time.Since(catchup).Round(time.Millisecond))
 
-	// Load phase: same ledger discipline as -crash (one conn, one attempt,
-	// sequential ops, disjoint ranges), so the post-failover audit is exact.
-	results := make([]crashWorker, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := &results[w]
-			cl, err := client.Dial(client.Config{
-				Addr: leader.data, Conns: 1, MaxAttempts: 1, Seed: int64(seed)*1000 + int64(w),
-			})
-			if err != nil {
-				r.err = err
-				return
-			}
-			defer cl.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-
-			next := int64(w+1) << 32 // disjoint ranges, clear of the seed keys
-			delCursor := 0
-			for i := 0; ; i++ {
-				if i%4 == 3 && delCursor < len(r.ackedIns) {
-					k := r.ackedIns[delCursor]
-					ok, err := cl.Delete(ctx, k)
-					if err != nil {
-						r.inflight = append(r.inflight, k)
-						return
-					}
-					if !ok {
-						r.err = fmt.Errorf("Delete(%d) of an acked key = false", k)
-						return
-					}
-					r.ackedDel = append(r.ackedDel, k)
-					delCursor++
-					continue
-				}
-				k := next
-				next++
-				ok, err := cl.Insert(ctx, k)
-				if err != nil {
-					r.inflight = append(r.inflight, k)
-					return
-				}
-				if !ok {
-					r.err = fmt.Errorf("Insert(%d) of a fresh key = false", k)
-					return
-				}
-				r.ackedIns = append(r.ackedIns, k)
-			}
-		}(w)
-	}
-
+	// Load phase: the -crash ledger discipline, so the post-failover audit
+	// is exact.
+	load := make(chan []crashWorker, 1)
+	go func() { load <- ledgerLoad(leader.data, workers, seed, disjointBase, nil) }()
 	time.Sleep(time.Second)
 	killStart := time.Now()
 	killLeader() // SIGKILL mid-load: the cluster's data plane is down
-	wg.Wait()
-
-	totalAcked := 0
-	for w := range results {
-		if results[w].err != nil {
-			return fmt.Errorf("worker %d before the kill: %v", w, results[w].err)
-		}
-		totalAcked += len(results[w].ackedIns) + len(results[w].ackedDel)
-	}
-	if totalAcked == 0 {
-		return errors.New("no operation was acknowledged before the kill; round is inconclusive")
+	results := <-load
+	totalAcked, inflight, err := tally(results, "pre-kill load")
+	if err != nil {
+		return err
 	}
 
 	// Operator-driven failover: promote the follower, then clock until the
@@ -455,68 +398,79 @@ func failoverRound(workers int, seed uint64) (err error) {
 	// probabilistic: acked state must be 100% present, no ghosts.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
+	seen, err := auditOverWire(ctx, cl, [][]crashWorker{results}, snapKeys+tailOps, probeKey)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("failover: promoted follower serving %v after kill -9 (budget %v) — %d acked ops (%d in flight) "+
+		"audited 100%% present, 0 ghosts across %d keys\n",
+		served.Round(time.Millisecond), recoveryBudget, totalAcked, inflight, seen)
+	return nil
+}
+
+// auditOverWire checks the ledgers of one or more load phases against a
+// live node through cl: every acked insert not later acked-deleted is
+// present, every acked delete stuck, and every extra key (a probe the
+// round wrote and had acknowledged) is present. A full Range scan must
+// then find no ghost: nothing outside the seeded keys [0, seeded), the
+// ledgers, the in-flight sets and extra. It returns the keys scanned.
+func auditOverWire(ctx context.Context, cl *client.Client, phases [][]crashWorker, seeded int, extra ...int64) (int, error) {
 	mustPresent := map[int64]bool{}
 	mayEither := map[int64]bool{}
-	for w := range results {
-		r := &results[w]
-		for _, k := range r.ackedIns {
-			mustPresent[k] = true
-		}
-		for _, k := range r.ackedDel {
-			delete(mustPresent, k)
-			if ok, err := cl.Lookup(ctx, k); err != nil {
-				return fmt.Errorf("audit Lookup(%d): %w", k, err)
-			} else if ok {
-				return fmt.Errorf("key %d: delete was acked before the kill but the key survived failover", k)
+	for _, results := range phases {
+		for w := range results {
+			r := &results[w]
+			for _, k := range r.ackedIns {
+				mustPresent[k] = true
+			}
+			for _, k := range r.ackedDel {
+				delete(mustPresent, k)
+				if ok, err := cl.Lookup(ctx, k); err != nil {
+					return 0, fmt.Errorf("audit Lookup(%d): %w", k, err)
+				} else if ok {
+					return 0, fmt.Errorf("key %d: delete was acked but the key survived the failover", k)
+				}
+			}
+			for _, k := range r.inflight {
+				delete(mustPresent, k)
+				mayEither[k] = true
 			}
 		}
-		for _, k := range r.inflight {
-			delete(mustPresent, k)
-			mayEither[k] = true
-		}
+	}
+	for _, k := range extra {
+		mustPresent[k] = true
 	}
 	for k := range mustPresent {
 		if ok, err := cl.Lookup(ctx, k); err != nil {
-			return fmt.Errorf("audit Lookup(%d): %w", k, err)
+			return 0, fmt.Errorf("audit Lookup(%d): %w", k, err)
 		} else if !ok {
-			return fmt.Errorf("key %d: insert was acked (semi-sync) before the kill but is gone after failover", k)
+			return 0, fmt.Errorf("key %d: insert was acked (semi-sync) but is gone after the failover", k)
 		}
 	}
 
 	// Ghost scan: page the whole keyspace through Range and reject any key
-	// with no explanation (seed, acked ledger, in-flight, probe).
+	// with no explanation.
 	seen := 0
 	from := int64(-1) << 62
 	for {
 		keys, err := cl.Range(ctx, from, 1<<62, 4096)
 		if err != nil {
-			return fmt.Errorf("audit Range from %d: %w", from, err)
+			return 0, fmt.Errorf("audit Range from %d: %w", from, err)
 		}
 		if len(keys) == 0 {
 			break
 		}
 		for _, k := range keys {
 			seen++
-			if k >= 0 && k < int64(snapKeys+tailOps) {
-				continue // seeded
-			}
-			if k == probeKey || mustPresent[k] || mayEither[k] {
+			if k >= 0 && k < int64(seeded) || mustPresent[k] || mayEither[k] {
 				continue
 			}
-			return fmt.Errorf("ghost key %d present after failover: never seeded, acknowledged, or in flight", k)
+			return 0, fmt.Errorf("ghost key %d after the failover: never seeded, acknowledged, or in flight", k)
 		}
 		from = keys[len(keys)-1] + 1
 	}
-	if seen < snapKeys+tailOps {
-		return fmt.Errorf("audit scan saw %d keys, fewer than the %d seeded", seen, snapKeys+tailOps)
+	if seen < seeded {
+		return 0, fmt.Errorf("audit scan saw %d keys, fewer than the %d seeded", seen, seeded)
 	}
-
-	inflight := 0
-	for w := range results {
-		inflight += len(results[w].inflight)
-	}
-	fmt.Printf("failover: promoted follower serving %v after kill -9 (budget %v) — %d acked ops (%d in flight) "+
-		"audited 100%% present, 0 ghosts across %d keys\n",
-		served.Round(time.Millisecond), recoveryBudget, totalAcked, inflight, seen)
-	return nil
+	return seen, nil
 }

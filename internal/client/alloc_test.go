@@ -65,7 +65,7 @@ func TestRequestPathAllocs(t *testing.T) {
 	cl := serveLoopback(t, store)
 
 	var n int64
-	check("Lookup", 8, func() error {
+	check("Lookup", 5, func() error {
 		n++
 		_, err := cl.Lookup(ctx, n%1024)
 		return err
@@ -85,7 +85,7 @@ func TestRequestPathAllocs(t *testing.T) {
 	// 70/20/10 lookups, inserts and deletes over 64 distinct keys; the
 	// mutations flip between two key sets, so every one changes the set.
 	ops := make([]Op, 64)
-	check("Do(64 mixed)", 40, func() error {
+	check("Do(64 mixed)", 36, func() error {
 		n++
 		for i := range ops {
 			k := int64(2048 + i)
@@ -113,7 +113,7 @@ func TestRequestPathAllocs(t *testing.T) {
 		tree.Insert(k)
 	}
 	acl := serveLoopback(t, tree)
-	check("CountRange(BoundedStale)", 8, func() error {
+	check("CountRange(BoundedStale)", 5, func() error {
 		n++
 		_, err := acl.CountRange(ctx, n%512, n%512+256, Consistency{MaxDirty: 64})
 		return err

@@ -30,25 +30,11 @@ func (d *Tree) NewAccessor() bst.Accessor {
 	return &accessor{d: d, inner: d.tree.NewAccessor()}
 }
 
-func (a *accessor) Insert(key int64) bool {
-	ok, err := a.d.apply(opInsert, key, func() (bool, error) { return a.inner.Insert(key), nil })
-	if err != nil {
-		panic(err)
-	}
-	return ok
-}
+func (a *accessor) Insert(key int64) bool { return a.d.mustApply(a.inner, opInsert, key) }
 
-func (a *accessor) TryInsert(key int64) (bool, error) {
-	return a.d.apply(opInsert, key, func() (bool, error) { return a.inner.TryInsert(key) })
-}
+func (a *accessor) TryInsert(key int64) (bool, error) { return a.d.apply(a.inner, opInsert, key) }
 
-func (a *accessor) Delete(key int64) bool {
-	ok, err := a.d.apply(opDelete, key, func() (bool, error) { return a.inner.Delete(key), nil })
-	if err != nil {
-		panic(err)
-	}
-	return ok
-}
+func (a *accessor) Delete(key int64) bool { return a.d.mustApply(a.inner, opDelete, key) }
 
 func (a *accessor) Contains(key int64) bool { return a.inner.Contains(key) }
 
@@ -59,12 +45,12 @@ func (a *accessor) Contains(key int64) bool { return a.inner.Contains(key) }
 // every earlier one). The caller must not acknowledge the operation before
 // the ticket resolves.
 func (a *accessor) TryInsertTicket(key int64) (bool, wal.Ticket, error) {
-	return a.d.applyAsync(opInsert, key, func() (bool, error) { return a.inner.TryInsert(key) })
+	return a.d.write(a.inner, opInsert, key)
 }
 
 // DeleteTicket is Delete without the durability wait; see TryInsertTicket.
 func (a *accessor) DeleteTicket(key int64) (bool, wal.Ticket, error) {
-	return a.d.applyAsync(opDelete, key, func() (bool, error) { return a.inner.Delete(key), nil })
+	return a.d.write(a.inner, opDelete, key)
 }
 
 func (a *accessor) ContainsBatch(keys []int64, out []bst.OpResult) {
@@ -94,12 +80,12 @@ func (a *accessor) DeleteBatch(keys []int64, out []bst.OpResult) {
 // per-op failure contract of the tree batches (ErrCapacity on one shard
 // never poisons another shard's ops).
 func (a *accessor) mutateBatch(op uint8, keys []int64, out []bst.OpResult, inner func([]int64, []bst.OpResult)) {
-	if len(keys) == 0 {
-		inner(keys, out) // let the inner batch enforce len(out) == len(keys)
+	if len(keys) == 0 || len(out) != len(keys) {
+		inner(keys, out) // the inner batch enforces len(out) == len(keys), with no stripe held
 		return
 	}
 	if a.d.fenceTerm.Load() != 0 {
-		for i := range out[:len(keys)] {
+		for i := range out {
 			out[i] = bst.OpResult{Err: ErrFenced}
 		}
 		return
@@ -145,7 +131,7 @@ func (a *accessor) mutateBatch(op uint8, keys []int64, out []bst.OpResult, inner
 		if _, err := last[l].Wait(); err != nil {
 			// Durability unknown for this lane's set-changing slots: report
 			// them failed, matching the single-op behavior on WAL failure.
-			laneErr[l] = fmt.Errorf("durable: %w", err)
+			laneErr[l] = fmt.Errorf("%w: %w", ErrNotDurable, err)
 			anyErr = true
 		}
 		last[l] = wal.Ticket{}

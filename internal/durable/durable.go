@@ -456,70 +456,89 @@ func (d *Tree) Unfence() { d.fenceTerm.Store(0) }
 // FencedTerm returns the term that fenced this store (0 = not fenced).
 func (d *Tree) FencedTerm() uint64 { return d.fenceTerm.Load() }
 
-// apply runs one mutation under its key's stripe: tree first, then the
-// non-blocking WAL enqueue, so the record's sequence order matches the
-// key's linearization order. The fsync wait happens after the stripe is
-// released.
-func (d *Tree) apply(op uint8, key int64, mutate func() (bool, error)) (bool, error) {
+// ErrNotDurable wraps a WAL failure that follows a tree change: the change
+// is in the tree, but it cannot be made durable, so it must not be
+// acknowledged. A server that meets it on any path severs the connection
+// instead of answering.
+var ErrNotDurable = errors.New("durable: change applied to the tree but not made durable")
+
+// setter is the mutation surface write drives: the tree itself, or one of
+// its accessors. Neither method panics on the keys write passes.
+type setter interface {
+	TryInsert(key int64) (bool, error)
+	Delete(key int64) bool
+}
+
+// write is the one single-key mutation path: it runs op on t under the
+// key's stripe — tree first, then the non-blocking WAL enqueue, so the
+// record's sequence order matches the key's linearization order — and
+// returns the record's ticket; durability is the caller's to wait for.
+// Out-of-range keys are refused before the stripe is taken, and nothing
+// under the stripe can panic, so no outcome leaves it locked.
+func (d *Tree) write(t setter, op uint8, key int64) (bool, wal.Ticket, error) {
 	if d.fenceTerm.Load() != 0 {
-		return false, ErrFenced
+		return false, wal.Ticket{}, ErrFenced
 	}
+	if key > bst.MaxKey {
+		return false, wal.Ticket{}, fmt.Errorf("%w: %d > %d", bst.ErrKeyOutOfRange, key, bst.MaxKey)
+	}
+	lg := d.lanes[d.laneOf(key)].log
+	st := &d.stripes[stripeOf(key)]
+	st.Lock()
+	var ok bool
+	var err error
+	if op == opInsert {
+		ok, err = t.TryInsert(key)
+	} else {
+		ok = t.Delete(key)
+	}
+	var tk wal.Ticket
+	if ok {
+		tk = lg.Enqueue(op, key)
+	}
+	st.Unlock()
+	if ok {
+		d.noteMutations(1)
+	}
+	return ok, tk, err
+}
+
+// apply is write plus the ticket wait: it returns once the change is
+// durable per the sync policy, and records the Options.Trace spans.
+func (d *Tree) apply(t setter, op uint8, key int64) (bool, error) {
 	tc := d.opts.Trace.SampleNext()
 	var treeStart time.Time
 	if tc.Sampled() {
 		treeStart = time.Now()
 	}
-	lg := d.lanes[d.laneOf(key)].log
-	st := &d.stripes[stripeOf(key)]
-	st.Lock()
-	ok, err := mutate()
-	var t wal.Ticket
-	if err == nil && ok {
-		t = lg.Enqueue(op, key)
-	}
-	st.Unlock()
+	ok, tk, err := d.write(t, op, key)
 	if tc.Sampled() {
 		d.opts.Trace.Span(tc, rtrace.KTreeOp, treeStart, key)
 	}
-	if err != nil || !ok {
-		return ok, err
+	if !ok {
+		return false, err
 	}
 	var walStart time.Time
 	if tc.Sampled() {
 		walStart = time.Now()
 	}
-	if _, werr := t.Wait(); werr != nil {
-		// The tree changed but the change cannot be made durable: the
-		// caller must not treat it as acknowledged.
-		return false, fmt.Errorf("durable: %w", werr)
+	if _, werr := tk.Wait(); werr != nil {
+		return false, fmt.Errorf("%w: %w", ErrNotDurable, werr)
 	}
 	if tc.Sampled() {
-		d.opts.Trace.Span(tc, rtrace.KWALWait, walStart, int64(t.Seq()))
+		d.opts.Trace.Span(tc, rtrace.KWALWait, walStart, int64(tk.Seq()))
 	}
-	d.noteMutations(1)
 	return true, nil
 }
 
-// applyAsync is apply without the ticket wait: same stripe-serialized
-// tree-then-enqueue protocol, but durability is the caller's to wait for.
-func (d *Tree) applyAsync(op uint8, key int64, mutate func() (bool, error)) (bool, wal.Ticket, error) {
-	if d.fenceTerm.Load() != 0 {
-		return false, wal.Ticket{}, ErrFenced
+// mustApply is apply for the panicking methods: any error panics, after
+// the stripe is released.
+func (d *Tree) mustApply(t setter, op uint8, key int64) bool {
+	ok, err := d.apply(t, op, key)
+	if err != nil {
+		panic(err)
 	}
-	lg := d.lanes[d.laneOf(key)].log
-	st := &d.stripes[stripeOf(key)]
-	st.Lock()
-	ok, err := mutate()
-	var t wal.Ticket
-	if err == nil && ok {
-		t = lg.Enqueue(op, key)
-	}
-	st.Unlock()
-	if err != nil || !ok {
-		return ok, wal.Ticket{}, err
-	}
-	d.noteMutations(1)
-	return true, t, nil
+	return ok
 }
 
 // noteMutations advances the auto-checkpoint trigger.
@@ -543,30 +562,18 @@ func (d *Tree) noteMutations(n int64) {
 }
 
 // Insert adds key; it reports whether the set changed, and does not return
-// until the change is durable per the sync policy. A WAL failure panics
-// (matching Insert's panicking contract); use TryInsert for an error.
-func (d *Tree) Insert(key int64) bool {
-	ok, err := d.apply(opInsert, key, func() (bool, error) { return d.tree.Insert(key), nil })
-	if err != nil {
-		panic(err)
-	}
-	return ok
-}
+// until the change is durable per the sync policy. An out-of-range key, a
+// full arena or a WAL failure panics (matching Insert's panicking
+// contract); use TryInsert for an error.
+func (d *Tree) Insert(key int64) bool { return d.mustApply(d.tree, opInsert, key) }
 
 // TryInsert is the non-panicking Insert: it reports ErrKeyOutOfRange,
-// ErrCapacity, and WAL failures as errors.
-func (d *Tree) TryInsert(key int64) (bool, error) {
-	return d.apply(opInsert, key, func() (bool, error) { return d.tree.TryInsert(key) })
-}
+// ErrCapacity, and WAL failures (ErrNotDurable) as errors.
+func (d *Tree) TryInsert(key int64) (bool, error) { return d.apply(d.tree, opInsert, key) }
 
-// Delete removes key; it reports whether the set changed, durably.
-func (d *Tree) Delete(key int64) bool {
-	ok, err := d.apply(opDelete, key, func() (bool, error) { return d.tree.Delete(key), nil })
-	if err != nil {
-		panic(err)
-	}
-	return ok
-}
+// Delete removes key; it reports whether the set changed, durably. Like
+// Insert, it panics on an out-of-range key or a WAL failure.
+func (d *Tree) Delete(key int64) bool { return d.mustApply(d.tree, opDelete, key) }
 
 // Contains reports whether key is present (reads don't touch the log).
 func (d *Tree) Contains(key int64) bool { return d.tree.Contains(key) }
@@ -676,6 +683,9 @@ func (d *Tree) ApplyRecord(r wal.Record) error {
 	}
 	if len(d.lanes) != 1 {
 		return ErrSharded
+	}
+	if r.Key > bst.MaxKey {
+		return fmt.Errorf("durable: replicated record seq %d: %w", r.Seq, bst.ErrKeyOutOfRange)
 	}
 	st := &d.stripes[stripeOf(r.Key)]
 	st.Lock()

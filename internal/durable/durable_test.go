@@ -423,3 +423,61 @@ func TestTryInsertOutOfRange(t *testing.T) {
 		})
 	}
 }
+
+// TestPanicsReleaseTheStripe: the panicking Insert and Delete panic only
+// after their key's stripe is released, so recovering the panic leaves no
+// later write on that stripe blocked. Three triggers: an out-of-range
+// Delete on the Tree and on an accessor, and an Insert into a full arena.
+func TestPanicsReleaseTheStripe(t *testing.T) {
+	check := func(t *testing.T, d *Tree, key int64, op func()) {
+		t.Helper()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no panic for key %d", key)
+				}
+			}()
+			op()
+		}()
+		next := int64(0)
+		for next == key || stripeOf(next) != stripeOf(key) {
+			next++
+		}
+		done := make(chan struct{})
+		go func() {
+			d.TryInsert(next)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("TryInsert(%d) on the stripe of the panicked key %d still blocked after 2s", next, key)
+		}
+	}
+	t.Run("Tree.Delete", func(t *testing.T) {
+		d := openT(t, t.TempDir(), Options{Sync: wal.SyncNone})
+		defer d.Close()
+		check(t, d, bst.MaxKey+1, func() { d.Delete(bst.MaxKey + 1) })
+	})
+	t.Run("Accessor.Delete", func(t *testing.T) {
+		d := openT(t, t.TempDir(), Options{Sync: wal.SyncNone})
+		defer d.Close()
+		acc := d.NewAccessor()
+		defer acc.Close()
+		check(t, d, bst.MaxKey+1, func() { acc.Delete(bst.MaxKey + 1) })
+	})
+	t.Run("Tree.Insert at capacity", func(t *testing.T) {
+		d := openT(t, t.TempDir(), Options{Sync: wal.SyncNone,
+			TreeOptions: []bst.Option{bst.WithCapacity(64)}})
+		defer d.Close()
+		k := int64(0)
+		for ; ; k++ {
+			if _, err := d.TryInsert(k); errors.Is(err, bst.ErrCapacity) {
+				break
+			} else if err != nil {
+				t.Fatalf("TryInsert(%d): %v", k, err)
+			}
+		}
+		check(t, d, k, func() { d.Insert(k) })
+	})
+}

@@ -538,7 +538,7 @@ func (n *Node) HoldOffDeadline() time.Time {
 }
 
 // NoteFenced counts one client write refused with StatusFenced; the
-// server calls it (via the optional Cluster interface) so the
+// server calls it (through its Cluster interface) so the
 // repl_fenced_requests_total series lands beside the other replication
 // counters.
 func (n *Node) NoteFenced() { n.c.fencedRequests.Add(1) }

@@ -16,7 +16,7 @@
 //
 // Requests that exceed a configurable latency threshold have their full
 // span tree copied into a bounded slow-op log, tagged with the dominant
-// phase (queue wait vs tree vs fsync vs repl ack) — the answer to "why was
+// phase (tree vs fsync vs repl ack) — the answer to "why was
 // *this* request slow?" that counters cannot give.
 package rtrace
 
@@ -75,7 +75,6 @@ func DecodeContext(b []byte) (Context, bool) {
 const (
 	KRequest    = uint8(iota + 1) // server-side request root (wire op in Span.Op)
 	KClientSend                   // client: whole round trip including retries
-	KQueueWait                    // admission: waiting for an in-flight slot
 	KTreeOp                       // the lock-free tree operation itself
 	KWALWait                      // group-commit WAL append + fsync wait
 	KReplWait                     // semi-sync wait for a follower ack
@@ -90,7 +89,6 @@ const (
 var kindNames = [kMax]string{
 	KRequest:    "request",
 	KClientSend: "client_send",
-	KQueueWait:  "queue_wait",
 	KTreeOp:     "tree_op",
 	KWALWait:    "wal_wait",
 	KReplWait:   "repl_wait",

@@ -87,17 +87,12 @@ func (s *Server) AdminHandler() http.Handler {
 			http.Error(w, "not part of a replication cluster", http.StatusNotFound)
 			return
 		}
-		p, ok := cl.(promoter)
-		if !ok {
-			http.Error(w, "cluster node cannot be promoted", http.StatusNotFound)
-			return
-		}
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		term, err := p.Promote()
+		term, err := cl.Promote()
 		if err != nil {
 			// Promoting a leader is idempotent from the operator's view:
 			// report the current state with a conflict code rather than
@@ -136,12 +131,6 @@ func (s *Server) AdminHandler() http.Handler {
 	return mux
 }
 
-// promoter is the optional promotion surface of a Cluster (repl.Node's
-// operator-driven failover entry point).
-type promoter interface {
-	Promote() (term uint64, err error)
-}
-
 // Ready reports whether the server should receive new traffic: nil when
 // accepting, an explanatory error while draining or closed, and an error
 // when the tree's reclamation is visibly wedged (a stalled reader freezing
@@ -164,10 +153,8 @@ func (s *Server) Ready() error {
 	// until it reconnects (or is promoted). During an automatic election
 	// the state ("candidate", "holding_off") names why.
 	if cl := s.cfg.Cluster; cl != nil && !cl.IsLeader() && cl.LeaseExpired() {
-		if er, ok := cl.(electionReporter); ok {
-			if st := er.ElectionState(); st != "" && st != "following" {
-				return fmt.Errorf("follower lease expired (election state %s): leader unheard, applied_seq %d", st, cl.AppliedSeq())
-			}
+		if st := cl.ElectionState(); st != "following" {
+			return fmt.Errorf("follower lease expired (election state %s): leader unheard, applied_seq %d", st, cl.AppliedSeq())
 		}
 		return fmt.Errorf("follower lease expired: leader unheard, applied_seq %d", cl.AppliedSeq())
 	}
@@ -203,8 +190,7 @@ type clusterHealth struct {
 	LeaseExpired     bool   `json:"lease_expired"`
 	// ElectionState is the failover state machine's position: "following",
 	// "candidate", "holding_off", "promoted" (won an automatic election),
-	// or "leading" (bootstrap/operator-promoted leader). Empty when the
-	// cluster layer predates automatic elections.
+	// or "leading" (bootstrap/operator-promoted leader).
 	ElectionState string `json:"election_state,omitempty"`
 	// HoldOffRemainingMS is how long this candidate still defers to
 	// higher-ranked peers before self-promoting (0 when not holding off).
@@ -212,14 +198,6 @@ type clusterHealth struct {
 	// Fenced marks a deposed leader that has not re-promoted: its
 	// mutations answer StatusFenced until it rejoins or wins a new term.
 	Fenced bool `json:"fenced"`
-}
-
-// electionReporter is the optional election surface of a Cluster
-// (repl.Node implements it); the health body degrades gracefully without
-// it.
-type electionReporter interface {
-	ElectionState() string
-	HoldOffDeadline() time.Time
 }
 
 // durabilityHealth summarizes the WAL's progress for operators: how far
@@ -289,17 +267,13 @@ func writeHealth(w http.ResponseWriter, code int, status string, s *Server) {
 			LeaseRemainingMS: cl.LeaseRemaining().Milliseconds(),
 			Followers:        cl.Followers(),
 			LeaseExpired:     cl.LeaseExpired(),
+			ElectionState:    cl.ElectionState(),
+			Fenced:           cl.Fenced(),
 		}
-		if er, ok := cl.(electionReporter); ok {
-			body.Cluster.ElectionState = er.ElectionState()
-			if d := er.HoldOffDeadline(); !d.IsZero() {
-				if rem := time.Until(d); rem > 0 {
-					body.Cluster.HoldOffRemainingMS = rem.Milliseconds()
-				}
+		if d := cl.HoldOffDeadline(); !d.IsZero() {
+			if rem := time.Until(d); rem > 0 {
+				body.Cluster.HoldOffRemainingMS = rem.Milliseconds()
 			}
-		}
-		if f, ok := cl.(fencer); ok {
-			body.Cluster.Fenced = f.Fenced()
 		}
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

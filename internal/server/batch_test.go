@@ -254,3 +254,68 @@ func TestPipelineFallbackAfterClose(t *testing.T) {
 		t.Fatalf("Submit after Close err = %v, want ErrPipelineClosed", err)
 	}
 }
+
+// slowInsertStore hands out accessors whose InsertBatch sleeps for pause
+// before it runs, so a batch's insert run outlives a short budget.
+type slowInsertStore struct {
+	Store
+	pause time.Duration
+}
+
+func (s slowInsertStore) NewAccessor() bst.Accessor {
+	return slowInsertAccessor{s.Store.NewAccessor(), s.pause}
+}
+
+type slowInsertAccessor struct {
+	bst.Accessor
+	pause time.Duration
+}
+
+func (a slowInsertAccessor) InsertBatch(keys []int64, out []bst.OpResult) {
+	time.Sleep(a.pause)
+	a.Accessor.InsertBatch(keys, out)
+}
+
+// TestBatchDeadlineBetweenRuns: the budget is checked between a batch's
+// runs. A run that started completes and is acknowledged; the runs after
+// an expired budget answer StatusDeadlineExceeded without touching the
+// tree, and the frame counts one timeout.
+func TestBatchDeadlineBetweenRuns(t *testing.T) {
+	tree := bst.New()
+	defer tree.Close()
+	srv := New(Config{Store: slowInsertStore{tree, 250 * time.Millisecond}, DefaultDeadline: 100 * time.Millisecond})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, srv)
+	cl, err := client.Dial(client.Config{Addr: srv.Addr().String(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// No context deadline: the request carries none, so the server's
+	// 100ms default is its budget.
+	res, err := cl.Do(context.Background(), []client.Op{
+		client.InsertOp(1), client.InsertOp(2), // one run, 250ms
+		client.LookupOp(1),
+		client.DeleteOp(2),
+	})
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if res[0].Err != nil || !res[0].OK || res[1].Err != nil || !res[1].OK {
+		t.Fatalf("first run = %+v, %+v; want both inserts acknowledged", res[0], res[1])
+	}
+	for i := 2; i < 4; i++ {
+		if !errors.Is(res[i].Err, client.ErrDeadline) {
+			t.Fatalf("op %d after the budget = %+v, want ErrDeadline", i, res[i])
+		}
+	}
+	if !tree.Contains(1) || !tree.Contains(2) {
+		t.Fatal("the acknowledged run is not in the tree, or the expired delete ran")
+	}
+	if got := srv.Counters().Timeouts; got != 1 {
+		t.Fatalf("Timeouts = %d, want 1", got)
+	}
+}

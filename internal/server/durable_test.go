@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -10,8 +11,13 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/durable"
+	"repro/internal/failpoint"
+	"repro/internal/repl"
 	"repro/internal/wal"
 )
+
+// repl.Node is the Cluster a replicated server runs with.
+var _ Cluster = (*repl.Node)(nil)
 
 // startDurableServer builds a durable store + server + client on an
 // ephemeral port.
@@ -195,5 +201,49 @@ func TestDurableDrainFlushesAndCheckpoints(t *testing.T) {
 	rs := dur2.RecoveryStats()
 	if rs.SnapshotKeys != 25 || rs.ReplayedOps != 0 {
 		t.Fatalf("clean shutdown should leave no replay: %+v", rs)
+	}
+}
+
+// TestWALFailureSevers: a write whose WAL record cannot be made durable is
+// never answered — neither acknowledged nor blamed on the request. With
+// every fsync failing, a one-attempt Insert (window path) and a
+// one-attempt Do([insert]) (batch path) both see the connection severed,
+// and no request counts as malformed.
+func TestWALFailureSevers(t *testing.T) {
+	fps := failpoint.NewSet()
+	dur, err := durable.Open(t.TempDir(), durable.Options{Sync: wal.SyncFsync, Failpoints: fps})
+	if err != nil {
+		t.Fatalf("durable.Open: %v", err)
+	}
+	defer dur.Close()
+	srv := New(Config{Store: dur})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := client.Dial(client.Config{Addr: srv.Addr().String(), MaxAttempts: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	fps.Site(wal.FPFsync).FailEveryN(1)
+	ok, err := cl.Insert(ctx, 7)
+	if err == nil || errors.Is(err, client.ErrBadRequest) {
+		t.Fatalf("Insert with a failing WAL = (%v, %v), want a transport error", ok, err)
+	}
+	t.Logf("Insert: %v", err)
+	res, err := cl.Do(ctx, []client.Op{client.InsertOp(8)})
+	if err == nil {
+		err = res[0].Err
+	}
+	if err == nil || errors.Is(err, client.ErrBadRequest) {
+		t.Fatalf("Do([insert]) with a failing WAL = %+v, want a transport error", res)
+	}
+	t.Logf("Do: %v", err)
+	if got := srv.Counters().BadRequests; got != 0 {
+		t.Fatalf("BadRequests = %d, want 0", got)
 	}
 }

@@ -6,8 +6,9 @@
 //     tree, so an overloaded server stays responsive instead of queueing
 //     without bound;
 //   - deadlines: every request carries a time budget (or inherits the
-//     server default) propagated as a context.Context; expired requests
-//     answer wire.StatusDeadlineExceeded rather than consuming tree time;
+//     server default), checked against the clock between units of work;
+//     expired requests answer wire.StatusDeadlineExceeded rather than
+//     consuming tree time;
 //   - fail-soft tree errors: bst.ErrCapacity and bst.ErrKeyOutOfRange map
 //     to distinct wire statuses, so clients can apply distinct retry
 //     policies (wait-for-deletes vs give-up);
@@ -110,32 +111,31 @@ type Cluster interface {
 	LeaderCommit() uint64
 	// Followers is the number of connected replication subscribers.
 	Followers() int
-}
-
-// fencer is the optional Cluster extension for term fencing: Fenced
-// reports a node deposed by a newer leader term that has not re-promoted
-// since. repl.Node implements it; Cluster fakes that predate fencing stay
-// compilable and simply never fence.
-type fencer interface{ Fenced() bool }
-
-// fencedNoter is the optional Cluster extension notified once per request
-// the server refuses with StatusFenced, so the cluster layer's metrics
-// count them alongside its own fence events.
-type fencedNoter interface{ NoteFenced() }
-
-// clusterFenced reports whether the cluster node is fenced (false when
-// standalone or when the Cluster doesn't expose fencing).
-func (s *Server) clusterFenced() bool {
-	f, ok := s.cfg.Cluster.(fencer)
-	return ok && f.Fenced()
+	// Fenced reports a node deposed by a newer leader term that has not
+	// re-promoted since: its writes answer StatusFenced.
+	Fenced() bool
+	// NoteFenced counts one request the server refused with StatusFenced,
+	// so the cluster's metrics count them beside its own fence events.
+	NoteFenced()
+	// Promote makes this node the leader of a new term (the /promote
+	// admin endpoint); an error reports why it cannot, with the current
+	// term.
+	Promote() (term uint64, err error)
+	// ElectionState names the failover state machine's position:
+	// "following", "candidate", "holding_off", "promoted" or "leading".
+	ElectionState() string
+	// HoldOffDeadline is when a holding-off candidate stops deferring to
+	// higher-ranked peers (zero when no hold-off is pending).
+	HoldOffDeadline() time.Time
 }
 
 // noteFenced counts one request refused for being fenced, in the server's
-// own counters and (when supported) the cluster's.
+// own counters and the cluster's. A fenced standalone durable store
+// reaches it too (through statusOf), with no cluster to tell.
 func (s *Server) noteFenced() {
 	s.stats.fenced.Add(1)
-	if fn, ok := s.cfg.Cluster.(fencedNoter); ok {
-		fn.NoteFenced()
+	if cl := s.cfg.Cluster; cl != nil {
+		cl.NoteFenced()
 	}
 }
 
@@ -147,13 +147,10 @@ type Config struct {
 	// connection and Closes it when the connection ends.
 	Store Store
 	// MaxInFlight bounds concurrently executing requests across all
-	// connections; excess requests are shed with StatusOverloaded.
-	// Default 256.
+	// connections; excess requests are shed with StatusOverloaded at
+	// once — under overload the cheapest thing a server can do is say no
+	// quickly. Default 256.
 	MaxInFlight int
-	// AdmissionWait is how long a request may wait for an in-flight slot
-	// before being shed. 0 (the default) sheds immediately: under
-	// overload the cheapest thing a server can do is say no quickly.
-	AdmissionWait time.Duration
 	// DefaultDeadline applies to requests that carry no deadline of their
 	// own. Default 1s.
 	DefaultDeadline time.Duration
@@ -182,8 +179,8 @@ type Config struct {
 	// Trace, when non-nil, is the flight recorder: each connection gets an
 	// rtrace.Conn, requests arriving with a sampled wire context (or
 	// self-sampled per the recorder's rate) record a span tree covering
-	// admission wait, the tree operation, the group-commit WAL wait and the
-	// semi-sync replication wait, and slow requests land in the recorder's
+	// the tree operation, the group-commit WAL wait and the semi-sync
+	// replication wait, and slow requests land in the recorder's
 	// slow-op log. Nil costs one pointer check per request.
 	Trace *rtrace.Recorder
 	// Logger, when non-nil, receives one structured record per notable
@@ -245,7 +242,6 @@ type counters struct {
 	replDegraded  atomic.Uint64
 	aggregates    atomic.Uint64
 	noIndex       atomic.Uint64
-	inFlight      atomic.Int64
 	openConns     atomic.Int64
 }
 
@@ -360,7 +356,7 @@ func (s *Server) Counters() Counters {
 		ReplDegraded:  s.stats.replDegraded.Load(),
 		Aggregates:    s.stats.aggregates.Load(),
 		NoIndex:       s.stats.noIndex.Load(),
-		InFlight:      s.stats.inFlight.Load(),
+		InFlight:      int64(len(s.sem)),
 		OpenConns:     s.stats.openConns.Load(),
 		Draining:      s.draining.Load(),
 	}
@@ -432,26 +428,34 @@ func (s *Server) forgetConn(c net.Conn) {
 	s.stats.connsClosed.Add(1)
 }
 
-// call is one request's trip through the server: the decoded frame, the
-// outcome its execute step wrote, and the batch buffers. Each connection
-// reuses one, so the steady-state path decodes, executes and encodes
-// without allocating.
+// call is one request's trip through the server: the decoded frame, its
+// deadline, the outcome its execute step wrote, and the batch buffers.
+// Each connection reuses one, bound to the connection's accessor, so the
+// steady-state path decodes, executes and encodes without allocating.
 type call struct {
-	req     wire.Request
-	ops     []wire.BatchOp        // OpBatch: the decoded operations
-	agg     wire.AggregateRequest // OpAggregate: the decoded query
-	arg     int64                 // trace argument: the key, or a batch's op count
-	mutates bool                  // a write: only a leader takes it
+	acc bst.Accessor   // the connection's accessor
+	ta  ticketAccessor // acc's ticket methods; nil when it has none
+
+	req      wire.Request
+	ops      []wire.BatchOp        // OpBatch: the decoded operations
+	agg      wire.AggregateRequest // OpAggregate: the decoded query
+	arg      int64                 // trace argument: the key, or a batch's op count
+	mutates  bool                  // a write: only a leader takes it
+	deadline time.Time             // arrival plus the request's budget
 
 	resp    wire.Response      // status, ok bit, range keys, redirect address
 	results []wire.BatchResult // OpBatch with StatusOK: one per op
 	value   int64              // OpAggregate with StatusOK
 	ticket  wal.Ticket         // a single-op mutation's WAL record, waited on per window
 	seq     uint64             // WAL horizon the semi-sync gate must cover (0: none)
+	lost    error              // a batch's WAL failure: no response may be sent
 
 	keys []int64 // one same-kind run of a batch
 	res  []bst.OpResult
 }
+
+// expired reports whether the request's budget is spent.
+func (x *call) expired() bool { return !time.Now().Before(x.deadline) }
 
 // ticketAccessor is the asynchronous-durability surface of a store's
 // accessor (durable.Tree's accessors implement it): mutations apply and
@@ -497,7 +501,8 @@ func (s *Server) handleConn(c net.Conn) {
 	br := bufio.NewReaderSize(c, 32<<10)
 	bw := bufio.NewWriterSize(c, 32<<10)
 	defer bw.Flush()
-	var x call
+	x := call{acc: acc}
+	x.ta, _ = acc.(ticketAccessor)
 	var scratch []byte
 	out := wire.GetBuf()
 	defer wire.PutBuf(out)
@@ -540,7 +545,6 @@ func (s *Server) handleConn(c net.Conn) {
 				// retryable transport error to the client, never a false ack.
 				s.log.Error("wal wait failed; severing connection", "conn", tr.ID(), "err", err)
 				nwin = 0
-				tickets.Reset()
 				return false
 			}
 			tr.Span(rtrace.KWALWait, walStart, int64(maxSeq))
@@ -622,7 +626,14 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 
 		x.req = req
-		poisoned := s.serve(acc, &x, frame, tr)
+		poisoned := s.serve(&x, frame, tr)
+		if x.lost != nil {
+			// A batch changed the tree but its WAL records failed: the same
+			// rule as a failed window wait — acknowledge nothing, sever.
+			s.log.Error("wal write failed; severing connection", "conn", tr.ID(), "err", x.lost)
+			nwin = 0
+			return
+		}
 		*out = s.encode((*out)[:0], &x)
 		stage(*out, x.ticket, x.seq)
 		// Flush only when no next request is already buffered: that is
@@ -661,14 +672,14 @@ func (s *Server) writeFrame(c net.Conn, bw *bufio.Writer, payload []byte, flush 
 // StatusBadRequest and the connection survives, since the frame boundary
 // held), open the trace, refuse while draining, gate writes by role, take
 // an admission slot or shed, guard the slot against panics, count the
-// request, hit the failpoints, start the deadline, refuse a request whose
+// request, hit the failpoints, set the deadline, refuse a request whose
 // budget is already spent, and execute. The outcome lands in x. poisoned
 // reports a recovered panic: the response is StatusInternal and the
 // connection must close.
-func (s *Server) serve(acc bst.Accessor, x *call, frame []byte, tr *rtrace.Conn) (poisoned bool) {
+func (s *Server) serve(x *call, frame []byte, tr *rtrace.Conn) (poisoned bool) {
 	start := time.Now()
 	x.resp = wire.Response{ID: x.req.ID}
-	x.ticket, x.seq = wal.Ticket{}, 0
+	x.ticket, x.seq, x.lost = wal.Ticket{}, 0, nil
 	if !x.decode(frame) {
 		s.stats.badRequests.Add(1)
 		x.resp.Status = wire.StatusBadRequest
@@ -688,7 +699,7 @@ func (s *Server) serve(acc bst.Accessor, x *call, frame []byte, tr *rtrace.Conn)
 	// leader" from "stop trusting this one"; encode adds the leader's
 	// address to both.
 	if cl := s.cfg.Cluster; cl != nil && x.mutates && !cl.IsLeader() {
-		if s.clusterFenced() {
+		if cl.Fenced() {
 			s.noteFenced()
 			x.resp.Status = wire.StatusFenced
 		} else {
@@ -698,34 +709,17 @@ func (s *Server) serve(acc bst.Accessor, x *call, frame []byte, tr *rtrace.Conn)
 		return false
 	}
 
-	// Admission: take an in-flight token or shed. One token per frame, so
-	// a batch multiplies useful work per slot rather than competing for
-	// more. The bounded wait (0 by default) is the only queueing the server
-	// ever does; only that waited path records a KQueueWait span.
+	// Admission: take an in-flight token or shed at once; the server never
+	// queues. One token per frame, so a batch multiplies useful work per
+	// slot rather than competing for more.
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		admitted := false
-		if s.cfg.AdmissionWait > 0 {
-			qStart := time.Now()
-			t := time.NewTimer(s.cfg.AdmissionWait)
-			select {
-			case s.sem <- struct{}{}:
-				t.Stop()
-				tr.Span(rtrace.KQueueWait, qStart, 0)
-				admitted = true
-			case <-t.C:
-			}
-		}
-		if !admitted {
-			s.stats.shed.Add(1)
-			x.resp.Status = wire.StatusOverloaded
-			return false
-		}
+		s.stats.shed.Add(1)
+		x.resp.Status = wire.StatusOverloaded
+		return false
 	}
-	s.stats.inFlight.Add(1)
 	defer func() {
-		s.stats.inFlight.Add(-1)
 		<-s.sem
 		if p := recover(); p != nil {
 			s.stats.panics.Add(1)
@@ -746,26 +740,26 @@ func (s *Server) serve(acc bst.Accessor, x *call, frame []byte, tr *rtrace.Conn)
 	}
 
 	// Deadline: the request's budget (or the server default), counted from
-	// arrival, becomes a context carried through execution.
+	// arrival. Execution compares the clock with it between units of work;
+	// only a sequence-floor wait blocks on it (see reached).
 	budget := s.cfg.DefaultDeadline
 	if x.req.DeadlineMS > 0 {
 		budget = time.Duration(x.req.DeadlineMS) * time.Millisecond
 	}
-	ctx, cancel := context.WithDeadline(context.Background(), start.Add(budget))
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		x.resp.Status = s.statusOf(err)
+	x.deadline = start.Add(budget)
+	if x.expired() {
+		x.resp.Status = s.statusOf(context.DeadlineExceeded)
 		return false
 	}
 
 	opStart := time.Now()
 	switch x.req.Op {
 	case wire.OpBatch:
-		s.executeBatch(ctx, acc, x)
+		s.executeBatch(x)
 	case wire.OpAggregate:
 		s.executeAggregate(x)
 	default:
-		s.execute(ctx, acc, x)
+		s.execute(x)
 	}
 	tr.Span(rtrace.KTreeOp, opStart, x.arg)
 	if x.seq != 0 {
@@ -860,9 +854,11 @@ func (s *Server) statusOf(err error) wire.Status {
 // operations past an expired budget answer StatusDeadlineExceeded without
 // touching the tree (a run already started completes — point operations
 // are not cancellable mid-CAS). The durability wait already happened
-// inside the batched accessor, but the semi-sync replication wait is the
-// response window's, so x.seq is the WAL horizon the batch reached.
-func (s *Server) executeBatch(ctx context.Context, acc bst.Accessor, x *call) {
+// inside the batched accessor; a slot whose WAL record failed sets x.lost
+// and ends the batch, since its response must never be sent. The semi-sync
+// replication wait is the response window's, so x.seq is the WAL horizon
+// the batch reached.
+func (s *Server) executeBatch(x *call) {
 	ops := x.ops
 	s.stats.batchOps.Add(uint64(len(ops)))
 	results := x.results[:0]
@@ -873,7 +869,7 @@ func (s *Server) executeBatch(ctx context.Context, acc bst.Accessor, x *call) {
 
 	i := 0
 	for i < len(ops) {
-		if ctx.Err() != nil {
+		if x.expired() {
 			s.stats.timeouts.Add(1)
 			for k := i; k < len(ops); k++ {
 				results[k] = wire.BatchResult{Status: wire.StatusDeadlineExceeded}
@@ -895,14 +891,18 @@ func (s *Server) executeBatch(ctx context.Context, acc bst.Accessor, x *call) {
 		res := x.res[:j-i]
 		switch ops[i].Op {
 		case wire.OpInsert:
-			acc.InsertBatch(keys, res)
+			x.acc.InsertBatch(keys, res)
 		case wire.OpDelete:
-			acc.DeleteBatch(keys, res)
+			x.acc.DeleteBatch(keys, res)
 		case wire.OpLookup:
-			acc.ContainsBatch(keys, res)
+			x.acc.ContainsBatch(keys, res)
 		}
 		for k := i; k < j; k++ {
 			r := res[k-i]
+			if r.Err != nil && errors.Is(r.Err, durable.ErrNotDurable) {
+				x.lost = r.Err
+				return
+			}
 			results[k] = wire.BatchResult{Status: s.statusOf(r.Err), OK: r.OK && r.Err == nil}
 		}
 		i = j
@@ -916,26 +916,26 @@ func (s *Server) executeBatch(ctx context.Context, acc bst.Accessor, x *call) {
 	}
 }
 
-// execute performs a single-op request under ctx. For mutations on a
+// execute performs a single-op request. For mutations on a
 // ticket-capable accessor the durability wait is deferred to the caller:
 // x.ticket and x.seq let one window flush cover many operations.
-func (s *Server) execute(ctx context.Context, acc bst.Accessor, x *call) {
+func (s *Server) execute(x *call) {
 	req := &x.req
 	var err error
 	switch req.Op {
 	case wire.OpInsert:
-		if ta, async := acc.(ticketAccessor); async {
-			x.resp.OK, x.ticket, err = ta.TryInsertTicket(req.Key)
+		if x.ta != nil {
+			x.resp.OK, x.ticket, err = x.ta.TryInsertTicket(req.Key)
 		} else {
-			x.resp.OK, err = acc.TryInsert(req.Key)
+			x.resp.OK, err = x.acc.TryInsert(req.Key)
 		}
 	case wire.OpDelete:
 		if !keyInRange(req.Key) {
 			err = bst.ErrKeyOutOfRange
-		} else if ta, async := acc.(ticketAccessor); async {
-			x.resp.OK, x.ticket, err = ta.DeleteTicket(req.Key)
+		} else if x.ta != nil {
+			x.resp.OK, x.ticket, err = x.ta.DeleteTicket(req.Key)
 		} else {
-			x.resp.OK = acc.Delete(req.Key)
+			x.resp.OK = x.acc.Delete(req.Key)
 		}
 	case wire.OpLookup, wire.OpLookupAt:
 		// Read-your-writes: OpLookupAt names the last sequence acked to the
@@ -945,21 +945,21 @@ func (s *Server) execute(ctx context.Context, acc bst.Accessor, x *call) {
 		switch {
 		case !keyInRange(req.Key):
 			err = bst.ErrKeyOutOfRange
-		case req.Op == wire.OpLookupAt && !s.reached(ctx, req.MinSeq):
+		case req.Op == wire.OpLookupAt && !s.reached(x.deadline, req.MinSeq):
 			err = errReplLag
 		default:
-			x.resp.OK = acc.Contains(req.Key)
+			x.resp.OK = x.acc.Contains(req.Key)
 		}
 	case wire.OpRange:
 		var keys []int64
-		if keys, err = s.scan(ctx, req); err == nil {
+		if keys, err = s.scan(x); err == nil {
 			x.resp.OK, x.resp.Keys = true, keys
 		}
 	}
 	x.seq = x.ticket.Seq()
 	x.resp.OK = x.resp.OK && err == nil
 	x.resp.Status = s.statusOf(err)
-	if ctx.Err() != nil && err == nil && req.Op != wire.OpRange {
+	if err == nil && req.Op != wire.OpRange && x.expired() {
 		// The op completed after its budget. It *was* executed (point
 		// operations are not cancellable mid-CAS), so report success:
 		// dropping the acknowledgement would make the client retry a
@@ -971,7 +971,8 @@ func (s *Server) execute(ctx context.Context, acc bst.Accessor, x *call) {
 // scan collects the keys in [req.Key, req.To], at most the request's
 // limit. Scan is the epoch-protected concurrent traversal; the limit cap
 // bounds how long one request can pin a reclamation epoch.
-func (s *Server) scan(ctx context.Context, req *wire.Request) ([]int64, error) {
+func (s *Server) scan(x *call) ([]int64, error) {
+	req := &x.req
 	limit := int(req.Limit)
 	if limit <= 0 || limit > s.cfg.RangeLimit {
 		limit = s.cfg.RangeLimit
@@ -982,10 +983,9 @@ func (s *Server) scan(ctx context.Context, req *wire.Request) ([]int64, error) {
 	s.cfg.Store.Scan(req.Key, req.To, func(k int64) bool {
 		// Deadline check every few keys: a huge range cannot hold its
 		// admission slot past its budget.
-		if i++; i&63 == 0 {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
+		if i++; i&63 == 0 && x.expired() {
+			err = context.DeadlineExceeded
+			return false
 		}
 		keys = append(keys, k)
 		return len(keys) < limit
@@ -994,11 +994,14 @@ func (s *Server) scan(ctx context.Context, req *wire.Request) ([]int64, error) {
 }
 
 // reached reports whether the local tree reflects WAL sequence seq: a
-// cluster node waits for it (bounded by ctx), a standalone durable store
-// compares its own horizon, and a store with no sequence source can prove
-// only seq 0 — lying would defeat the read-your-writes contract.
-func (s *Server) reached(ctx context.Context, seq uint64) bool {
+// cluster node waits for it (bounded by the request's deadline), a
+// standalone durable store compares its own horizon, and a store with no
+// sequence source can prove only seq 0 — lying would defeat the
+// read-your-writes contract.
+func (s *Server) reached(deadline time.Time, seq uint64) bool {
 	if cl := s.cfg.Cluster; cl != nil {
+		ctx, cancel := context.WithDeadline(context.Background(), deadline)
+		defer cancel()
 		return cl.WaitApplied(ctx, seq) == nil
 	}
 	if ds, can := s.cfg.Store.(interface{ LastSeq() uint64 }); can {

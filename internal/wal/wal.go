@@ -59,6 +59,9 @@ import (
 // failure is a dying one.
 const FPFsync = "wal-fsync"
 
+// errInjectedFsync is the fsync failure a triggered FPFsync hit injects.
+var errInjectedFsync = errors.New("wal: fsync: injected failure")
+
 // SyncPolicy selects when appends become durable.
 type SyncPolicy uint8
 
@@ -559,8 +562,10 @@ func (l *Log) flushOnce(sync bool) {
 		}
 	}
 	if sync && l.needSync {
-		if fp := l.opts.Failpoints; fp != nil {
-			fp.Hit(FPFsync) // stall-style injection parks the flusher here
+		// A stall parks the flusher here; a triggered hit is a dying disk.
+		if fp := l.opts.Failpoints; fp != nil && fp.Hit(FPFsync) {
+			finish(errInjectedFsync)
+			return
 		}
 		t0 := time.Now()
 		if err := l.f.Sync(); err != nil {
