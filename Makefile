@@ -7,10 +7,11 @@
 # recover, audit every acked mutation, clock a 1M-key recovery), the
 # failover-stress replication gate (kill -9 a semi-sync leader mid-load,
 # promote the follower, audit every acked mutation on the new leader), a
-# fuzz smoke over the wire-frame and WAL-record decoders, the tracing
-# overhead gate (flight recorder installed with sampling off must stay
-# within 1% of untraced, sampled hot path must not allocate), a short
-# durable benchmark cell (BENCH_durable_smoke.json), and the
+# fuzz smoke over the wire-frame and WAL-record decoders and the core
+# tree's single and batched operations, the tracing overhead gate
+# (flight recorder installed with sampling off must stay within 1% of
+# untraced, sampled hot path must not allocate), a short durable
+# benchmark cell (BENCH_durable_smoke.json), and the
 # order-statistics gates (Exact-mode linearizability bracket checker and
 # the CountRange-vs-scan ≥10x speedup floor).
 
@@ -100,10 +101,13 @@ chaos:
 	done; \
 	grep "^chaos: OK" chaos_round.log
 
-# Short fuzz budgets over every frame/record decoder; seed corpora are
-# checked in under testdata/fuzz. Run `go test -fuzz <name> ./internal/...`
-# for a real session.
+# Short fuzz budgets over every frame/record decoder and the core tree's
+# model-equivalence programs (single and batched ops, with and without
+# reclamation); decoder seed corpora are checked in under testdata/fuzz.
+# Run `go test -fuzz <name> ./internal/...` to fuzz for longer.
 fuzz-smoke:
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzModelEquivalence$$' -fuzztime 5s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReclaimEquivalence$$' -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBatchOps$$' -fuzztime 5s

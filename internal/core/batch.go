@@ -1,7 +1,7 @@
 package core
 
 import (
-	"runtime"
+	"math/bits"
 	"slices"
 
 	"repro/internal/atomicx"
@@ -10,8 +10,7 @@ import (
 
 // Batched operations: amortize the fixed per-operation costs — the epoch
 // pin/unpin pair and, above all, the root-to-leaf seek — across a whole
-// batch of keys. Two mechanisms cooperate, both operating on keys in
-// sorted order:
+// batch of keys, which are sorted first.
 //
 // Wavefront seeks (seekWave, and the lookup loop): all keys descend the
 // tree at once, one level per wave. The wave performs exactly the reads N
@@ -27,18 +26,15 @@ import (
 // keys, where runs thin out after the first few levels, that overlap is
 // most of the win.
 //
-// Deepest-ancestor resumes (seekBatch): when a write's precomputed seek
-// record has gone stale — usually because an earlier operation of the same
-// batch restructured the neighbourhood — its retry does not restart at the
-// root. It resumes from the deepest node recorded on the previous
-// (path-recording) seek whose child word is re-read unmarked, popping one
-// level up per marked word and degrading to the root in the worst case.
-// Resuming is sound on two tree invariants: an internal node is physically
-// removed only after *both* its child edges are marked (so one unmarked
-// child word proves the node was still attached at that read), and a
-// node's routing interval only ever widens (splices lift surviving
-// subtrees toward the root), so a key once inside a recorded node's
-// interval is inside it at resume time.
+// Applying a write batch runs every key through the single-key insert or
+// delete loop (ops.go), with its wave record standing in for the first
+// attempt's seek; a retry re-seeks from the root, as the paper's does.
+// The keys whose records end at one leaf are applied median-first — in
+// the bit-reversal order of their sorted positions — so they split that
+// leaf into a balanced subtree instead of the chain an ascending run
+// builds in an external BST, and each of their retries stays logarithmic.
+// Runs at distinct leaves keep sorted order, so the nodes a bulk load
+// allocates stay in key order in the arena.
 //
 // Staleness never costs correctness, only retries: inserts and deletes
 // validate with their CASes, whose expected values (an unmarked edge to
@@ -49,15 +45,13 @@ import (
 // atomicity is claimed across a batch.
 //
 // The epoch pin is taken once per batch. While pinned, arena indices held
-// in seek records and recorded paths cannot be recycled (no ABA). The one
-// place a batch drops its pin mid-flight — the capacity-recovery path of a
-// batched insert, which must let the epoch advance to recycle slots —
-// bumps unpinGen, which invalidates every precomputed record and the
-// recorded path for the rest of the batch.
+// in seek records cannot be recycled (no ABA). The one place a batch drops
+// its pin mid-flight — the capacity-recovery path of an insert, which must
+// let the epoch advance to recycle slots — bumps unpinGen, which
+// invalidates every precomputed record for the rest of the batch.
 
 // batchEnt pairs a key with its position in the caller's slices, so
-// results land in caller order after the keys are processed in sorted
-// order.
+// results land in caller order whatever order the keys are processed in.
 type batchEnt struct {
 	key uint64
 	pos int32
@@ -69,41 +63,6 @@ type batchEnt struct {
 type waveEnt struct {
 	sr seekRecord
 	pw uint64
-}
-
-// batchPath is the access path recorded by the most recent path-recording
-// seek: the visited nodes, their (immutable) routing keys, and the packed
-// child word read for each descent edge. nodes[0] is always the sentinel
-// 𝕊; the last entry is the leaf the seek ended at. words[i] is the edge
-// nodes[i] → nodes[i+1] as read during that seek. key is the key the path
-// was recorded for (≤ every later key of the batch).
-type batchPath struct {
-	nodes []uint32
-	keys  []uint64
-	words []uint64
-	key   uint64
-	valid bool
-}
-
-func (p *batchPath) reset() {
-	p.nodes = p.nodes[:0]
-	p.keys = p.keys[:0]
-	p.words = p.words[:0]
-	p.valid = false
-}
-
-// push records one visited node; its descent edge word is appended when
-// the next hop is read.
-func (p *batchPath) push(node uint32, key uint64) {
-	p.nodes = append(p.nodes, node)
-	p.keys = append(p.keys, key)
-}
-
-// truncate keeps the first n nodes (and their n-1 edge words).
-func (p *batchPath) truncate(n int) {
-	p.nodes = p.nodes[:n]
-	p.keys = p.keys[:n]
-	p.words = p.words[:n-1]
 }
 
 // sortBatch loads the caller's keys into the handle's reusable scratch
@@ -201,149 +160,10 @@ func (h *Handle) seekWave(ord []batchEnt) uint64 {
 	return skipped
 }
 
-// seekBatch is the resuming seek used by write retries: position the seek
-// record for key, resuming from the deepest still-valid node of the
-// recorded path, and re-record the path for the next resume. It returns
-// the number of levels skipped relative to a full root seek.
-func (h *Handle) seekBatch(key uint64) int {
-	p := &h.path
-	if !p.valid || len(p.nodes) < 3 || p.key > key {
-		h.seekFromRoot(key)
-		return 0
-	}
-
-	// Deepest recorded node that still routes key: edges match until the
-	// first node where the recorded key went left but key would go right
-	// (node keys are immutable). The final recorded node is the previous
-	// leaf — not a resume candidate.
-	m := len(p.nodes)
-	j := m - 2
-	for i := 1; i < m-1; i++ {
-		if p.key < p.keys[i] && key >= p.keys[i] {
-			j = i
-			break
-		}
-	}
-
-	ar := h.t.ar
-	// Pop toward the root until the resume node proves it is still in the
-	// tree: an unmarked child word is impossible on a detached node.
-	var w uint64
-	for ; j >= 1; j-- {
-		nd := ar.Get(p.nodes[j])
-		if key < p.keys[j] {
-			w = nd.left.Load()
-		} else {
-			w = nd.right.Load()
-		}
-		if w&(atomicx.FlagBit|atomicx.TagBit) == 0 {
-			break
-		}
-	}
-	if j < 2 {
-		// Nothing worth resuming (nodes[0] is 𝕊; resuming there is a full
-		// seek with extra bookkeeping).
-		h.seekFromRoot(key)
-		return 0
-	}
-
-	sr := &h.sr
-	h.Stats.Seeks++
-	h.hook(FPSeek)
-
-	// Reconstruct ancestor/successor — the last untagged edge strictly
-	// above the resume edge — from the recorded words. words[0] (𝕊 → user
-	// subtree) can never be marked, so the scan always terminates. A word
-	// tagged since it was recorded only makes a later splice CAS fail and
-	// retry, the same staleness the base algorithm tolerates.
-	sr.ancestor = h.t.r
-	sr.successor = h.t.s
-	for i := j - 1; i >= 0; i-- {
-		if !atomicx.Tag(p.words[i]) {
-			sr.ancestor = p.nodes[i]
-			sr.successor = p.nodes[i+1]
-			break
-		}
-	}
-
-	p.truncate(j + 1)
-	sr.parent = p.nodes[j]
-	sr.leaf = atomicx.Addr(w)
-	h.descendRecord(key, w)
-	return j
-}
-
-// seekFromRoot is the recording variant of seek: identical traversal, but
-// it also captures the access path for later resumes.
-func (h *Handle) seekFromRoot(key uint64) {
-	t := h.t
-	sr := &h.sr
-	h.Stats.Seeks++
-	h.hook(FPSeek)
-
-	sr.ancestor = t.r
-	sr.successor = t.s
-	sr.parent = t.s
-
-	p := &h.path
-	p.reset()
-	sn := t.ar.Get(t.s)
-	p.push(t.s, sn.key)
-	parentField := sn.left.Load()
-	sr.leaf = atomicx.Addr(parentField)
-	h.descendRecord(key, parentField)
-}
-
-// descendRecord runs the seek descent loop from the current sr.parent /
-// sr.leaf position (leafField is the child word that led to sr.leaf),
-// recording every hop. On return h.sr is a complete seek record for key
-// and h.path holds the full access path ending at the leaf.
-func (h *Handle) descendRecord(key uint64, leafField uint64) {
-	ar := h.t.ar
-	sr := &h.sr
-	p := &h.path
-
-	parentField := leafField
-	ln := ar.Get(sr.leaf)
-	p.words = append(p.words, parentField)
-	p.push(sr.leaf, ln.key)
-
-	var currentField uint64
-	if key < ln.key {
-		currentField = ln.left.Load()
-	} else {
-		currentField = ln.right.Load()
-	}
-	current := atomicx.Addr(currentField)
-
-	for current != 0 {
-		if !atomicx.Tag(parentField) {
-			sr.ancestor = sr.parent
-			sr.successor = sr.leaf
-		}
-		sr.parent = sr.leaf
-		sr.leaf = current
-		parentField = currentField
-
-		cn := ar.Get(current)
-		p.words = append(p.words, parentField)
-		p.push(current, cn.key)
-		if key < cn.key {
-			currentField = cn.left.Load()
-		} else {
-			currentField = cn.right.Load()
-		}
-		current = atomicx.Addr(currentField)
-	}
-	p.key = key
-	p.valid = true
-}
-
 // finishBatch folds the batch's telemetry into the handle's stats and
 // metrics shard and releases the per-batch pin.
 func (h *Handle) finishBatch(ops uint64, op metrics.Counter, skipped uint64) {
 	h.unpin()
-	h.path.valid = false
 	h.Stats.Batches++
 	h.Stats.BatchOps += ops
 	h.Stats.BatchSkippedLevels += skipped
@@ -471,119 +291,7 @@ func (h *Handle) InsertBatch(ks []uint64, out []bool, errs []error) {
 	if len(out) != len(ks) || len(errs) != len(ks) {
 		panic("core: InsertBatch result length mismatch")
 	}
-	if len(ks) == 0 {
-		return
-	}
-	ord := h.sortBatch(ks)
-	h.pin()
-	h.path.valid = false
-	skipped := h.seekWave(ord)
-	gen := h.unpinGen
-	for i, e := range ord {
-		// Precomputed records are only safe while the batch pin has been
-		// held continuously since the wave (arena indices must not have
-		// been recycled).
-		ok, s, err := h.batchInsertOne(e.key, h.recs[i].sr, h.unpinGen == gen)
-		out[e.pos], errs[e.pos] = ok, err
-		skipped += uint64(s)
-	}
-	h.Stats.Inserts += uint64(len(ks))
-	h.finishBatch(uint64(len(ks)), metrics.OpsInsert, skipped)
-}
-
-// batchInsertOne is tryInsert's loop body adapted for a pinned batch: the
-// first attempt positions with the wave-precomputed seek record (when rec
-// is still valid), retries re-seek with the deepest-ancestor resume, and
-// the capacity-recovery path drops the batch pin — bumping unpinGen, since
-// unpinned slots may be recycled under us — before flushing the epoch.
-func (h *Handle) batchInsertOne(key uint64, rec seekRecord, useRec bool) (bool, int, error) {
-	t := h.t
-	ar := t.ar
-	retries := 0
-	skipped := 0
-	for {
-		if useRec {
-			h.sr = rec
-			useRec = false
-		} else {
-			skipped += h.seekBatch(key)
-		}
-		leaf := h.sr.leaf
-		leafKey := ar.Get(leaf).key
-		if leafKey == key {
-			return false, skipped, nil // key already present
-		}
-
-		parent := h.sr.parent
-		pn := ar.Get(parent)
-		childAddr := &pn.left
-		if key >= pn.key {
-			childAddr = &pn.right
-		}
-
-		ni, nl, ok := h.trySpares()
-		if !ok {
-			if h.slot == nil || retries >= maxCapacityRetries {
-				h.Stats.CapacityFailures++
-				if h.m != nil {
-					h.m.Inc(metrics.CapacityFailures)
-				}
-				return false, skipped, ErrCapacity
-			}
-			retries++
-			h.Stats.CapacityRetries++
-			if h.m != nil {
-				h.m.Inc(metrics.CapacityRetries)
-				h.m.Inc(metrics.SeekRestarts)
-			}
-			// Drop the batch pin so the epoch can advance; anything the
-			// wave or the path recorded may be recycled while unpinned.
-			h.unpin()
-			h.unpinGen++
-			h.path.valid = false
-			h.slot.Flush()
-			for i := 0; i < retries; i++ {
-				runtime.Gosched()
-			}
-			h.pin()
-			continue
-		}
-		niN, nlN := ar.Get(ni), ar.Get(nl)
-		nlN.key = key
-		nlN.left.Store(0)
-		nlN.right.Store(0)
-		if key < leafKey {
-			niN.key = leafKey
-			niN.left.Store(atomicx.Pack(nl, false, false))
-			niN.right.Store(atomicx.Pack(leaf, false, false))
-		} else {
-			niN.key = key
-			niN.left.Store(atomicx.Pack(leaf, false, false))
-			niN.right.Store(atomicx.Pack(nl, false, false))
-		}
-
-		h.hook(FPInsertCAS)
-		if childAddr.CompareAndSwap(atomicx.Pack(leaf, false, false), atomicx.Pack(ni, false, false)) {
-			h.Stats.CASSucceeded++
-			h.spareInternal, h.spareLeaf = 0, 0
-			h.bumpDirty(key)
-			return true, skipped, nil
-		}
-		h.Stats.CASFailed++
-		if h.m != nil {
-			h.m.Inc(metrics.InsertCASFailures)
-			h.m.Inc(metrics.InsertRetries)
-			h.m.Inc(metrics.SeekRestarts)
-		}
-		w := childAddr.Load()
-		if atomicx.Addr(w) == leaf && atomicx.Marked(w) {
-			h.Stats.HelpAttempts++
-			if h.m != nil {
-				h.m.Inc(metrics.HelpOther)
-			}
-			h.cleanup(key, &h.sr)
-		}
-	}
+	h.writeBatch(ks, out, errs, metrics.OpsInsert)
 }
 
 // DeleteBatch deletes every key in ks; out[i] reports whether the set
@@ -593,88 +301,51 @@ func (h *Handle) DeleteBatch(ks []uint64, out []bool) {
 	if len(out) != len(ks) {
 		panic("core: DeleteBatch result length mismatch")
 	}
+	h.writeBatch(ks, out, nil, metrics.OpsDelete)
+}
+
+// writeBatch pins once, seeks every key with one wavefront, and applies
+// the keys through insertLoop (errs non-nil) or deleteLoop: in sorted
+// order across leaves, median-first among the keys whose wave records end
+// at one leaf.
+func (h *Handle) writeBatch(ks []uint64, out []bool, errs []error, op metrics.Counter) {
 	if len(ks) == 0 {
 		return
 	}
 	ord := h.sortBatch(ks)
 	h.pin()
-	h.path.valid = false
 	skipped := h.seekWave(ord)
-	for i, e := range ord {
-		ok, s := h.batchDeleteOne(e.key, h.recs[i].sr)
-		out[e.pos] = ok
-		skipped += uint64(s)
-	}
-	h.Stats.Deletes += uint64(len(ks))
-	h.finishBatch(uint64(len(ks)), metrics.OpsDelete, skipped)
-}
-
-// batchDeleteOne is delete's loop body adapted for a pinned batch; see
-// batchInsertOne. Deletes never drop the batch pin, so the precomputed
-// record is always safe to try first. After a successful splice the
-// removed nodes' recorded entries fail the resume's unmarked-word check,
-// so a retrying neighbour resumes from the surviving ancestor instead of
-// the root.
-func (h *Handle) batchDeleteOne(key uint64, rec seekRecord) (bool, int) {
-	ar := h.t.ar
-	mode := injection
-	skipped := 0
-	useRec := true
-	var leaf uint32
-
-	for {
-		if useRec {
-			h.sr = rec
-			useRec = false
-		} else {
-			skipped += h.seekBatch(key)
+	gen := h.unpinGen
+	for lo := 0; lo < len(ord); {
+		// The run [lo, hi) shares a wave leaf; only its indices are
+		// compared, so a stale record after an unpin is harmless here.
+		hi := lo + 1
+		for hi < len(ord) && h.recs[hi].sr.leaf == h.recs[lo].sr.leaf {
+			hi++
 		}
-		sr := &h.sr
-		pn := ar.Get(sr.parent)
-		childAddr := &pn.left
-		if key >= pn.key {
-			childAddr = &pn.right
-		}
-
-		if mode == injection {
-			leaf = sr.leaf
-			if ar.Get(leaf).key != key {
-				return false, skipped // key not present
+		// Bit-reversal order over w bits visits lo, lo+m/2, lo+m/4,
+		// lo+3m/4, ... for m = 1<<w ≥ hi-lo, skipping positions past hi.
+		w := bits.Len(uint(hi - lo - 1))
+		for r := uint64(0); r < 1<<w; r++ {
+			i := lo + int(bits.Reverse64(r)>>(64-w))
+			if i >= hi {
+				continue
 			}
-			h.hook(FPFlagCAS)
-			if childAddr.CompareAndSwap(atomicx.Pack(leaf, false, false), atomicx.Pack(leaf, true, false)) {
-				h.Stats.CASSucceeded++
-				mode = cleanupMode
-				if h.cleanup(key, sr) {
-					h.bumpDirty(key)
-					return true, skipped
-				}
+			e := ord[i]
+			// A wave record is only safe while the batch pin has been held
+			// continuously since the wave (arena indices must not have
+			// been recycled).
+			var rec *seekRecord
+			if h.unpinGen == gen {
+				rec = &h.recs[i].sr
+			}
+			if errs != nil {
+				out[e.pos], errs[e.pos] = h.insertLoop(e.key, rec)
 			} else {
-				h.Stats.CASFailed++
-				if h.m != nil {
-					h.m.Inc(metrics.DeleteFlagCASFailures)
-				}
-				w := childAddr.Load()
-				if atomicx.Addr(w) == leaf && atomicx.Marked(w) {
-					h.Stats.HelpAttempts++
-					if h.m != nil {
-						h.m.Inc(metrics.HelpOther)
-					}
-					h.cleanup(key, sr)
-				}
-			}
-		} else {
-			if sr.leaf != leaf {
-				h.bumpDirty(key)
-				return true, skipped // a helper finished our delete
-			}
-			if h.cleanup(key, sr) {
-				h.bumpDirty(key)
-				return true, skipped
+				out[e.pos] = h.deleteLoop(e.key, rec)
 			}
 		}
-		if h.m != nil {
-			h.m.Inc(metrics.SeekRestarts)
-		}
+		lo = hi
 	}
+	h.finishBatch(uint64(len(ks)), op, skipped)
 }

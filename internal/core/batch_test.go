@@ -2,10 +2,14 @@ package core
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/atomicx"
 	"repro/internal/keys"
 	"repro/internal/metrics"
 )
@@ -94,8 +98,8 @@ func TestBatchBasic(t *testing.T) {
 }
 
 // TestBatchModelEquivalence drives batched operations against a map model
-// with a small key space, so path resumes constantly cross freshly inserted
-// and freshly deleted regions.
+// with a small key space, so stale wave records and their root re-seeks
+// constantly cross freshly inserted and freshly deleted regions.
 func TestBatchModelEquivalence(t *testing.T) {
 	tr := newTest(t)
 	h := tr.NewHandle()
@@ -108,7 +112,8 @@ func TestBatchModelEquivalence(t *testing.T) {
 		for i := range ks {
 			ks[i] = keys.Map(int64(rng.Intn(500)))
 		}
-		// Duplicates within a batch resolve in sorted (not caller) order, so
+		// Duplicates within a batch share a wave leaf and resolve in apply
+		// order (median-first among those keys), not caller order, so
 		// compare per-key success counts, not per-position values.
 		trues := map[uint64]int{}
 		switch round % 3 {
@@ -196,7 +201,7 @@ func TestBatchPathSharingSkipsLevels(t *testing.T) {
 	}
 	skipped := d.BatchSkippedLevels - before.BatchSkippedLevels
 	// 64 adjacent keys in a ~4k-leaf tree share nearly the whole path; even
-	// a weak bound (1 level per resumed seek) catches a broken resume.
+	// a weak bound (1 level per rider) catches a broken wavefront.
 	if skipped < 63 {
 		t.Fatalf("adjacent-key batch skipped only %d levels", skipped)
 	}
@@ -207,9 +212,9 @@ func TestBatchPathSharingSkipsLevels(t *testing.T) {
 	}
 }
 
-// Deleting a sorted run makes each delete detach the previous key's
-// recorded parent, forcing the resume validation to pop up the recorded
-// path. The results must stay exact.
+// Deleting a contiguous run makes each delete detach its neighbours'
+// recorded parents, so their stale wave records must fail their CASes and
+// re-seek. The results must stay exact.
 func TestBatchDeleteSortedRunPopsUp(t *testing.T) {
 	tr := newTest(t)
 	h := tr.NewHandle()
@@ -253,7 +258,6 @@ func TestBatchInsertCapacityPartialFailure(t *testing.T) {
 	ok, errs := batchInsert(h, ks)
 
 	var succeeded, failed int
-	sawFailAfterSuccess := false
 	for i := range ks {
 		switch {
 		case errs[i] == nil && ok[i]:
@@ -263,9 +267,6 @@ func TestBatchInsertCapacityPartialFailure(t *testing.T) {
 				t.Fatalf("op %d: ok=true with ErrCapacity", i)
 			}
 			failed++
-			if succeeded > 0 {
-				sawFailAfterSuccess = true
-			}
 		default:
 			t.Fatalf("op %d: ok=%v err=%v", i, ok[i], errs[i])
 		}
@@ -273,7 +274,6 @@ func TestBatchInsertCapacityPartialFailure(t *testing.T) {
 	if succeeded == 0 || failed == 0 {
 		t.Fatalf("want a mix of successes and capacity failures, got %d/%d", succeeded, failed)
 	}
-	_ = sawFailAfterSuccess // keys are processed in sorted order; mix is what matters
 
 	// Every op that reported success is present; the tree audits clean and
 	// keeps serving.
@@ -291,7 +291,7 @@ func TestBatchInsertCapacityPartialFailure(t *testing.T) {
 }
 
 // With reclamation on, the capacity path unpins mid-batch (invalidating the
-// recorded path); after deletes free slots, later batches succeed again.
+// wave's records); after deletes free slots, later batches succeed again.
 func TestBatchInsertCapacityRecoversWithReclaim(t *testing.T) {
 	tr := New(Config{Capacity: 256, Reclaim: true})
 	defer tr.Close()
@@ -431,5 +431,235 @@ func TestBatchConcurrentWithSingles(t *testing.T) {
 	wg.Wait()
 	if err := tr.Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBatchSlotStatsMatchSingleOps pins one Stats convention for single
+// operations and batch slots: a one-key batch moves Inserts, Deletes and
+// CapacityFailures exactly as the single-key call does, and an insert that
+// returns ErrCapacity counts in CapacityFailures, not in Inserts.
+func TestBatchSlotStatsMatchSingleOps(t *testing.T) {
+	type counts struct{ inserts, deletes, capacityFailures uint64 }
+	k := keys.Map(1 << 20)
+	wantCapacity := func(t *testing.T, err error) {
+		if !errors.Is(err, ErrCapacity) {
+			t.Fatalf("err = %v, want ErrCapacity", err)
+		}
+	}
+	cases := []struct {
+		name   string
+		cfg    Config
+		setup  func(h *Handle)
+		single func(t *testing.T, h *Handle)
+		batch  func(t *testing.T, h *Handle)
+		want   counts
+	}{{
+		name: "insert-capacity-failure",
+		cfg:  Config{Capacity: 64},
+		setup: func(h *Handle) {
+			for i := int64(0); ; i++ {
+				if _, err := h.TryInsert(keys.Map(i)); err != nil {
+					return
+				}
+			}
+		},
+		single: func(t *testing.T, h *Handle) {
+			_, err := h.TryInsert(k)
+			wantCapacity(t, err)
+		},
+		batch: func(t *testing.T, h *Handle) {
+			_, errs := batchInsert(h, []uint64{k})
+			wantCapacity(t, errs[0])
+		},
+		want: counts{capacityFailures: 1},
+	}, {
+		name:  "insert-miss-then-hit",
+		setup: func(*Handle) {},
+		single: func(t *testing.T, h *Handle) {
+			if !h.Insert(k) || h.Insert(k) {
+				t.Fatal("want a miss that inserts, then a hit")
+			}
+		},
+		batch: func(t *testing.T, h *Handle) {
+			first, _ := batchInsert(h, []uint64{k})
+			second, _ := batchInsert(h, []uint64{k})
+			if !first[0] || second[0] {
+				t.Fatal("want a miss that inserts, then a hit")
+			}
+		},
+		want: counts{inserts: 2},
+	}, {
+		name:  "delete-hit-then-miss",
+		setup: func(h *Handle) { h.Insert(k) },
+		single: func(t *testing.T, h *Handle) {
+			if !h.Delete(k) || h.Delete(k) {
+				t.Fatal("want a hit that deletes, then a miss")
+			}
+		},
+		batch: func(t *testing.T, h *Handle) {
+			if !batchDelete(h, []uint64{k})[0] || batchDelete(h, []uint64{k})[0] {
+				t.Fatal("want a hit that deletes, then a miss")
+			}
+		},
+		want: counts{deletes: 2},
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(op func(*testing.T, *Handle)) counts {
+				cfg := c.cfg
+				if cfg.Capacity == 0 {
+					cfg.Capacity = 1 << 12
+				}
+				h := New(cfg).NewHandle()
+				c.setup(h)
+				b := h.Stats
+				op(t, h)
+				a := h.Stats
+				return counts{a.Inserts - b.Inserts, a.Deletes - b.Deletes, a.CapacityFailures - b.CapacityFailures}
+			}
+			single, batch := run(c.single), run(c.batch)
+			if single != c.want || batch != c.want {
+				t.Fatalf("Stats deltas: single %+v, one-key batch %+v, want %+v", single, batch, c.want)
+			}
+		})
+	}
+}
+
+// maxLeafDepth is the number of edges on the longest root-to-leaf path of
+// a quiescent tree, sentinels included.
+func maxLeafDepth(tr *Tree, idx uint32) int {
+	n := tr.ar.Get(idx)
+	l, r := atomicx.Addr(n.left.Load()), atomicx.Addr(n.right.Load())
+	if l == 0 && r == 0 {
+		return 0
+	}
+	return 1 + max(maxLeafDepth(tr, l), maxLeafDepth(tr, r))
+}
+
+// TestBatchInsertKeepsTreeShallow is the spine regression: the keys of one
+// InsertBatch that land on one leaf must split it into a balanced subtree,
+// not a chain as long as the batch, whether the batch is one sorted run
+// into an empty tree or one of many chunks of shuffled keys.
+func TestBatchInsertKeepsTreeShallow(t *testing.T) {
+	const chunk = 4096
+	load := func(t *testing.T, ks []uint64) {
+		tr := newTest(t)
+		h := tr.NewHandle()
+		out := make([]bool, chunk)
+		errs := make([]error, chunk)
+		for rest := ks; len(rest) > 0; {
+			n := min(chunk, len(rest))
+			h.InsertBatch(rest[:n], out[:n], errs[:n])
+			for i := range n {
+				if !out[i] || errs[i] != nil {
+					t.Fatalf("insert %#x: ok=%v err=%v", rest[i], out[i], errs[i])
+				}
+			}
+			rest = rest[n:]
+		}
+		if tr.Size() != len(ks) {
+			t.Fatalf("size = %d, want %d", tr.Size(), len(ks))
+		}
+		depth, bound := maxLeafDepth(tr, tr.r), 3*bits.Len(uint(len(ks)))
+		t.Logf("%d keys: max leaf depth %d (bound %d)", len(ks), depth, bound)
+		if depth > bound {
+			t.Fatalf("max leaf depth %d for %d keys exceeds %d", depth, len(ks), bound)
+		}
+	}
+	t.Run("sorted-one-batch", func(t *testing.T) {
+		ks := make([]uint64, chunk)
+		for i := range ks {
+			ks[i] = keys.Map(int64(i))
+		}
+		load(t, ks)
+	})
+	t.Run("shuffled-chunks", func(t *testing.T) {
+		ks := make([]uint64, 1<<16)
+		for i := range ks {
+			ks[i] = keys.Map(int64(i))
+		}
+		rand.New(rand.NewSource(1)).Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+		load(t, ks)
+	})
+}
+
+// BenchmarkBulkLoad times a bulk load through InsertBatch and then random
+// lookups in the loaded tree, the two costs a batch-length spine inflates:
+//
+//	go test ./internal/core -run '^$' -bench BulkLoad -benchtime 3x -cpu 1
+//
+// ns/op is one whole load into a fresh tree; retried-seeks is the seeks
+// beyond one per key that the load took; search-ns is the mean of 200K
+// Search calls for random stored keys after the last load.
+func BenchmarkBulkLoad(b *testing.B) {
+	const n = 500_000
+	ks := make([]uint64, n)
+	for i := range ks {
+		ks[i] = keys.Map(int64(i))
+	}
+	cut := func(ks []uint64, size int) (chunks [][]uint64) {
+		for len(ks) > 0 {
+			m := min(size, len(ks))
+			chunks = append(chunks, ks[:m])
+			ks = ks[m:]
+		}
+		return chunks
+	}
+	// levelOrder cuts sorted keys as durable's recovery does: the BFS
+	// level order of the implicit balanced tree, 1024 keys a batch, a new
+	// batch at every level.
+	levelOrder := func(ks []uint64) (chunks [][]uint64) {
+		type span struct{ lo, hi int }
+		for level := []span{{0, len(ks)}}; len(level) > 0; {
+			var next []span
+			var batch []uint64
+			for _, s := range level {
+				if s.lo < s.hi {
+					mid := (s.lo + s.hi) / 2
+					batch = append(batch, ks[mid])
+					next = append(next, span{s.lo, mid}, span{mid + 1, s.hi})
+				}
+			}
+			chunks = append(chunks, cut(batch, 1024)...)
+			level = next
+		}
+		return chunks
+	}
+	shuffled := slices.Clone(ks)
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	cases := []struct {
+		name   string
+		keys   []uint64
+		chunks [][]uint64
+	}{
+		{"shuffled-500K-in-4096-chunks", ks, cut(shuffled, 4096)},
+		{"sorted-16384-one-batch", ks[:16384], cut(ks[:16384], 16384)},
+		{"level-ordered-500K-in-1024-chunks", ks, levelOrder(ks)},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			out := make([]bool, 16384)
+			errs := make([]error, 16384)
+			var tr *Tree
+			var seeks uint64
+			for i := 0; i < b.N; i++ {
+				tr = New(Config{Capacity: 2*len(c.keys) + 1<<12})
+				h := tr.NewHandle()
+				for _, ch := range c.chunks {
+					h.InsertBatch(ch, out[:len(ch)], errs[:len(ch)])
+				}
+				seeks = h.Stats.Seeks
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(seeks-uint64(len(c.keys))), "retried-seeks")
+			h := tr.NewHandle()
+			rng := rand.New(rand.NewSource(2))
+			const lookups = 200_000
+			t0 := time.Now()
+			for i := 0; i < lookups; i++ {
+				h.Search(c.keys[rng.Intn(len(c.keys))])
+			}
+			b.ReportMetric(float64(time.Since(t0).Nanoseconds())/lookups, "search-ns")
+		})
 	}
 }

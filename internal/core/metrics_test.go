@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -219,40 +218,6 @@ func TestMetricsShardRetiredOnClose(t *testing.T) {
 	h.Close()
 	if got := reg.Snapshot().Counters[metrics.OpsInsert]; got != 50 {
 		t.Fatalf("OpsInsert after Close = %d, want 50", got)
-	}
-}
-
-// TestPooledStatsSurvivePooling is the regression test for the
-// convenience-method stats-loss bug: operation counts recorded on pooled
-// handles used to live only inside the pooled Handle.Stats, so sync.Pool
-// shedding handles at GC silently discarded them. putHandle now folds each
-// handle's Stats into tree-level totals before Put.
-func TestPooledStatsSurvivePooling(t *testing.T) {
-	tr := New(Config{Capacity: 1 << 12})
-	const n = 300
-	for i := uint64(0); i < n; i++ {
-		tr.Insert(i)
-		// Force GC pressure mid-sequence so sync.Pool actually sheds the
-		// pooled handles; before the fix this lost the shed handles' counts.
-		if i%64 == 0 {
-			runtime.GC()
-		}
-	}
-	for i := uint64(0); i < n; i++ {
-		tr.Search(i)
-	}
-	for i := uint64(0); i < n; i++ {
-		tr.Delete(i)
-	}
-	runtime.GC()
-
-	ps := tr.PooledStats()
-	if ps.Inserts != n || ps.Searches != n || ps.Deletes != n {
-		t.Fatalf("PooledStats = %d inserts / %d searches / %d deletes, want %d each (counts lost across pooling)",
-			ps.Inserts, ps.Searches, ps.Deletes, n)
-	}
-	if ps.CASSucceeded == 0 || ps.NodesAlloc == 0 {
-		t.Fatalf("PooledStats instruction counts empty: %+v", ps)
 	}
 }
 

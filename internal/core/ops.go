@@ -38,7 +38,7 @@ const (
 // allocated and atomic instructions executed per operation).
 type Stats struct {
 	Searches uint64 // completed search operations
-	Inserts  uint64 // completed insert operations (hit or miss)
+	Inserts  uint64 // completed insert operations (hit or miss; not ErrCapacity)
 	Deletes  uint64 // completed delete operations (hit or miss)
 
 	CASSucceeded uint64 // successful CAS instructions
@@ -52,12 +52,12 @@ type Stats struct {
 	PrunedLeaves uint64 // leaves physically removed by this handle's splices
 	Recycled     uint64 // nodes retired for arena recycling
 
-	CapacityFailures uint64 // TryInserts that returned ErrCapacity
+	CapacityFailures uint64 // inserts (single or batch slot) that returned ErrCapacity
 	CapacityRetries  uint64 // epoch-flush retries taken on the capacity path
 
 	Batches            uint64 // batched entry-point invocations
 	BatchOps           uint64 // operations executed inside batches
-	BatchSkippedLevels uint64 // seek levels skipped by path-sharing resumes
+	BatchSkippedLevels uint64 // node reads saved by wavefront riders
 }
 
 // add accumulates other into s.
@@ -102,13 +102,12 @@ type Handle struct {
 	slot *reclaim.Slot[uint32] // nil unless the tree reclaims memory
 
 	// Scratch for the batched entry points (batch.go): the key sort buffer,
-	// the recorded access path that write batches resume seeks from, the
-	// per-key cursors of the wavefront, and the per-key seek records a
+	// the per-key cursors of the wavefront, and the per-key seek records a
 	// write batch's wavefront precomputes. unpinGen counts the times this
-	// handle dropped its pin mid-batch (capacity recovery); a bump tells
-	// the apply loop its precomputed records may hold recycled indices.
+	// handle dropped its pin mid-operation (capacity recovery); a bump tells
+	// the batch apply loop its precomputed records may hold recycled
+	// indices.
 	batch    []batchEnt
-	path     batchPath
 	wave     []uint32
 	recs     []waveEnt
 	unpinGen uint64
@@ -404,16 +403,31 @@ func (h *Handle) tryInsertMetered(key uint64) (bool, error) {
 }
 
 func (h *Handle) tryInsert(key uint64) (bool, error) {
-	t := h.t
-	ar := t.ar
-	retries := 0
 	h.pin()
+	ok, err := h.insertLoop(key, nil)
+	h.unpin()
+	return ok, err
+}
+
+// insertLoop is Algorithm 2's insert, run under the caller's epoch pin.
+// rec, when non-nil, is a seek record for key taken under that pin (a
+// write batch's wavefront) and positions the first attempt; every retry
+// re-seeks from the root, as the paper's does. The capacity-recovery path
+// drops and retakes the pin, bumping unpinGen: any record taken before it
+// may now hold recycled indices.
+func (h *Handle) insertLoop(key uint64, rec *seekRecord) (bool, error) {
+	ar := h.t.ar
+	retries := 0
 	for {
-		h.seek(key)
+		if rec != nil {
+			h.sr = *rec
+			rec = nil
+		} else {
+			h.seek(key)
+		}
 		leaf := h.sr.leaf
 		leafKey := ar.Get(leaf).key
 		if leafKey == key {
-			h.unpin()
 			h.Stats.Inserts++
 			return false, nil // key already present
 		}
@@ -437,7 +451,6 @@ func (h *Handle) tryInsert(key uint64) (bool, error) {
 			// epoch), flush retired nodes into the free list, back off, and
 			// retry a bounded number of times before surfacing ErrCapacity.
 			if h.slot == nil || retries >= maxCapacityRetries {
-				h.unpin()
 				h.Stats.CapacityFailures++
 				if h.m != nil {
 					h.m.Inc(metrics.CapacityFailures)
@@ -451,6 +464,7 @@ func (h *Handle) tryInsert(key uint64) (bool, error) {
 				h.m.Inc(metrics.SeekRestarts)
 			}
 			h.unpin()
+			h.unpinGen++
 			h.slot.Flush()
 			for i := 0; i < retries; i++ {
 				runtime.Gosched()
@@ -476,7 +490,6 @@ func (h *Handle) tryInsert(key uint64) (bool, error) {
 		if childAddr.CompareAndSwap(atomicx.Pack(leaf, false, false), atomicx.Pack(ni, false, false)) {
 			h.Stats.CASSucceeded++
 			h.spareInternal, h.spareLeaf = 0, 0
-			h.unpin()
 			h.Stats.Inserts++
 			h.bumpDirty(key)
 			return true, nil
@@ -532,14 +545,26 @@ func (h *Handle) deleteMetered(key uint64) bool {
 }
 
 func (h *Handle) delete(key uint64) bool {
-	t := h.t
-	ar := t.ar
+	h.pin()
+	removed := h.deleteLoop(key, nil)
+	h.unpin()
+	return removed
+}
+
+// deleteLoop is Algorithm 3's delete, run under the caller's epoch pin;
+// rec positions the first attempt exactly as in insertLoop.
+func (h *Handle) deleteLoop(key uint64, rec *seekRecord) bool {
+	ar := h.t.ar
 	mode := injection
 	var leaf uint32
 
-	h.pin()
 	for {
-		h.seek(key)
+		if rec != nil {
+			h.sr = *rec
+			rec = nil
+		} else {
+			h.seek(key)
+		}
 		sr := &h.sr
 		pn := ar.Get(sr.parent)
 		var childAddr *atomic.Uint64
@@ -552,7 +577,6 @@ func (h *Handle) delete(key uint64) bool {
 		if mode == injection {
 			leaf = sr.leaf
 			if ar.Get(leaf).key != key {
-				h.unpin()
 				h.Stats.Deletes++
 				return false // key not present
 			}
@@ -562,7 +586,6 @@ func (h *Handle) delete(key uint64) bool {
 				h.Stats.CASSucceeded++
 				mode = cleanupMode
 				if h.cleanup(key, sr) {
-					h.unpin()
 					h.Stats.Deletes++
 					h.bumpDirty(key)
 					return true
@@ -584,14 +607,7 @@ func (h *Handle) delete(key uint64) bool {
 		} else {
 			// Cleanup mode: if our flagged leaf is no longer the leaf on
 			// the access path, a helper already removed it.
-			if sr.leaf != leaf {
-				h.unpin()
-				h.Stats.Deletes++
-				h.bumpDirty(key)
-				return true
-			}
-			if h.cleanup(key, sr) {
-				h.unpin()
+			if sr.leaf != leaf || h.cleanup(key, sr) {
 				h.Stats.Deletes++
 				h.bumpDirty(key)
 				return true

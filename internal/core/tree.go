@@ -136,13 +136,6 @@ type Tree struct {
 	met     *metrics.Registry       // live telemetry; nil when disabled
 	dirty   *DirtyCounter           // mutation counter for orderstat; nil when !cfg.TrackDirty
 	handles sync.Pool               // fallback handles for direct Tree method calls
-
-	// Tree-level Stats totals folded in from pooled handles at Put time,
-	// so counts survive sync.Pool dropping a handle at GC. Guarded by
-	// statsMu; only the convenience Tree methods (not the hot Handle
-	// paths) touch it.
-	statsMu     sync.Mutex
-	pooledStats Stats
 }
 
 // New creates an empty tree (containing only the three sentinel keys of
@@ -297,14 +290,8 @@ func (t *Tree) newHandle(block int, sharedFree bool) *Handle {
 	return h
 }
 
-// putHandle folds the handle's Stats into the tree-level totals before
-// returning it to the pool. sync.Pool may drop the handle at any GC;
-// without this fold the dropped handle's counts would vanish with it.
+// putHandle returns a convenience method's handle to the pool.
 func (t *Tree) putHandle(h *Handle) {
-	t.statsMu.Lock()
-	t.pooledStats.Add(h.Stats)
-	t.statsMu.Unlock()
-	h.Stats = Stats{}
 	if h.slot != nil && h.slot.Pending() > 0 {
 		// Flush retirees before parking the handle: a pooled handle may sit
 		// idle (or be dropped) indefinitely, and nothing else can free the
@@ -313,16 +300,6 @@ func (t *Tree) putHandle(h *Handle) {
 		h.slot.Flush()
 	}
 	t.handles.Put(h)
-}
-
-// PooledStats returns the cumulative Stats of every operation performed
-// through the Tree's convenience methods (Search/Insert/TryInsert/Delete).
-// Handle-path operations are not included — aggregate Handle.Stats for
-// those. Counts survive sync.Pool shedding handles at GC.
-func (t *Tree) PooledStats() Stats {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.pooledStats
 }
 
 // Search reports whether key is present, using a pooled handle. Hot paths

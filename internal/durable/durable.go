@@ -35,11 +35,15 @@
 // # Recovery shape
 //
 // Snapshot keys are sorted, and inserting a sorted run into an external
-// BST builds a worst-case spine. Recovery therefore inserts in BFS
-// level-order of the implicit balanced tree over the sorted keys — the
-// root median first, then the two quartile medians, and so on — giving a
-// perfectly balanced start. Each level's medians are themselves ascending,
-// so the batched-descent insert path applies.
+// BST builds a worst-case spine. A core batch applies the keys that land
+// on one leaf median-first, so one sorted batch builds a balanced
+// subtree; but a sorted stream cut into consecutive batches would still
+// hang each batch's subtree below the previous one's rightmost leaf.
+// Recovery therefore inserts in BFS level-order of the implicit balanced
+// tree over the sorted keys — the root median first, then the two
+// quartile medians, and so on — giving a perfectly balanced start across
+// batches. Each level's medians are themselves ascending, so the
+// batched-descent insert path applies.
 package durable
 
 import (

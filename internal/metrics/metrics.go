@@ -81,9 +81,11 @@ const (
 	// (these also count in OpsSearch/OpsInsert/OpsDelete, so the batched
 	// fraction of traffic can be derived from one scrape).
 	BatchOps
-	// BatchSeekSkippedLevels counts seek levels skipped by path-sharing
-	// resumes in batched operations; divided by BatchOps it measures how
-	// much of the root-to-leaf descent batching amortizes away.
+	// BatchSeekSkippedLevels counts the levels batched operations'
+	// wavefront seeks shared: a key riding on another key's read of the
+	// same node skips that level. Retries re-seek from the root and skip
+	// nothing. Divided by BatchOps it measures how much of the
+	// root-to-leaf descent batching amortizes away.
 	BatchSeekSkippedLevels
 
 	// NumCounters is the size of a shard's counter array.
