@@ -13,18 +13,20 @@
 # untraced, sampled hot path must not allocate), a short durable
 # benchmark cell (BENCH_durable_smoke.json), and the
 # order-statistics gates (Exact-mode linearizability bracket checker and
-# the CountRange-vs-scan ≥10x speedup floor).
+# the CountRange-vs-scan ≥10x speedup floor), and vet plus the unit tests
+# of the perfbench module.
 
 GO ?= go
 
 .PHONY: ci fmt-check vet build test race serve-smoke batch-stress \
 	crash-stress failover-stress chaos fuzz-smoke trace-overhead \
 	bench-durable-smoke shard-smoke bench-shard-smoke aggregate-stress \
-	aggregate-smoke stress clean-data
+	aggregate-smoke perfbench-check stress clean-data
 
 ci: fmt-check vet build test race serve-smoke batch-stress crash-stress \
 	failover-stress chaos fuzz-smoke trace-overhead bench-durable-smoke \
-	shard-smoke bench-shard-smoke aggregate-stress aggregate-smoke
+	shard-smoke bench-shard-smoke aggregate-stress aggregate-smoke \
+	perfbench-check
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -172,6 +174,12 @@ aggregate-smoke:
 	@out=$$($(GO) run ./cmd/bstbench -aggregate -keyranges 1000000 -duration 200ms \
 		-agg-min-speedup 10 -json BENCH_aggregate_smoke.json) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | tail -1
+
+# perfbench is its own module, so the ./... targets above never compile
+# it: vet and test it in place, so that a change to the public API it
+# drives fails here rather than in the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Longer soak, including the capacity exhaust/recover round and the
 # network serving soak (not part of ci).

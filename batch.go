@@ -1,11 +1,5 @@
 package bst
 
-import (
-	"fmt"
-
-	"repro/internal/keys"
-)
-
 // OpResult is the outcome of one operation inside a batched call. OK
 // reports what the operation's single-key form would have returned
 // (set changed for Insert/Delete, key present for Contains); Err is nil,
@@ -16,8 +10,8 @@ type OpResult struct {
 	Err error
 }
 
-// Batched operations amortize per-operation overheads — epoch entry and,
-// on the default algorithm, the root-to-leaf descent — across many keys:
+// Batched operations amortize per-operation overheads — epoch entry and
+// the root-to-leaf descent — across many keys:
 // the core sorts the batch and walks all keys down the tree together, so
 // shared path prefixes are traversed once and the independent tails
 // overlap their cache misses. Each operation in a batch is individually
@@ -41,9 +35,8 @@ const (
 	deleteKind
 )
 
-// batcher is implemented by backends with native batched operations
-// (the arena-backed core, via both its pooled-handle Tree methods and
-// per-goroutine Handles).
+// batcher is the forest's batched surface: *forest.Forest runs a batch on
+// pooled handles (the Tree methods), *forest.Handle on its own (Accessor).
 type batcher interface {
 	LookupBatch(ks []uint64, out []bool)
 	InsertBatch(ks []uint64, out []bool, errs []error)
@@ -70,7 +63,7 @@ func (sc *batchScratch) grow(n int) {
 	}
 }
 
-// run executes one batch against a native batching backend.
+// run executes one batch against the forest.
 func (sc *batchScratch) run(b batcher, kind batchKind, in []int64, out []OpResult) {
 	if len(out) != len(in) {
 		panic("bst: batch result length mismatch")
@@ -78,11 +71,12 @@ func (sc *batchScratch) run(b batcher, kind batchKind, in []int64, out []OpResul
 	uks := sc.uks[:0]
 	pos := sc.pos[:0]
 	for i, k := range in {
-		if !keys.InRange(k) {
-			out[i] = OpResult{Err: fmt.Errorf("%w: %d > %d", ErrKeyOutOfRange, k, MaxKey)}
+		u, err := tryMapKey(k)
+		if err != nil {
+			out[i] = OpResult{Err: err}
 			continue
 		}
-		uks = append(uks, keys.Map(k))
+		uks = append(uks, u)
 		pos = append(pos, int32(i))
 	}
 	sc.uks, sc.pos = uks, pos
@@ -112,47 +106,14 @@ func (sc *batchScratch) run(b batcher, kind batchKind, in []int64, out []OpResul
 	}
 }
 
-// runBatchSlow is the fallback for backends without native batching: the
-// same per-op semantics, one single-key operation at a time.
-func runBatchSlow(r rawAccessor, kind batchKind, in []int64, out []OpResult) {
-	if len(out) != len(in) {
-		panic("bst: batch result length mismatch")
-	}
-	ti, _ := r.(tryInserter)
-	for i, k := range in {
-		if !keys.InRange(k) {
-			out[i] = OpResult{Err: fmt.Errorf("%w: %d > %d", ErrKeyOutOfRange, k, MaxKey)}
-			continue
-		}
-		u := keys.Map(k)
-		switch kind {
-		case lookupKind:
-			out[i] = OpResult{OK: r.Search(u)}
-		case insertKind:
-			if ti != nil {
-				ok, err := ti.TryInsert(u)
-				out[i] = OpResult{OK: ok, Err: err}
-			} else {
-				out[i] = OpResult{OK: r.Insert(u)}
-			}
-		case deleteKind:
-			out[i] = OpResult{OK: r.Delete(u)}
-		}
-	}
-}
-
 // ContainsBatch reports, in out[i], whether keys[i] is present. See the
 // batching contract above: per-op linearizability, no snapshot semantics,
 // out-of-range keys report ErrKeyOutOfRange. len(out) must equal
 // len(keys). Hot paths should prefer Accessor.ContainsBatch, which reuses
 // its buffers across calls.
 func (t *Tree) ContainsBatch(keys []int64, out []OpResult) {
-	if b, ok := t.b.(batcher); ok {
-		var sc batchScratch
-		sc.run(b, lookupKind, keys, out)
-		return
-	}
-	runBatchSlow(t.b, lookupKind, keys, out)
+	var sc batchScratch
+	sc.run(t.f, lookupKind, keys, out)
 }
 
 // InsertBatch inserts every key with TryInsert semantics: out[i].OK
@@ -160,45 +121,25 @@ func (t *Tree) ContainsBatch(keys []int64, out []OpResult) {
 // or ErrCapacity. A failed slot does not abort the batch. len(out) must
 // equal len(keys).
 func (t *Tree) InsertBatch(keys []int64, out []OpResult) {
-	if b, ok := t.b.(batcher); ok {
-		var sc batchScratch
-		sc.run(b, insertKind, keys, out)
-		return
-	}
-	runBatchSlow(t.b, insertKind, keys, out)
+	var sc batchScratch
+	sc.run(t.f, insertKind, keys, out)
 }
 
 // DeleteBatch deletes every key; out[i].OK reports whether the set
 // changed. len(out) must equal len(keys).
 func (t *Tree) DeleteBatch(keys []int64, out []OpResult) {
-	if b, ok := t.b.(batcher); ok {
-		var sc batchScratch
-		sc.run(b, deleteKind, keys, out)
-		return
-	}
-	runBatchSlow(t.b, deleteKind, keys, out)
+	var sc batchScratch
+	sc.run(t.f, deleteKind, keys, out)
 }
 
 func (a *accessor) ContainsBatch(keys []int64, out []OpResult) {
-	if b, ok := a.r.(batcher); ok {
-		a.sc.run(b, lookupKind, keys, out)
-		return
-	}
-	runBatchSlow(a.r, lookupKind, keys, out)
+	a.sc.run(a.h, lookupKind, keys, out)
 }
 
 func (a *accessor) InsertBatch(keys []int64, out []OpResult) {
-	if b, ok := a.r.(batcher); ok {
-		a.sc.run(b, insertKind, keys, out)
-		return
-	}
-	runBatchSlow(a.r, insertKind, keys, out)
+	a.sc.run(a.h, insertKind, keys, out)
 }
 
 func (a *accessor) DeleteBatch(keys []int64, out []OpResult) {
-	if b, ok := a.r.(batcher); ok {
-		a.sc.run(b, deleteKind, keys, out)
-		return
-	}
-	runBatchSlow(a.r, deleteKind, keys, out)
+	a.sc.run(a.h, deleteKind, keys, out)
 }

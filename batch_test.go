@@ -8,7 +8,7 @@ import (
 	bst "repro"
 )
 
-// allResults runs a batch op and returns out for brevity.
+// insertBatch runs an InsertBatch and returns out for brevity.
 func insertBatch(s interface {
 	InsertBatch([]int64, []bst.OpResult)
 }, ks []int64) []bst.OpResult {
@@ -17,98 +17,95 @@ func insertBatch(s interface {
 	return out
 }
 
-func TestBatchAllAlgorithms(t *testing.T) {
-	for _, algo := range bst.Algorithms() {
-		t.Run(algo.String(), func(t *testing.T) {
-			s := bst.New(bst.WithAlgorithm(algo))
-			defer s.Close()
+// TestBatchPublicContract: the Tree and Accessor batch methods report
+// per-slot results in caller order, a duplicate key inserts once, and the
+// tree agrees with the results afterwards.
+func TestBatchPublicContract(t *testing.T) {
+	eachShape(t, func(t *testing.T, s *bst.Tree) {
+		defer s.Close()
 
-			ks := []int64{5, 1, 9, 5, -3, 1000, 7}
-			out := insertBatch(s, ks)
-			// 5 appears twice: exactly one of the two slots inserted it.
-			fives := 0
-			for i, r := range out {
-				if r.Err != nil {
-					t.Fatalf("insert %d: %v", ks[i], r.Err)
-				}
-				if ks[i] == 5 && r.OK {
-					fives++
-				}
+		ks := []int64{5, 1, 9, 5, -3, 1000, 7}
+		out := insertBatch(s, ks)
+		// 5 appears twice: exactly one of the two slots inserted it.
+		fives := 0
+		for i, r := range out {
+			if r.Err != nil {
+				t.Fatalf("insert %d: %v", ks[i], r.Err)
 			}
-			if fives != 1 {
-				t.Fatalf("duplicate key inserted %d times, want 1", fives)
+			if ks[i] == 5 && r.OK {
+				fives++
 			}
+		}
+		if fives != 1 {
+			t.Fatalf("duplicate key inserted %d times, want 1", fives)
+		}
 
-			got := make([]bst.OpResult, len(ks))
-			s.ContainsBatch(ks, got)
-			for i, r := range got {
-				if !r.OK || r.Err != nil {
-					t.Fatalf("contains %d = (%v, %v), want (true, nil)", ks[i], r.OK, r.Err)
-				}
+		got := make([]bst.OpResult, len(ks))
+		s.ContainsBatch(ks, got)
+		for i, r := range got {
+			if !r.OK || r.Err != nil {
+				t.Fatalf("contains %d = (%v, %v), want (true, nil)", ks[i], r.OK, r.Err)
 			}
-			if s.Contains(2) {
-				t.Fatal("contains(2) on tree without 2")
-			}
+		}
+		if s.Contains(2) {
+			t.Fatal("contains(2) on tree without 2")
+		}
 
-			del := []int64{5, 2, -3}
-			dout := make([]bst.OpResult, len(del))
-			s.DeleteBatch(del, dout)
-			if !dout[0].OK || dout[1].OK || !dout[2].OK {
-				t.Fatalf("delete results = %+v", dout)
-			}
-			if s.Contains(5) || s.Contains(-3) || !s.Contains(9) {
-				t.Fatal("tree contents wrong after DeleteBatch")
-			}
-			if err := s.Validate(); err != nil {
-				t.Fatalf("Validate: %v", err)
-			}
+		del := []int64{5, 2, -3}
+		dout := make([]bst.OpResult, len(del))
+		s.DeleteBatch(del, dout)
+		if !dout[0].OK || dout[1].OK || !dout[2].OK {
+			t.Fatalf("delete results = %+v", dout)
+		}
+		if s.Contains(5) || s.Contains(-3) || !s.Contains(9) {
+			t.Fatal("tree contents wrong after DeleteBatch")
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
 
-			// Same contract through an Accessor.
-			a := s.NewAccessor()
-			defer a.Close()
-			aout := make([]bst.OpResult, 2)
-			a.InsertBatch([]int64{5, 42}, aout)
-			if !aout[0].OK || !aout[1].OK {
-				t.Fatalf("accessor InsertBatch = %+v", aout)
-			}
-			a.ContainsBatch([]int64{5, 42}, aout)
-			if !aout[0].OK || !aout[1].OK {
-				t.Fatalf("accessor ContainsBatch = %+v", aout)
-			}
-			a.DeleteBatch([]int64{42, 41}, aout)
-			if !aout[0].OK || aout[1].OK {
-				t.Fatalf("accessor DeleteBatch = %+v", aout)
-			}
-		})
-	}
+		// Same contract through an Accessor.
+		a := s.NewAccessor()
+		defer a.Close()
+		aout := make([]bst.OpResult, 2)
+		a.InsertBatch([]int64{5, 42}, aout)
+		if !aout[0].OK || !aout[1].OK {
+			t.Fatalf("accessor InsertBatch = %+v", aout)
+		}
+		a.ContainsBatch([]int64{5, 42}, aout)
+		if !aout[0].OK || !aout[1].OK {
+			t.Fatalf("accessor ContainsBatch = %+v", aout)
+		}
+		a.DeleteBatch([]int64{42, 41}, aout)
+		if !aout[0].OK || aout[1].OK {
+			t.Fatalf("accessor DeleteBatch = %+v", aout)
+		}
+	})
 }
 
 // TestBatchOutOfRangePerOp: a key above MaxKey must fail only its own
 // slot — with the ErrKeyOutOfRange sentinel — while the rest of the batch
 // executes. Single-key methods panic on the same input; batches must not.
 func TestBatchOutOfRangePerOp(t *testing.T) {
-	for _, algo := range []bst.Algorithm{bst.NatarajanMittal, bst.CoarseLock} {
-		t.Run(algo.String(), func(t *testing.T) {
-			s := bst.New(bst.WithAlgorithm(algo))
-			defer s.Close()
-			ks := []int64{1, bst.MaxKey + 1, 3}
-			out := insertBatch(s, ks)
-			if !out[0].OK || !out[2].OK {
-				t.Fatalf("valid slots failed: %+v", out)
-			}
-			if out[1].OK || !errors.Is(out[1].Err, bst.ErrKeyOutOfRange) {
-				t.Fatalf("out-of-range slot = %+v, want ErrKeyOutOfRange", out[1])
-			}
-			s.ContainsBatch(ks, out)
-			if !out[0].OK || !errors.Is(out[1].Err, bst.ErrKeyOutOfRange) || !out[2].OK {
-				t.Fatalf("ContainsBatch = %+v", out)
-			}
-			s.DeleteBatch(ks, out)
-			if !out[0].OK || !errors.Is(out[1].Err, bst.ErrKeyOutOfRange) || !out[2].OK {
-				t.Fatalf("DeleteBatch = %+v", out)
-			}
-		})
-	}
+	eachShape(t, func(t *testing.T, s *bst.Tree) {
+		defer s.Close()
+		ks := []int64{1, bst.MaxKey + 1, 3}
+		out := insertBatch(s, ks)
+		if !out[0].OK || !out[2].OK {
+			t.Fatalf("valid slots failed: %+v", out)
+		}
+		if out[1].OK || !errors.Is(out[1].Err, bst.ErrKeyOutOfRange) {
+			t.Fatalf("out-of-range slot = %+v, want ErrKeyOutOfRange", out[1])
+		}
+		s.ContainsBatch(ks, out)
+		if !out[0].OK || !errors.Is(out[1].Err, bst.ErrKeyOutOfRange) || !out[2].OK {
+			t.Fatalf("ContainsBatch = %+v", out)
+		}
+		s.DeleteBatch(ks, out)
+		if !out[0].OK || !errors.Is(out[1].Err, bst.ErrKeyOutOfRange) || !out[2].OK {
+			t.Fatalf("DeleteBatch = %+v", out)
+		}
+	})
 }
 
 // TestBatchCapacityPerOp: on a capacity-bounded tree, ErrCapacity lands in
@@ -152,7 +149,7 @@ func TestBatchCapacityPerOp(t *testing.T) {
 }
 
 // TestBatchModelPublic cross-checks the public batch API against a map
-// model through the default algorithm's accessor path.
+// model through the accessor path.
 func TestBatchModelPublic(t *testing.T) {
 	s := bst.New(bst.WithReclamation())
 	defer s.Close()

@@ -113,34 +113,26 @@ func BenchmarkFig4Scaling(b *testing.B) {
 // column (plus Go-specific boxing, discussed in EXPERIMENTS.md); ns/op
 // tracks the atomic-instruction gap.
 func BenchmarkTable1(b *testing.B) {
-	algos := []struct {
-		name string
-		alg  bst.Algorithm
-	}{
-		{"efrb", bst.EllenEtAl},
-		{"hj", bst.HowleyJones},
-		{"nm", bst.NatarajanMittal},
-	}
-	for _, a := range algos {
-		b.Run("insert/"+a.name, func(b *testing.B) {
-			s := bst.New(bst.WithAlgorithm(a.alg), bst.WithCapacity(1<<27))
-			acc := s.NewAccessor()
+	cfg := harness.Config{ArenaCapacity: 1 << 27}
+	for _, name := range []string{harness.TargetEFRB, harness.TargetHJ, harness.TargetNM} {
+		target, _ := harness.TargetByName(name)
+		b.Run("insert/"+name, func(b *testing.B) {
+			acc := target.New(cfg).NewAccessor()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				acc.Insert(scrambled(i))
+				acc.Insert(keys.Map(scrambled(i)))
 			}
 		})
-		b.Run("delete/"+a.name, func(b *testing.B) {
-			s := bst.New(bst.WithAlgorithm(a.alg), bst.WithCapacity(1<<27))
-			acc := s.NewAccessor()
+		b.Run("delete/"+name, func(b *testing.B) {
+			acc := target.New(cfg).NewAccessor()
 			for i := 0; i < b.N; i++ {
-				acc.Insert(scrambled(i))
+				acc.Insert(keys.Map(scrambled(i)))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				acc.Delete(scrambled(i))
+				acc.Delete(keys.Map(scrambled(i)))
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package bst_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -8,17 +9,19 @@ import (
 	bst "repro"
 )
 
-func allAlgorithms(t *testing.T, f func(t *testing.T, tree *bst.Tree)) {
+// eachShape runs f on a one-shard and a four-shard tree, the one
+// construction choice that changes which code a public call runs.
+func eachShape(t *testing.T, f func(t *testing.T, tree *bst.Tree)) {
 	t.Helper()
-	for _, a := range bst.Algorithms() {
-		t.Run(a.String(), func(t *testing.T) {
-			f(t, bst.New(bst.WithAlgorithm(a), bst.WithCapacity(1<<21)))
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			f(t, bst.New(bst.WithShards(shards), bst.WithCapacity(1<<21)))
 		})
 	}
 }
 
 func TestPublicAPIBasics(t *testing.T) {
-	allAlgorithms(t, func(t *testing.T, s *bst.Tree) {
+	eachShape(t, func(t *testing.T, s *bst.Tree) {
 		if s.Contains(1) {
 			t.Fatal("empty tree contains 1")
 		}
@@ -41,7 +44,7 @@ func TestPublicAPIBasics(t *testing.T) {
 }
 
 func TestPublicAPINegativeKeys(t *testing.T) {
-	allAlgorithms(t, func(t *testing.T, s *bst.Tree) {
+	eachShape(t, func(t *testing.T, s *bst.Tree) {
 		ks := []int64{-5, 0, 5, -1 << 60, 1 << 60}
 		for _, k := range ks {
 			if !s.Insert(k) {
@@ -65,7 +68,7 @@ func TestPublicAPINegativeKeys(t *testing.T) {
 }
 
 func TestAscendOrder(t *testing.T) {
-	allAlgorithms(t, func(t *testing.T, s *bst.Tree) {
+	eachShape(t, func(t *testing.T, s *bst.Tree) {
 		rng := rand.New(rand.NewSource(1))
 		want := map[int64]bool{}
 		for i := 0; i < 500; i++ {
@@ -108,7 +111,7 @@ func TestAscendRange(t *testing.T) {
 }
 
 func TestAccessorConcurrent(t *testing.T) {
-	allAlgorithms(t, func(t *testing.T, s *bst.Tree) {
+	eachShape(t, func(t *testing.T, s *bst.Tree) {
 		const workers = 4
 		const each = 2000
 		var wg sync.WaitGroup
@@ -164,14 +167,6 @@ func TestReclamationOption(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-func TestAlgorithmReported(t *testing.T) {
-	for _, a := range bst.Algorithms() {
-		if got := bst.New(bst.WithAlgorithm(a)).Algorithm(); got != a {
-			t.Fatalf("Algorithm() = %v, want %v", got, a)
-		}
 	}
 }
 

@@ -190,26 +190,13 @@ func TestAccessorCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestCloseNoopForGCBackedAlgorithms(t *testing.T) {
-	for _, algo := range []bst.Algorithm{bst.NatarajanMittalBoxed, bst.EllenEtAl, bst.CoarseLock} {
-		tr := bst.New(bst.WithAlgorithm(algo))
-		acc := tr.NewAccessor()
-		acc.Insert(1)
-		if err := acc.Close(); err != nil {
-			t.Fatalf("%v accessor Close: %v", algo, err)
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatalf("%v tree Close: %v", algo, err)
-		}
-		if !tr.Contains(1) {
-			t.Fatalf("%v: Close disturbed the tree", algo)
-		}
-	}
-}
-
 func TestScanConcurrentWithWriters(t *testing.T) {
 	// Scan must be safe (and sane) with reclamation recycling nodes under
-	// it: stable keys always appear, in order, exactly once.
+	// it: stable keys always appear, in order, exactly once. A churn worker
+	// descheduled while pinned freezes reclamation (the EBR trade-off
+	// Health's StalledSlots reports), and the others can drain the small
+	// arena in that time slice, so churn inserts are fail-soft: a round
+	// that meets ErrCapacity is skipped.
 	tr := bst.New(bst.WithCapacity(1<<14), bst.WithReclamation())
 	for k := int64(0); k < 512; k += 2 {
 		tr.Insert(k) // stable evens
@@ -229,7 +216,13 @@ func TestScanConcurrentWithWriters(t *testing.T) {
 				default:
 				}
 				k := int64(1) + 2*((int64(w)*1000+i)%512) // odd churn keys
-				acc.Insert(k)
+				if _, err := acc.TryInsert(k); err != nil {
+					if !errors.Is(err, bst.ErrCapacity) {
+						t.Errorf("churn TryInsert(%d) err = %v", k, err)
+						return
+					}
+					continue
+				}
 				acc.Delete(k)
 			}
 		}(w)

@@ -21,18 +21,6 @@ func ExampleNew() {
 	// false
 }
 
-func ExampleWithAlgorithm() {
-	// Same interface, different concurrency design: the Bronson et al.
-	// relaxed AVL tree stays balanced under sorted insertions.
-	s := bst.New(bst.WithAlgorithm(bst.Bronson))
-	for i := int64(0); i < 1000; i++ {
-		s.Insert(i) // monotonic keys: worst case for unbalanced trees
-	}
-	fmt.Println(s.Len())
-	// Output:
-	// 1000
-}
-
 func ExampleTree_Ascend() {
 	s := bst.New()
 	for _, k := range []int64{30, 10, 20} {

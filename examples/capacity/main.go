@@ -40,7 +40,7 @@ func main() {
 		s.Delete(k)
 	}
 	ok, err := s.TryInsert(1 << 40)
-	fmt.Printf("after frees: TryInsert = (%v, %v), recycled=%d\n", ok, err, s.Stats().NodesRecycled)
+	fmt.Printf("after frees: TryInsert = (%v, %v), recycled=%d\n", ok, err, s.Health().NodesRecycled)
 	if err := s.Validate(); err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Quickstart: a tour of the public API — constructing trees, the basic
 // set operations, per-goroutine accessors for hot paths, ordered
-// iteration, and switching between the paper's algorithms.
+// iteration, and the ordered map. The paper's baselines are compared
+// against this tree by `go run ./cmd/bstbench -targets nm,efrb,hj,bcco`.
 package main
 
 import (
@@ -28,9 +29,9 @@ func main() {
 	// Note the scrambled keys: an *unbalanced* BST (this algorithm, like
 	// the paper's) degrades to O(n) paths on sorted input. scramble is a
 	// bijection, so 40k distinct ids stay 40k distinct keys, now spread
-	// uniformly. For inherently sorted keys (timestamps, sequence
-	// numbers), pick the balanced Bronson algorithm instead — see the
-	// orderindex example.
+	// uniformly. Inherently sorted keys (timestamps, sequence numbers)
+	// need the same treatment, or interleaved arrival like the orderindex
+	// example's partitioned replay.
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -61,12 +62,12 @@ func main() {
 	ranged.AscendRange(100, 199, func(int64) bool { count++; return true })
 	fmt.Println("keys in [100,199]:", count)
 
-	// The paper's baselines are one option away — same interface.
-	for _, algo := range bst.Algorithms() {
-		t := bst.New(bst.WithAlgorithm(algo))
-		t.Insert(7)
-		fmt.Printf("%-24s contains(7)=%v\n", algo, t.Contains(7))
-	}
+	// An ordered map: the same algorithm with boxed edges and values on
+	// the leaves, reclaimed by the GC, so there is no arena to size.
+	m := bst.NewMap[string]()
+	m.Put(7, "seven")
+	v, _ := m.Get(7)
+	fmt.Println("map get 7:", v)
 
 	// Long-lived sets under churn: enable epoch-based reclamation so
 	// deleted nodes are recycled (the paper defers this to future work).

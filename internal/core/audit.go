@@ -107,11 +107,6 @@ func (t *Tree) audit(idx uint32, lo, hi uint64) (int, error) {
 	return nl + nr, nil
 }
 
-// DumpStats is a quiescent diagnostic summary.
-func (t *Tree) DumpStats() string {
-	return fmt.Sprintf("size=%d allocated=%d", t.Size(), t.ar.Allocated())
-}
-
 // SpaceStats reports storage accounting (quiescent). Without reclamation,
 // ReservedSlots grows with every insert ever performed (the paper's
 // no-reclamation protocol); with Config.Reclaim, spliced-out nodes are

@@ -28,7 +28,9 @@ import (
 //
 // Applying a write batch runs every key through the single-key insert or
 // delete loop (ops.go), with its wave record standing in for the first
-// attempt's seek; a retry re-seeks from the root, as the paper's does.
+// attempt's seek until an insert of its leaf-run succeeds; a retry, and
+// every later insert of that run, seeks from the root, as the paper's
+// operations do.
 // The keys whose records end at one leaf are applied median-first — in
 // the bit-reversal order of their sorted positions — so they split that
 // leaf into a balanced subtree instead of the chain an ascending run
@@ -323,6 +325,13 @@ func (h *Handle) writeBatch(ks []uint64, out []bool, errs []error, op metrics.Co
 		for hi < len(ord) && h.recs[hi].sr.leaf == h.recs[lo].sr.leaf {
 			hi++
 		}
+		// Once an insert of the run splits the leaf, every other record of
+		// the run names the edge that insert replaced, so the rest of the
+		// run seeks from the root rather than spend a failed CAS on
+		// staleness of its own making. A delete run keeps its records
+		// after a hit: the removed leaf still proves a miss at the wave
+		// read.
+		split := false
 		// Bit-reversal order over w bits visits lo, lo+m/2, lo+m/4,
 		// lo+3m/4, ... for m = 1<<w ≥ hi-lo, skipping positions past hi.
 		w := bits.Len(uint(hi - lo - 1))
@@ -336,11 +345,12 @@ func (h *Handle) writeBatch(ks []uint64, out []bool, errs []error, op metrics.Co
 			// continuously since the wave (arena indices must not have
 			// been recycled).
 			var rec *seekRecord
-			if h.unpinGen == gen {
+			if h.unpinGen == gen && !split {
 				rec = &h.recs[i].sr
 			}
 			if errs != nil {
 				out[e.pos], errs[e.pos] = h.insertLoop(e.key, rec)
+				split = split || out[e.pos]
 			} else {
 				out[e.pos] = h.deleteLoop(e.key, rec)
 			}

@@ -525,6 +525,37 @@ func TestBatchSlotStatsMatchSingleOps(t *testing.T) {
 	}
 }
 
+// TestBatchInsertOwnSplitsAreNotContention: the keys of one InsertBatch
+// that share a leaf make each other's wave records stale, and that must
+// not read as contention. One goroutine loading 4096 sorted keys into an
+// empty tree takes no failed CAS, no insert retry and no seek restart —
+// and 8191 seeks: the wave's 4096, then one root seek for every slot
+// after the leaf's first split.
+func TestBatchInsertOwnSplitsAreNotContention(t *testing.T) {
+	const n = 4096
+	reg := metrics.NewRegistry(0)
+	h := New(Config{Capacity: 1 << 16, Metrics: reg}).NewHandle()
+	ks := make([]uint64, n)
+	for i := range ks {
+		ks[i] = keys.Map(int64(i))
+	}
+	ok, errs := batchInsert(h, ks)
+	for i := range ks {
+		if !ok[i] || errs[i] != nil {
+			t.Fatalf("insert %d: ok=%v err=%v", i, ok[i], errs[i])
+		}
+	}
+	if st := h.Stats; st.CASFailed != 0 || st.Seeks != 2*n-1 {
+		t.Fatalf("CASFailed = %d, Seeks = %d; want 0 and %d", st.CASFailed, st.Seeks, 2*n-1)
+	}
+	m := reg.Snapshot().CounterMap()
+	for _, name := range []string{"cas_failures_insert_total", "insert_retries_total", "seek_restarts_total"} {
+		if m[name] != 0 {
+			t.Errorf("%s = %d, want 0", name, m[name])
+		}
+	}
+}
+
 // maxLeafDepth is the number of edges on the longest root-to-leaf path of
 // a quiescent tree, sentinels included.
 func maxLeafDepth(tr *Tree, idx uint32) int {

@@ -772,129 +772,62 @@ func (n *Node) Close() error {
 	return nil
 }
 
-// Stats is a point-in-time snapshot of the node's replication counters.
-type Stats struct {
-	Role                Role
-	Term                uint64
-	LeaderAddr          string
-	AppliedSeq          uint64
-	AckedSeq            uint64
-	Followers           int
-	LeaseExpired        bool
-	Fenced              bool
-	ElectionState       string
-	RecordsSent         uint64
-	BatchesSent         uint64
-	HeartbeatsSent      uint64
-	RecordsApplied      uint64
-	AcksSent            uint64
-	AcksReceived        uint64
-	SnapshotsShipped    uint64
-	SnapshotKeysShipped uint64
-	SnapshotLoads       uint64
-	Resyncs             uint64
-	Reconnects          uint64
-	AckTimeouts         uint64
-	Promotions          uint64
-	Elections           uint64
-	FenceEvents         uint64
-	FencedFrames        uint64
-	StaleAcks           uint64
-	FencedRequests      uint64
-}
-
-// ReplStats returns a snapshot of the node's counters.
-func (n *Node) ReplStats() Stats {
-	return Stats{
-		Role:                n.Role(),
-		Term:                n.Term(),
-		LeaderAddr:          n.LeaderAddr(),
-		AppliedSeq:          n.AppliedSeq(),
-		AckedSeq:            n.AckedSeq(),
-		Followers:           n.Followers(),
-		LeaseExpired:        n.LeaseExpired(),
-		Fenced:              n.Fenced(),
-		ElectionState:       n.ElectionState(),
-		RecordsSent:         n.c.recordsSent.Load(),
-		BatchesSent:         n.c.batchesSent.Load(),
-		HeartbeatsSent:      n.c.heartbeatsSent.Load(),
-		RecordsApplied:      n.c.recordsApplied.Load(),
-		AcksSent:            n.c.acksSent.Load(),
-		AcksReceived:        n.c.acksReceived.Load(),
-		SnapshotsShipped:    n.c.snapshotsShipped.Load(),
-		SnapshotKeysShipped: n.c.snapshotKeysShipped.Load(),
-		SnapshotLoads:       n.c.snapshotLoads.Load(),
-		Resyncs:             n.c.resyncs.Load(),
-		Reconnects:          n.c.reconnects.Load(),
-		AckTimeouts:         n.c.ackTimeouts.Load(),
-		Promotions:          n.c.promotions.Load(),
-		Elections:           n.c.elections.Load(),
-		FenceEvents:         n.c.fenceEvents.Load(),
-		FencedFrames:        n.c.fencedFrames.Load(),
-		StaleAcks:           n.c.staleAcks.Load(),
-		FencedRequests:      n.c.fencedRequests.Load(),
-	}
-}
-
 // MetricsHook folds the node's replication telemetry into a registry
 // snapshot (register with reg.AddHook(node.MetricsHook)). Series follow
 // the repl_* naming convention alongside the wal_*/snapshot_* families.
 func (n *Node) MetricsHook(s *metrics.Snapshot) {
-	st := n.ReplStats()
-	if st.Role == Leader {
-		s.Gauges["repl_is_leader"] = 1
-	} else {
-		s.Gauges["repl_is_leader"] = 0
-	}
-	s.Gauges["repl_term"] = float64(st.Term)
-	s.Gauges["repl_applied_seq"] = float64(st.AppliedSeq)
-	s.Gauges["repl_acked_seq"] = float64(st.AckedSeq)
-	s.Gauges["repl_followers_connected"] = float64(st.Followers)
+	leader := n.Role() == Leader
+	acked, applied, followers := n.AckedSeq(), n.AppliedSeq(), n.Followers()
+	s.Gauges["repl_is_leader"] = boolGauge(leader)
+	s.Gauges["repl_term"] = float64(n.Term())
+	s.Gauges["repl_applied_seq"] = float64(applied)
+	s.Gauges["repl_acked_seq"] = float64(acked)
+	s.Gauges["repl_followers_connected"] = float64(followers)
 	// Lag: what a leader still has to ship (against its own log), or what
 	// a follower still has to apply (against the leader's commit horizon).
-	if st.Role == Leader {
+	if leader {
 		last := n.store.LastSeq()
 		lag := float64(0)
-		if st.Followers > 0 && last > st.AckedSeq {
-			lag = float64(last - st.AckedSeq)
+		if followers > 0 && last > acked {
+			lag = float64(last - acked)
 		}
 		s.Gauges["repl_lag_records"] = lag
 	} else {
-		s.Gauges["repl_lag_records"] = float64(n.leaderCommit.Load()) - float64(st.AppliedSeq)
+		s.Gauges["repl_lag_records"] = float64(n.leaderCommit.Load()) - float64(applied)
 	}
-	if st.LeaseExpired {
-		s.Gauges["repl_lease_expired"] = 1
-	} else {
-		s.Gauges["repl_lease_expired"] = 0
-	}
+	s.Gauges["repl_lease_expired"] = boolGauge(n.LeaseExpired())
 	s.Gauges["repl_lease_remaining_seconds"] = n.LeaseRemaining().Seconds()
-	if st.Fenced {
-		s.Gauges["repl_fenced"] = 1
-	} else {
-		s.Gauges["repl_fenced"] = 0
-	}
+	s.Gauges["repl_fenced"] = boolGauge(n.Fenced())
 	s.Gauges["repl_election_state"] = float64(n.electState.Load())
 	if d := n.HoldOffDeadline(); !d.IsZero() {
 		s.Gauges["repl_holdoff_remaining_seconds"] = max(d.Sub(n.now()), 0).Seconds()
 	} else {
 		s.Gauges["repl_holdoff_remaining_seconds"] = 0
 	}
-	s.External["repl_records_sent_total"] += st.RecordsSent
-	s.External["repl_batches_sent_total"] += st.BatchesSent
-	s.External["repl_heartbeats_sent_total"] += st.HeartbeatsSent
-	s.External["repl_records_applied_total"] += st.RecordsApplied
-	s.External["repl_acks_sent_total"] += st.AcksSent
-	s.External["repl_acks_received_total"] += st.AcksReceived
-	s.External["repl_snapshots_shipped_total"] += st.SnapshotsShipped
-	s.External["repl_snapshot_keys_shipped_total"] += st.SnapshotKeysShipped
-	s.External["repl_snapshot_loads_total"] += st.SnapshotLoads
-	s.External["repl_resyncs_total"] += st.Resyncs
-	s.External["repl_reconnects_total"] += st.Reconnects
-	s.External["repl_ack_timeouts_total"] += st.AckTimeouts
-	s.External["repl_promotions_total"] += st.Promotions
-	s.External["repl_elections_total"] += st.Elections
-	s.External["repl_fence_events_total"] += st.FenceEvents
-	s.External["repl_fenced_frames_total"] += st.FencedFrames
-	s.External["repl_stale_acks_total"] += st.StaleAcks
-	s.External["repl_fenced_requests_total"] += st.FencedRequests
+	c := &n.c
+	s.External["repl_records_sent_total"] += c.recordsSent.Load()
+	s.External["repl_batches_sent_total"] += c.batchesSent.Load()
+	s.External["repl_heartbeats_sent_total"] += c.heartbeatsSent.Load()
+	s.External["repl_records_applied_total"] += c.recordsApplied.Load()
+	s.External["repl_acks_sent_total"] += c.acksSent.Load()
+	s.External["repl_acks_received_total"] += c.acksReceived.Load()
+	s.External["repl_snapshots_shipped_total"] += c.snapshotsShipped.Load()
+	s.External["repl_snapshot_keys_shipped_total"] += c.snapshotKeysShipped.Load()
+	s.External["repl_snapshot_loads_total"] += c.snapshotLoads.Load()
+	s.External["repl_resyncs_total"] += c.resyncs.Load()
+	s.External["repl_reconnects_total"] += c.reconnects.Load()
+	s.External["repl_ack_timeouts_total"] += c.ackTimeouts.Load()
+	s.External["repl_promotions_total"] += c.promotions.Load()
+	s.External["repl_elections_total"] += c.elections.Load()
+	s.External["repl_fence_events_total"] += c.fenceEvents.Load()
+	s.External["repl_fenced_frames_total"] += c.fencedFrames.Load()
+	s.External["repl_stale_acks_total"] += c.staleAcks.Load()
+	s.External["repl_fenced_requests_total"] += c.fencedRequests.Load()
+}
+
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -3,10 +3,12 @@ package repl
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/metrics"
 	"repro/internal/wal"
 )
 
@@ -287,4 +289,48 @@ func TestLeaseExpiry(t *testing.T) {
 	}
 	leader.Close()
 	waitFor(t, "lease expiry", func() bool { return follower.LeaseExpired() })
+}
+
+// TestMetricsHookSeries pins the series a node's MetricsHook exports, on
+// a leader and on a follower, so a rename or a dropped series fails here
+// before it breaks a dashboard.
+func TestMetricsHookSeries(t *testing.T) {
+	gauges := []string{
+		"repl_acked_seq", "repl_applied_seq", "repl_election_state",
+		"repl_fenced", "repl_followers_connected",
+		"repl_holdoff_remaining_seconds", "repl_is_leader", "repl_lag_records",
+		"repl_lease_expired", "repl_lease_remaining_seconds", "repl_term",
+	}
+	counters := []string{
+		"repl_ack_timeouts_total", "repl_acks_received_total",
+		"repl_acks_sent_total", "repl_batches_sent_total",
+		"repl_elections_total", "repl_fence_events_total",
+		"repl_fenced_frames_total", "repl_fenced_requests_total",
+		"repl_heartbeats_sent_total", "repl_promotions_total",
+		"repl_reconnects_total", "repl_records_applied_total",
+		"repl_records_sent_total", "repl_resyncs_total",
+		"repl_snapshot_keys_shipped_total", "repl_snapshot_loads_total",
+		"repl_snapshots_shipped_total", "repl_stale_acks_total",
+	}
+	leader := startLeader(t, openStore(t), nil)
+	follower := startFollower(t, openStore(t), leader.ReplAddr(), nil)
+	for name, n := range map[string]*Node{"leader": leader, "follower": follower} {
+		s := metrics.Snapshot{Gauges: map[string]float64{}, External: map[string]uint64{}}
+		n.MetricsHook(&s)
+		if got := sortedKeys(s.Gauges); !slices.Equal(got, gauges) {
+			t.Errorf("%s gauges = %v, want %v", name, got, gauges)
+		}
+		if got := sortedKeys(s.External); !slices.Equal(got, counters) {
+			t.Errorf("%s counters = %v, want %v", name, got, counters)
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
 }

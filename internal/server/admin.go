@@ -212,7 +212,6 @@ type durabilityHealth struct {
 }
 
 type treeHealth struct {
-	Algorithm      string `json:"algorithm"`
 	Capacity       int    `json:"capacity_nodes"`
 	Allocated      uint64 `json:"allocated_nodes"`
 	Recycled       uint64 `json:"recycled_nodes"`
@@ -228,7 +227,6 @@ func writeHealth(w http.ResponseWriter, code int, status string, s *Server) {
 		Draining: s.draining.Load(),
 		Counters: s.Counters(),
 		Tree: treeHealth{
-			Algorithm:      h.Algorithm.String(),
 			Capacity:       h.Capacity,
 			Allocated:      h.NodesAllocated,
 			Recycled:       h.NodesRecycled,

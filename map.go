@@ -1,8 +1,6 @@
 package bst
 
 import (
-	"fmt"
-
 	"repro/internal/keys"
 	"repro/internal/nmboxed"
 )
@@ -83,13 +81,13 @@ func (m *Map[V]) Ascend(yield func(key int64, val V) bool) {
 // of panicking. The boxed tree backing Map has no shared-descent batch
 // path, so this is a convenience loop, not a performance feature.
 func (m *Map[V]) ContainsBatch(keys []int64, out []OpResult) {
-	runBatchSlow(m.t, lookupKind, keys, out)
+	eachKey(keys, out, func(_ int, u uint64) bool { return m.t.Search(u) })
 }
 
 // DeleteBatch removes every key; out[i].OK reports whether the map
 // changed. See ContainsBatch for the batch contract.
 func (m *Map[V]) DeleteBatch(keys []int64, out []OpResult) {
-	runBatchSlow(m.t, deleteKind, keys, out)
+	eachKey(keys, out, func(_ int, u uint64) bool { return m.t.Delete(u) })
 }
 
 // PutBatch sets keys[i]'s value to vals[i] for every i; out[i].OK reports
@@ -97,15 +95,25 @@ func (m *Map[V]) DeleteBatch(keys []int64, out []OpResult) {
 // entry). len(vals) and len(out) must equal len(keys). Out-of-range keys
 // report ErrKeyOutOfRange in their slot without aborting the batch.
 func (m *Map[V]) PutBatch(ks []int64, vals []V, out []OpResult) {
-	if len(vals) != len(ks) || len(out) != len(ks) {
+	if len(vals) != len(ks) {
 		panic("bst: PutBatch length mismatch")
 	}
+	eachKey(ks, out, func(i int, u uint64) bool { return m.t.Upsert(u, vals[i]) })
+}
+
+// eachKey is Map's batch loop: op(i, mapped key) fills out[i], and a key
+// above MaxKey fails only its own slot.
+func eachKey(ks []int64, out []OpResult, op func(i int, u uint64) bool) {
+	if len(out) != len(ks) {
+		panic("bst: batch result length mismatch")
+	}
 	for i, k := range ks {
-		if !keys.InRange(k) {
-			out[i] = OpResult{Err: fmt.Errorf("%w: %d > %d", ErrKeyOutOfRange, k, MaxKey)}
+		u, err := tryMapKey(k)
+		if err != nil {
+			out[i] = OpResult{Err: err}
 			continue
 		}
-		out[i] = OpResult{OK: m.t.Upsert(keys.Map(k), vals[i])}
+		out[i] = OpResult{OK: op(i, u)}
 	}
 }
 

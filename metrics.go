@@ -6,16 +6,14 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/forest"
 	"repro/internal/metrics"
 )
 
-// WithMetrics enables live contention telemetry on the NatarajanMittal
-// algorithm (other algorithms accept the option and report nothing): each
-// per-goroutine accessor gets a private cache-line-padded counter shard
-// wired into the tree's hot paths, and Insert/Delete/Contains latencies are
-// sampled into power-of-two histograms (one timed operation in every
-// sampleEvery; 0 selects the default of 64, 1 times every operation).
+// WithMetrics enables live contention telemetry: each per-goroutine
+// accessor gets a private cache-line-padded counter shard wired into the
+// tree's hot paths, and Insert/Delete/Contains latencies are sampled into
+// power-of-two histograms (one timed operation in every sampleEvery; 0
+// selects the default of 64, 1 times every operation).
 // Read the results with Tree.Metrics or serve them with ServeMetrics.
 func WithMetrics(sampleEvery int) Option {
 	return func(c *config) { c.metrics, c.metricsSample = true, sampleEvery }
@@ -94,21 +92,13 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 }
 
 // Metrics returns a cumulative telemetry snapshot. For trees built without
-// WithMetrics (or with an algorithm other than NatarajanMittal) the zero
-// snapshot with Enabled false is returned.
+// WithMetrics the zero snapshot with Enabled false is returned.
 func (t *Tree) Metrics() Metrics {
-	reg := t.metricsRegistry()
+	reg := t.f.Metrics()
 	if reg == nil {
 		return Metrics{}
 	}
 	return fromSnapshot(reg.Snapshot())
-}
-
-func (t *Tree) metricsRegistry() *metrics.Registry {
-	if f, ok := t.b.(*forest.Forest); ok {
-		return f.Metrics()
-	}
-	return nil
 }
 
 func fromSnapshot(s metrics.Snapshot) Metrics {
@@ -145,7 +135,7 @@ func MetricsHandler(trees map[string]*Tree) http.Handler {
 	return metrics.Handler(func() []metrics.Source {
 		out := make([]metrics.Source, 0, len(trees))
 		for name, t := range trees {
-			out = append(out, metrics.Source{Name: name, Registry: t.metricsRegistry()})
+			out = append(out, metrics.Source{Name: name, Registry: t.f.Metrics()})
 		}
 		return out
 	})

@@ -80,12 +80,6 @@ func TestTreeMetricsDisabled(t *testing.T) {
 	if m := tr.Metrics(); m.Enabled {
 		t.Fatalf("Metrics().Enabled = true without WithMetrics: %+v", m)
 	}
-	// Non-NM algorithms accept the option and report nothing.
-	tr2 := New(WithAlgorithm(CoarseLock), WithMetrics(1))
-	tr2.Insert(1)
-	if m := tr2.Metrics(); m.Enabled {
-		t.Fatalf("CoarseLock tree reports metrics: %+v", m)
-	}
 }
 
 // TestServeMetricsEndpoint is the acceptance test for the HTTP exposition

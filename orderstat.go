@@ -10,8 +10,8 @@ import (
 
 // Order statistics & range aggregates. WithOrderStatistics attaches a
 // lazily-refreshed augmentation layer (internal/orderstat) to every shard
-// of the default NatarajanMittal tree, so rank, select, count-in-range
-// and sum-in-range answer in O(log n) instead of an O(range) scan.
+// of the tree, so rank, select, count-in-range and sum-in-range answer in
+// O(log n) instead of an O(range) scan.
 // Writers pay one nil-checked counter bump per successful mutation, which
 // also logs the key so a refresh rescans only the key ranges that changed;
 // no atomic read-modify-write is added to the lock-free hot paths. Every
@@ -23,8 +23,7 @@ import (
 // and its staleness bounds.
 
 // ErrNoOrderStats is returned by the aggregate queries when the tree was
-// built without WithOrderStatistics (or with an algorithm other than
-// NatarajanMittal, which is the only one with the dirty-counter hooks).
+// built without WithOrderStatistics.
 var ErrNoOrderStats = errors.New("bst: order statistics not enabled (WithOrderStatistics)")
 
 // ErrSelectOutOfRange is returned by Select when the requested index is
@@ -32,10 +31,8 @@ var ErrNoOrderStats = errors.New("bst: order statistics not enabled (WithOrderSt
 // consistency mode.
 var ErrSelectOutOfRange = errors.New("bst: select index out of range")
 
-// WithOrderStatistics enables the order-statistics layer on the
-// NatarajanMittal algorithm (other algorithms ignore it and answer
-// ErrNoOrderStats). Every shard gets its own index and aggregates merge
-// across shards.
+// WithOrderStatistics enables the order-statistics layer. Every shard gets
+// its own index and aggregates merge across shards.
 func WithOrderStatistics() Option { return func(c *config) { c.orderstat = true } }
 
 // Consistency selects how fresh an aggregate answer must be. The zero

@@ -6,13 +6,12 @@ import (
 	"repro/internal/metrics"
 )
 
-// Sharding options. Every default NatarajanMittal tree is a forest of
-// independent core trees over disjoint key ranges (internal/forest); a
-// tree built without WithShards is a forest of one. Each shard owns its
-// own arena, reclamation domain, and WAL lane (when wrapped by
-// internal/durable), so write throughput scales with shard count instead
-// of funneling through one allocator and one group-commit line. Other
-// algorithms ignore these options.
+// Sharding options. Every tree is a forest of independent core trees over
+// disjoint key ranges (internal/forest); a tree built without WithShards
+// is a forest of one. Each shard owns its own arena, reclamation domain,
+// and WAL lane (when wrapped by internal/durable), so write throughput
+// scales with shard count instead of funneling through one allocator and
+// one group-commit line.
 
 // WithShards splits the key space across n independent trees (n is rounded
 // up to a power of two; 0 and 1 mean one shard). Point operations route by
@@ -35,9 +34,9 @@ func WithShardRange(lo, hi int64) Option {
 	}
 }
 
-// newForest builds the NatarajanMittal backend for New: the forest, its
-// metrics registry (WithMetrics) and its order-statistics aggregates
-// (WithOrderStatistics, else nil).
+// newForest builds the tree for New: the forest, its metrics registry
+// (WithMetrics) and its order-statistics aggregates (WithOrderStatistics,
+// else nil).
 func newForest(cfg config) (*forest.Forest, *forest.Aggregates, error) {
 	fc := forest.Config{Shards: cfg.shards}
 	if cfg.shardRange {
@@ -70,42 +69,25 @@ func newForest(cfg config) (*forest.Forest, *forest.Aggregates, error) {
 	return f, agg, nil
 }
 
-// Shards reports the tree's effective shard count: the rounded
-// power-of-two count for the default algorithm, 1 for the others.
-func (t *Tree) Shards() int {
-	if f, ok := t.b.(*forest.Forest); ok {
-		return f.Shards()
-	}
-	return 1
-}
+// Shards reports the tree's effective shard count (WithShards rounded up
+// to a power of two).
+func (t *Tree) Shards() int { return t.f.Shards() }
 
 // ShardOf reports which shard stores key (always 0 on one shard). The
 // mapping is stable for the lifetime of the tree; the durable layer keys
 // its WAL lanes on it. Keys above MaxKey route to the last shard, whose
 // mutations answer ErrKeyOutOfRange; ShardOf itself never panics.
 func (t *Tree) ShardOf(key int64) int {
-	f, ok := t.b.(*forest.Forest)
-	switch {
-	case !ok:
-		return 0
-	case !keys.InRange(key):
-		return f.Shards() - 1
+	if !keys.InRange(key) {
+		return t.f.Shards() - 1
 	}
-	return f.ShardOf(keys.Map(key))
+	return t.f.ShardOf(keys.Map(key))
 }
 
 // ShardKeyRange returns the inclusive user key range routed to shard i
 // (the full storable range on one shard). Checkpoints scan one shard by
 // passing these bounds to Scan.
 func (t *Tree) ShardKeyRange(i int) (lo, hi int64) {
-	if f, ok := t.b.(*forest.Forest); ok {
-		ulo, uhi := f.Bounds(i)
-		return keys.Unmap(ulo), keys.Unmap(uhi)
-	}
-	if i != 0 {
-		panic("bst: shard index out of range on unsharded tree")
-	}
-	return minInt64, MaxKey
+	ulo, uhi := t.f.Bounds(i)
+	return keys.Unmap(ulo), keys.Unmap(uhi)
 }
-
-const minInt64 = -1 << 63
