@@ -10,8 +10,9 @@
 # fuzz smoke over the wire-frame and WAL-record decoders and the core
 # tree's single and batched operations, the tracing overhead gate
 # (flight recorder installed with sampling off must stay within 1% of
-# untraced, sampled hot path must not allocate), a short durable
-# benchmark cell (BENCH_durable_smoke.json), and the
+# untraced, sampled hot path must not allocate), one small table of every
+# bstbench grid (BENCH_fig4_smoke.json, BENCH_batch_smoke.json,
+# BENCH_durable_smoke.json, BENCH_shard_smoke.json), the
 # order-statistics gates (Exact-mode linearizability bracket checker and
 # the CountRange-vs-scan ≥10x speedup floor), and vet plus the unit tests
 # of the perfbench module.
@@ -20,13 +21,14 @@ GO ?= go
 
 .PHONY: ci fmt-check vet build test race serve-smoke batch-stress \
 	crash-stress failover-stress chaos fuzz-smoke trace-overhead \
-	bench-durable-smoke shard-smoke bench-shard-smoke aggregate-stress \
-	aggregate-smoke perfbench-check stress clean-data
+	bench-fig4-smoke bench-batch-smoke bench-durable-smoke shard-smoke \
+	bench-shard-smoke aggregate-stress aggregate-smoke perfbench-check \
+	stress clean-data
 
 ci: fmt-check vet build test race serve-smoke batch-stress crash-stress \
-	failover-stress chaos fuzz-smoke trace-overhead bench-durable-smoke \
-	shard-smoke bench-shard-smoke aggregate-stress aggregate-smoke \
-	perfbench-check
+	failover-stress chaos fuzz-smoke trace-overhead bench-fig4-smoke \
+	bench-batch-smoke bench-durable-smoke shard-smoke bench-shard-smoke \
+	aggregate-stress aggregate-smoke perfbench-check
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -133,6 +135,22 @@ trace-overhead:
 	BST_TRACE_OVERHEAD=1 $(GO) test ./internal/rtrace \
 		-run '^(TestTraceOverheadGate|TestSampledPathAllocs)$$' -count=1 -v
 
+# One small Figure 4 table: the paper's four trees at 1K keys, mixed,
+# 1 and 2 threads. Metrics stay off: they instrument only the NM cells, so
+# a paper-figure cell recorded with them on handicaps the paper's own
+# algorithm. The JSON lands in BENCH_fig4_smoke.json for the CI artifact
+# upload.
+bench-fig4-smoke:
+	$(GO) run ./cmd/bstbench -targets nm,efrb,hj,bcco -keyranges 1000 -workloads mixed \
+		-threads 1,2 -duration 200ms -json BENCH_fig4_smoke.json
+
+# One batch-amortization table on a 1M-key prefill: batch sizes 1, 8 and
+# 64 against each other at one thread, 5 reps per cell. The JSON lands in
+# BENCH_batch_smoke.json for the CI artifact upload.
+bench-batch-smoke:
+	$(GO) run ./cmd/bstbench -batch -batchsizes 1,8,64 -keyranges 1000000 -workloads mixed \
+		-threads 1 -duration 1s -reps 5 -json BENCH_batch_smoke.json
+
 # One small durable-overhead table (in-memory vs none/interval/fsync);
 # the JSON lands in BENCH_durable_smoke.json for the CI artifact upload.
 bench-durable-smoke:
@@ -186,13 +204,12 @@ perfbench-check:
 stress:
 	$(GO) run -race ./cmd/bststress -duration 2m -exhaust -serve -batch -crash -failover
 
-# Remove local artifacts: benchmark/crash logs and any stray durable data
-# dirs left by interrupted runs (bstserve -data dirs are never touched —
-# only the well-known temp prefixes used by the tools here).
+# Remove local artifacts: crash logs and any stray durable data dirs left
+# by interrupted runs (bstserve -data dirs are never touched — only the
+# well-known temp prefixes used by the tools here). The BENCH_*.json
+# baselines are checked in, so they stay.
 clean-data:
-	rm -f BENCH_durable_smoke.json BENCH_shard_smoke.json \
-		BENCH_aggregate_smoke.json crash_round.log \
-		failover_round.log chaos_round.log shard_crash_round.log
+	rm -f crash_round.log failover_round.log chaos_round.log shard_crash_round.log
 	rm -rf $${TMPDIR:-/tmp}/bst-crash-data-* $${TMPDIR:-/tmp}/bst-crash-addr-* \
 		$${TMPDIR:-/tmp}/bst-crash-clock-* $${TMPDIR:-/tmp}/bstbench-durable-* \
 		$${TMPDIR:-/tmp}/bst-failover-leader-* $${TMPDIR:-/tmp}/bst-failover-follower-* \

@@ -43,22 +43,22 @@ func (a setAccessor) Delete(u uint64) bool { return a.a.Delete(keys.Unmap(u)) }
 
 // runDurableCell measures one (policy × cfg) cell: reps fresh stores, each
 // on a fresh data dir.
-func runDurableCell(policy string, cfg harness.Config, reps, traceSample int) ([]float64, cellJSON) {
+func runDurableCell(policy string, cfg harness.Config, s settings) cellJSON {
 	cell := cellJSON{
 		Algorithm:  harness.TargetNM,
 		SyncPolicy: policy,
 		Threads:    cfg.Threads,
 		KeyRange:   int(cfg.KeyRange),
 		Workload:   cfg.Mix.Name,
-		Reps:       reps,
+		Reps:       s.reps,
 	}
-	runs := make([]float64, 0, reps)
-	for i := 0; i < reps; i++ {
+	runs := make([]float64, 0, s.reps)
+	for i := 0; i < s.reps; i++ {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(i)*1_000_003
 		var rec *rtrace.Recorder
-		if traceSample > 0 {
-			rec = rtrace.New(rtrace.Options{SampleEvery: traceSample})
+		if s.traceSample > 0 {
+			rec = rtrace.New(rtrace.Options{SampleEvery: s.traceSample})
 		}
 		runs = append(runs, durableRep(policy, c, rec))
 		if rec != nil {
@@ -67,7 +67,7 @@ func runDurableCell(policy string, cfg harness.Config, reps, traceSample int) ([
 	}
 	cell.OpsPerSec = runs
 	cell.MedianOpsPerSec = stats.Median(runs)
-	return runs, cell
+	return cell
 }
 
 func durableRep(policy string, cfg harness.Config, rec *rtrace.Recorder) float64 {
@@ -118,80 +118,25 @@ func durableRep(policy string, cfg harness.Config, rec *rtrace.Recorder) float64
 	return res.Throughput()
 }
 
-// runDurableMode is the -durable entry point: batch-mode-shaped tables
-// with one column per store variant and the overhead summary per table.
-func runDurableMode(keyRanges []int, mixes []workload.Mix, threads []int, d batchModeDeps) {
-	fmt.Printf("# bstbench: durability overhead on %s — %d key ranges × %d workloads × %d thread counts × policies %v\n",
-		harness.TargetNM, len(keyRanges), len(mixes), len(threads), durablePolicies)
-	fmt.Printf("# GOMAXPROCS=%d duration/cell=%v reps=%d reclaim=%v (acked⇒durable only under fsync)\n",
-		runtime.GOMAXPROCS(0), d.duration, d.reps, d.reclaim)
-
-	for _, kr := range keyRanges {
-		for _, mix := range mixes {
-			if d.csvTable == nil {
-				fmt.Printf("\n== key range %d, workload %s, durable ==\n", kr, mix.Name)
-			}
-			header := []string{"threads"}
-			header = append(header, durablePolicies...)
-			tbl := stats.NewTable(header...)
-			tp := make(map[string][]float64, len(durablePolicies))
-			for _, th := range threads {
-				row := []any{th}
-				for _, policy := range durablePolicies {
-					cfg := harness.Config{
-						Threads:  th,
-						Duration: d.duration,
-						KeyRange: int64(kr),
-						Mix:      mix,
-						Seed:     d.seed,
-						Prefill:  d.prefill,
-						ZipfS:    d.zipfS,
-						Reclaim:  d.reclaim,
-					}
-					runs, cell := runDurableCell(policy, cfg, d.reps, d.traceSample)
-					v := stats.Median(runs)
-					tp[policy] = append(tp[policy], v)
-					row = append(row, stats.HumanCount(v))
-					if d.csvTable != nil {
-						d.csvTable.AddRow(kr, mix.Name, th, "nm["+policy+"]", v)
-					}
-					if d.doc != nil {
-						d.doc.Cells = append(d.doc.Cells, cell)
-					}
-				}
-				tbl.AddRow(row...)
-			}
-			if d.csvTable == nil {
-				fmt.Print(tbl.String())
-				printDurableOverhead(tp, threads)
-			}
-		}
-	}
-}
-
-// printDurableOverhead reports each policy's cost against the in-memory
-// baseline column.
-func printDurableOverhead(tp map[string][]float64, threads []int) {
-	base, ok := tp["memory"]
-	if !ok {
-		return
+// durableGrid is the -durable grid: a column per store variant, each
+// policy's cost read against the in-memory column.
+func durableGrid(s settings) grid {
+	g := grid{
+		title: [2]string{
+			fmt.Sprintf("# bstbench: durability overhead on %s — %s × policies %v", harness.TargetNM, s.dims(), durablePolicies),
+			fmt.Sprintf("# GOMAXPROCS=%d duration/cell=%v reps=%d reclaim=%v (acked⇒durable only under fsync)",
+				runtime.GOMAXPROCS(0), s.cell.Duration, s.reps, s.cell.Reclaim),
+		},
+		suffix: ", durable",
+		base:   "memory",
 	}
 	for _, policy := range durablePolicies {
-		if policy == "memory" {
-			continue
-		}
-		series := tp[policy]
-		lo, hi := 0.0, 0.0
-		for i := range series {
-			s := stats.Speedup(series[i], base[i])
-			if i == 0 || s < lo {
-				lo = s
-			}
-			if i == 0 || s > hi {
-				hi = s
-			}
-		}
-		fmt.Printf("  sync=%-8s vs in-memory: %+.0f%% .. %+.0f%% (across %d thread counts)\n",
-			policy, lo, hi, len(threads))
+		g.cols = append(g.cols, column{
+			header: policy,
+			label:  "nm[" + policy + "]",
+			gain:   fmt.Sprintf("sync=%-8s vs in-memory", policy),
+			run:    func(c harness.Config) cellJSON { return runDurableCell(policy, c, s) },
+		})
 	}
+	return g
 }

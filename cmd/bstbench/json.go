@@ -120,13 +120,8 @@ func (c *cellJSON) addMetrics(s metrics.Snapshot, agg *[metrics.NumOps]metrics.L
 	for k, v := range s.CounterMap() {
 		c.Metrics[k] += v
 	}
-	for op := metrics.Op(0); op < metrics.NumOps; op++ {
-		l := &agg[op]
-		for b := range s.Latency[op].Buckets {
-			l.Buckets[b] += s.Latency[op].Buckets[b]
-		}
-		l.Count += s.Latency[op].Count
-		l.SumNanos += s.Latency[op].SumNanos
+	for op := range agg {
+		agg[op].Add(s.Latency[op])
 	}
 }
 

@@ -6,7 +6,10 @@
 // Each (key range × workload) pair corresponds to one graph of Figure 4;
 // this tool prints one table per graph with a row per thread count and a
 // column per algorithm, followed by the paper-style relative-speedup
-// summary of NM-BST against each baseline.
+// summary of NM-BST against each baseline, in column order. The -batch,
+// -shards and -durable grids print the same tables with a column per batch
+// size, shard count or store variant, and gain lines against their
+// batch=1, shards=1 or in-memory column.
 //
 // Examples:
 //
@@ -21,11 +24,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
 	runtrace "runtime/trace"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -109,114 +114,33 @@ func main() {
 	if *jsonPath != "" {
 		doc = newBenchJSON(duration.String(), *reps, *seed, *zipfS, *reclaim, !*noPrefill, *metricsOn)
 	}
+	s := settings{
+		keyRanges:   keyRanges,
+		mixes:       mixes,
+		threads:     threads,
+		cell:        harness.Config{Duration: *duration, Seed: *seed, Prefill: !*noPrefill, ZipfS: *zipfS, Reclaim: *reclaim},
+		reps:        *reps,
+		metricsOn:   *metricsOn,
+		traceSample: *traceSample,
+	}
 
-	if *aggMode {
+	switch {
+	case *aggMode:
 		runAggregateMode(keyRanges, *aggWriters, *reps, *duration, *seed, *aggMinSpeedup, csvTable, doc)
-		if *csv {
-			fmt.Print(csvTable.CSV())
-		}
-		if doc != nil {
-			fatal(doc.write(*jsonPath))
-		}
-		return
-	}
-
-	if *durableMode {
-		runDurableMode(keyRanges, mixes, threads, batchModeDeps{
-			duration: *duration, reps: *reps, seed: *seed, zipfS: *zipfS,
-			reclaim: *reclaim, prefill: !*noPrefill, metricsOn: *metricsOn,
-			traceSample: *traceSample, csvTable: csvTable, doc: doc,
-		})
-		if *csv {
-			fmt.Print(csvTable.CSV())
-		}
-		if doc != nil {
-			fatal(doc.write(*jsonPath))
-		}
-		return
-	}
-
-	if *shardsFlag != "" {
+	case *durableMode:
+		runGrid(durableGrid(s), s, csvTable, doc)
+	case *shardsFlag != "":
 		counts, err := parseInts(*shardsFlag)
 		fatal(err)
-		runShardMode(keyRanges, mixes, threads, counts, batchModeDeps{
-			duration: *duration, reps: *reps, seed: *seed, zipfS: *zipfS,
-			reclaim: *reclaim, prefill: !*noPrefill, metricsOn: *metricsOn,
-			traceSample: *traceSample, csvTable: csvTable, doc: doc,
-		})
-		if *csv {
-			fmt.Print(csvTable.CSV())
-		}
-		if doc != nil {
-			fatal(doc.write(*jsonPath))
-		}
-		return
-	}
-
-	if *batchMode {
+		runGrid(shardGrid(counts, s), s, csvTable, doc)
+	case *batchMode:
 		sizes, err := parseInts(*batchSizes)
 		fatal(err)
-		runBatchMode(keyRanges, mixes, threads, sizes, batchModeDeps{
-			duration: *duration, reps: *reps, seed: *seed, zipfS: *zipfS,
-			reclaim: *reclaim, prefill: !*noPrefill, metricsOn: *metricsOn,
-			traceSample: *traceSample, csvTable: csvTable, doc: doc,
-		})
-		if *csv {
-			fmt.Print(csvTable.CSV())
-		}
-		if doc != nil {
-			fatal(doc.write(*jsonPath))
-		}
-		return
+		runGrid(batchGrid(sizes, s), s, csvTable, doc)
+	default:
+		runGrid(fig4Grid(targets, s), s, csvTable, doc)
 	}
-
-	fmt.Printf("# bstbench: Figure 4 reproduction — %d algorithms × %d key ranges × %d workloads × %d thread counts\n",
-		len(targets), len(keyRanges), len(mixes), len(threads))
-	fmt.Printf("# GOMAXPROCS=%d duration/cell=%v reps=%d zipf=%v reclaim=%v\n",
-		runtime.GOMAXPROCS(0), *duration, *reps, *zipfS, *reclaim)
-
-	for _, kr := range keyRanges {
-		for _, mix := range mixes {
-			if !*csv {
-				fmt.Printf("\n== key range %d, workload %s ==\n", kr, mix.Name)
-			}
-			header := append([]string{"threads"}, names(targets)...)
-			tbl := stats.NewTable(header...)
-			// throughput[target][threadIdx]
-			tp := make(map[string][]float64, len(targets))
-			for _, th := range threads {
-				row := []any{th}
-				for _, tg := range targets {
-					cfg := harness.Config{
-						Threads:  th,
-						Duration: *duration,
-						KeyRange: int64(kr),
-						Mix:      mix,
-						Seed:     *seed,
-						Prefill:  !*noPrefill,
-						ZipfS:    *zipfS,
-						Reclaim:  *reclaim,
-					}
-					runs, cell := runCell(tg, cfg, *reps, *metricsOn, *traceSample)
-					v := stats.Median(runs)
-					tp[tg.Name] = append(tp[tg.Name], v)
-					row = append(row, stats.HumanCount(v))
-					if *csv {
-						csvTable.AddRow(kr, mix.Name, th, tg.Name, v)
-					}
-					if doc != nil {
-						doc.Cells = append(doc.Cells, cell)
-					}
-				}
-				tbl.AddRow(row...)
-			}
-			if !*csv {
-				fmt.Print(tbl.String())
-				printSpeedups(tp, threads)
-			}
-		}
-	}
-	if *csv {
+	if csvTable != nil {
 		fmt.Print(csvTable.CSV())
 	}
 	if doc != nil {
@@ -224,42 +148,228 @@ func main() {
 	}
 }
 
+// settings are the flag values every grid shares.
+type settings struct {
+	keyRanges   []int
+	mixes       []workload.Mix
+	threads     []int
+	cell        harness.Config // Duration, Seed, Prefill, ZipfS and Reclaim of every cell
+	reps        int
+	metricsOn   bool
+	traceSample int
+}
+
+// dims is the grid shape every first header line reports.
+func (s settings) dims() string {
+	return fmt.Sprintf("%d key ranges × %d workloads × %d thread counts", len(s.keyRanges), len(s.mixes), len(s.threads))
+}
+
+// runLine is the second header line of the tree grids.
+func (s settings) runLine() string {
+	return fmt.Sprintf("# GOMAXPROCS=%d duration/cell=%v reps=%d zipf=%v reclaim=%v",
+		runtime.GOMAXPROCS(0), s.cell.Duration, s.reps, s.cell.ZipfS, s.cell.Reclaim)
+}
+
+// A grid is one bstbench table family. For every key range × workload it
+// is a table with a row per thread count and a column per variant,
+// followed by one gain line per column against the base column.
+type grid struct {
+	title    [2]string // the two "#" header lines
+	suffix   string    // appended to each "== key range …" section line
+	cols     []column
+	base     string // header of the column the gain lines compare against
+	baseOver bool   // gain is base over column (Figure 4's "nm vs X"), not column over base
+}
+
+// A column is one variant measured in every cell of a grid.
+type column struct {
+	header string // table column header
+	label  string // CSV algorithm label
+	gain   string // gain-line label
+	run    func(harness.Config) cellJSON
+}
+
+// fig4Grid is the paper's Figure 4: a column per algorithm and the
+// paper-style "NM outperforms X by a%-b%" gain lines.
+func fig4Grid(targets []harness.Target, s settings) grid {
+	g := grid{
+		title: [2]string{
+			fmt.Sprintf("# bstbench: Figure 4 reproduction — %d algorithms × %s", len(targets), s.dims()),
+			s.runLine(),
+		},
+		base:     harness.TargetNM,
+		baseOver: true,
+	}
+	for _, tg := range targets {
+		g.cols = append(g.cols, column{
+			header: tg.Name,
+			label:  tg.Name,
+			gain:   fmt.Sprintf("nm vs %-8s", tg.Name),
+			run:    func(c harness.Config) cellJSON { return runCell(tg, c, s) },
+		})
+	}
+	return g
+}
+
+// batchGrid measures the nm tree's batched entry points against its own
+// single-op loop, a column per batch size. Identical workload generators
+// feed every cell, so a column's gain is purely the batch path — one epoch
+// pin per group and sorted path-sharing seeks.
+func batchGrid(sizes []int, s settings) grid {
+	nm, err := harness.TargetByName(harness.TargetNM)
+	fatal(err)
+	g := grid{
+		title: [2]string{
+			fmt.Sprintf("# bstbench: batch amortization on %s — %s × batch sizes %v", nm.Name, s.dims(), sizes),
+			s.runLine(),
+		},
+		suffix: ", batched",
+		base:   "batch=1",
+	}
+	for _, b := range sizes {
+		g.cols = append(g.cols, column{
+			header: fmt.Sprintf("batch=%d", b),
+			label:  fmt.Sprintf("nm[b=%d]", b),
+			gain:   fmt.Sprintf("batch=%-3d vs single-op", b),
+			run:    func(c harness.Config) cellJSON { c.BatchSize = b; return runCell(nm, c, s) },
+		})
+	}
+	return g
+}
+
+// shardGrid measures the nm tree partitioned into a forest, a column per
+// shard count. Identical workload generators feed every cell, so a
+// column's gain is purely the partitioning — per-shard arenas remove
+// allocation-path sharing and per-shard epoch domains shrink reclamation
+// scopes.
+func shardGrid(counts []int, s settings) grid {
+	nm, err := harness.TargetByName(harness.TargetNM)
+	fatal(err)
+	g := grid{
+		title: [2]string{
+			fmt.Sprintf("# bstbench: sharded forest scaling on %s — %s × shard counts %v", nm.Name, s.dims(), counts),
+			s.runLine(),
+		},
+		suffix: ", sharded",
+		base:   "shards=1",
+	}
+	for _, n := range counts {
+		g.cols = append(g.cols, column{
+			header: fmt.Sprintf("shards=%d", n),
+			label:  fmt.Sprintf("nm[s=%d]", n),
+			gain:   fmt.Sprintf("shards=%-3d vs single tree", n),
+			run:    func(c harness.Config) cellJSON { c.Shards = n; return runCell(nm, c, s) },
+		})
+	}
+	return g
+}
+
+// runGrid measures every cell of g. Per key range × workload it prints
+// the table and its gain lines, or, when csv is set, adds one CSV row per
+// cell instead. Every cell is appended to doc when doc is set.
+func runGrid(g grid, s settings, csv *stats.Table, doc *benchJSON) {
+	fmt.Println(g.title[0])
+	fmt.Println(g.title[1])
+	header := []string{"threads"}
+	for _, col := range g.cols {
+		header = append(header, col.header)
+	}
+	for _, kr := range s.keyRanges {
+		for _, mix := range s.mixes {
+			if csv == nil {
+				fmt.Printf("\n== key range %d, workload %s%s ==\n", kr, mix.Name, g.suffix)
+			}
+			tbl := stats.NewTable(header...)
+			tp := make([][]float64, len(g.cols)) // column → per-thread medians
+			for _, th := range s.threads {
+				row := []any{th}
+				for i, col := range g.cols {
+					cfg := s.cell
+					cfg.Threads, cfg.KeyRange, cfg.Mix = th, int64(kr), mix
+					cell := col.run(cfg)
+					tp[i] = append(tp[i], cell.MedianOpsPerSec)
+					row = append(row, stats.HumanCount(cell.MedianOpsPerSec))
+					if csv != nil {
+						csv.AddRow(kr, mix.Name, th, col.label, cell.MedianOpsPerSec)
+					}
+					if doc != nil {
+						doc.Cells = append(doc.Cells, cell)
+					}
+				}
+				tbl.AddRow(row...)
+			}
+			if csv == nil {
+				fmt.Print(tbl.String())
+				g.writeGains(os.Stdout, tp)
+			}
+		}
+	}
+}
+
+// writeGains writes, in column order, each non-base column's lowest and
+// highest gain across thread counts, when the base column was measured.
+func (g grid) writeGains(w io.Writer, tp [][]float64) {
+	b := slices.IndexFunc(g.cols, func(c column) bool { return c.header == g.base })
+	if b < 0 {
+		return
+	}
+	for i, col := range g.cols {
+		if col.header == g.base {
+			continue
+		}
+		lo, hi := 0.0, 0.0
+		for t, v := range tp[i] {
+			s := stats.Speedup(v, tp[b][t])
+			if g.baseOver {
+				s = stats.Speedup(tp[b][t], v)
+			}
+			if t == 0 || s < lo {
+				lo = s
+			}
+			if t == 0 || s > hi {
+				hi = s
+			}
+		}
+		fmt.Fprintf(w, "  %s: %+.0f%% .. %+.0f%% (across %d thread counts)\n", col.gain, lo, hi, len(tp[i]))
+	}
+}
+
 // runCell measures one (algorithm × threads × key range × workload) cell:
 // reps fresh instances, each with its own telemetry registry when metricsOn
 // (so every counter in the cell's JSON is a per-cell delta), summed across
-// reps.
-func runCell(tg harness.Target, cfg harness.Config, reps int, metricsOn bool, traceSample int) ([]float64, cellJSON) {
+// reps. The cell records the config's batch size and shard count.
+func runCell(tg harness.Target, cfg harness.Config, s settings) cellJSON {
 	cell := cellJSON{
 		Algorithm: tg.Name,
 		Threads:   cfg.Threads,
 		KeyRange:  int(cfg.KeyRange),
 		Workload:  cfg.Mix.Name,
-		Reps:      reps,
+		Reps:      s.reps,
+		BatchSize: cfg.BatchSize,
+		Shards:    cfg.Shards,
 	}
 	var agg [metrics.NumOps]metrics.LatencySnapshot
-	sampled := false
-	runs := make([]float64, 0, reps)
-	for i := 0; i < reps; i++ {
+	runs := make([]float64, 0, s.reps)
+	for i := 0; i < s.reps; i++ {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(i)*1_000_003
 		var reg *metrics.Registry
-		if metricsOn && tg.Name == harness.TargetNM {
+		if s.metricsOn && tg.Name == harness.TargetNM {
 			reg = metrics.NewRegistry(0)
 			c.Metrics = reg
 			curRegistry.Store(reg)
 		}
 		var rec *rtrace.Recorder
-		if traceSample > 0 {
+		if s.traceSample > 0 {
 			// Fresh recorder per rep: the folded phase aggregates are
 			// per-cell deltas, same discipline as the metrics registries.
-			rec = rtrace.New(rtrace.Options{SampleEvery: traceSample})
+			rec = rtrace.New(rtrace.Options{SampleEvery: s.traceSample})
 			c.Trace = rec
 		}
 		res := harness.RunTarget(tg, c)
 		runs = append(runs, res.Throughput())
 		if reg != nil {
 			cell.addMetrics(reg.Snapshot(), &agg)
-			sampled = true
 		}
 		if rec != nil {
 			cell.addTracePhases(rec.Phases())
@@ -267,222 +377,10 @@ func runCell(tg harness.Target, cfg harness.Config, reps int, metricsOn bool, tr
 	}
 	cell.OpsPerSec = runs
 	cell.MedianOpsPerSec = stats.Median(runs)
-	if sampled {
+	if cell.Metrics != nil {
 		cell.finishLatency(&agg)
 	}
-	return runs, cell
-}
-
-// batchModeDeps carries the flag-derived settings into -batch mode.
-type batchModeDeps struct {
-	duration    time.Duration
-	reps        int
-	seed        uint64
-	zipfS       float64
-	reclaim     bool
-	prefill     bool
-	metricsOn   bool
-	traceSample int
-	csvTable    *stats.Table
-	doc         *benchJSON
-}
-
-// runBatchMode measures the nm tree's batched entry points against its own
-// single-op loop: one table per (key range × workload) with a row per
-// thread count and a column per batch size, followed by the amortization
-// summary. Identical workload generators feed every cell, so a column's
-// gain is purely the batch path — one epoch pin per group and sorted
-// path-sharing seeks.
-func runBatchMode(keyRanges []int, mixes []workload.Mix, threads, sizes []int, d batchModeDeps) {
-	nm, err := harness.TargetByName(harness.TargetNM)
-	fatal(err)
-	fmt.Printf("# bstbench: batch amortization on %s — %d key ranges × %d workloads × %d thread counts × batch sizes %v\n",
-		nm.Name, len(keyRanges), len(mixes), len(threads), sizes)
-	fmt.Printf("# GOMAXPROCS=%d duration/cell=%v reps=%d zipf=%v reclaim=%v\n",
-		runtime.GOMAXPROCS(0), d.duration, d.reps, d.zipfS, d.reclaim)
-
-	for _, kr := range keyRanges {
-		for _, mix := range mixes {
-			if d.csvTable == nil {
-				fmt.Printf("\n== key range %d, workload %s, batched ==\n", kr, mix.Name)
-			}
-			header := []string{"threads"}
-			for _, b := range sizes {
-				header = append(header, fmt.Sprintf("batch=%d", b))
-			}
-			tbl := stats.NewTable(header...)
-			tp := make(map[int][]float64, len(sizes)) // batch size → per-thread medians
-			for _, th := range threads {
-				row := []any{th}
-				for _, b := range sizes {
-					cfg := harness.Config{
-						Threads:   th,
-						Duration:  d.duration,
-						KeyRange:  int64(kr),
-						Mix:       mix,
-						Seed:      d.seed,
-						Prefill:   d.prefill,
-						ZipfS:     d.zipfS,
-						Reclaim:   d.reclaim,
-						BatchSize: b,
-					}
-					runs, cell := runCell(nm, cfg, d.reps, d.metricsOn, d.traceSample)
-					v := stats.Median(runs)
-					tp[b] = append(tp[b], v)
-					row = append(row, stats.HumanCount(v))
-					if d.csvTable != nil {
-						d.csvTable.AddRow(kr, mix.Name, th, fmt.Sprintf("nm[b=%d]", b), v)
-					}
-					if d.doc != nil {
-						cell.BatchSize = b
-						d.doc.Cells = append(d.doc.Cells, cell)
-					}
-				}
-				tbl.AddRow(row...)
-			}
-			if d.csvTable == nil {
-				fmt.Print(tbl.String())
-				printBatchSpeedups(tp, sizes, threads)
-			}
-		}
-	}
-}
-
-// runShardMode measures the nm tree partitioned into a forest: one table
-// per (key range × workload) with a row per thread count and a column per
-// shard count, followed by the scaling summary against the shards=1
-// column. Identical workload generators feed every cell, so a column's
-// gain is purely the partitioning — per-shard arenas remove allocation-path
-// sharing and per-shard epoch domains shrink reclamation scopes.
-func runShardMode(keyRanges []int, mixes []workload.Mix, threads, counts []int, d batchModeDeps) {
-	nm, err := harness.TargetByName(harness.TargetNM)
-	fatal(err)
-	fmt.Printf("# bstbench: sharded forest scaling on %s — %d key ranges × %d workloads × %d thread counts × shard counts %v\n",
-		nm.Name, len(keyRanges), len(mixes), len(threads), counts)
-	fmt.Printf("# GOMAXPROCS=%d duration/cell=%v reps=%d zipf=%v reclaim=%v\n",
-		runtime.GOMAXPROCS(0), d.duration, d.reps, d.zipfS, d.reclaim)
-
-	for _, kr := range keyRanges {
-		for _, mix := range mixes {
-			if d.csvTable == nil {
-				fmt.Printf("\n== key range %d, workload %s, sharded ==\n", kr, mix.Name)
-			}
-			header := []string{"threads"}
-			for _, n := range counts {
-				header = append(header, fmt.Sprintf("shards=%d", n))
-			}
-			tbl := stats.NewTable(header...)
-			tp := make(map[int][]float64, len(counts)) // shard count → per-thread medians
-			for _, th := range threads {
-				row := []any{th}
-				for _, n := range counts {
-					cfg := harness.Config{
-						Threads:  th,
-						Duration: d.duration,
-						KeyRange: int64(kr),
-						Mix:      mix,
-						Seed:     d.seed,
-						Prefill:  d.prefill,
-						ZipfS:    d.zipfS,
-						Reclaim:  d.reclaim,
-						Shards:   n,
-					}
-					runs, cell := runCell(nm, cfg, d.reps, d.metricsOn, d.traceSample)
-					v := stats.Median(runs)
-					tp[n] = append(tp[n], v)
-					row = append(row, stats.HumanCount(v))
-					if d.csvTable != nil {
-						d.csvTable.AddRow(kr, mix.Name, th, fmt.Sprintf("nm[s=%d]", n), v)
-					}
-					if d.doc != nil {
-						cell.Shards = n
-						d.doc.Cells = append(d.doc.Cells, cell)
-					}
-				}
-				tbl.AddRow(row...)
-			}
-			if d.csvTable == nil {
-				fmt.Print(tbl.String())
-				printShardSpeedups(tp, counts, threads)
-			}
-		}
-	}
-}
-
-// printShardSpeedups reports each shard count's gain over the single-tree
-// baseline column (shards=1), when that baseline was measured.
-func printShardSpeedups(tp map[int][]float64, counts, threads []int) {
-	base, ok := tp[1]
-	if !ok {
-		return
-	}
-	for _, n := range counts {
-		if n == 1 {
-			continue
-		}
-		series := tp[n]
-		lo, hi := 0.0, 0.0
-		for i := range series {
-			s := stats.Speedup(series[i], base[i])
-			if i == 0 || s < lo {
-				lo = s
-			}
-			if i == 0 || s > hi {
-				hi = s
-			}
-		}
-		fmt.Printf("  shards=%-3d vs single tree: %+.0f%% .. %+.0f%% (across %d thread counts)\n", n, lo, hi, len(threads))
-	}
-}
-
-// printBatchSpeedups reports each batch size's gain over the single-op
-// baseline column (batch size 1), when that baseline was measured.
-func printBatchSpeedups(tp map[int][]float64, sizes, threads []int) {
-	base, ok := tp[1]
-	if !ok {
-		return
-	}
-	for _, b := range sizes {
-		if b == 1 {
-			continue
-		}
-		series := tp[b]
-		lo, hi := 0.0, 0.0
-		for i := range series {
-			s := stats.Speedup(series[i], base[i])
-			if i == 0 || s < lo {
-				lo = s
-			}
-			if i == 0 || s > hi {
-				hi = s
-			}
-		}
-		fmt.Printf("  batch=%-3d vs single-op: %+.0f%% .. %+.0f%% (across %d thread counts)\n", b, lo, hi, len(threads))
-	}
-}
-
-// printSpeedups reports the paper-style "NM outperforms X by a%-b%" lines.
-func printSpeedups(tp map[string][]float64, threads []int) {
-	nm, ok := tp[harness.TargetNM]
-	if !ok {
-		return
-	}
-	for name, series := range tp {
-		if name == harness.TargetNM {
-			continue
-		}
-		lo, hi := 0.0, 0.0
-		for i := range series {
-			s := stats.Speedup(nm[i], series[i])
-			if i == 0 || s < lo {
-				lo = s
-			}
-			if i == 0 || s > hi {
-				hi = s
-			}
-		}
-		fmt.Printf("  nm vs %-8s: %+.0f%% .. %+.0f%% (across %d thread counts)\n", name, lo, hi, len(threads))
-	}
+	return cell
 }
 
 func parseTargets(s string) ([]harness.Target, error) {
@@ -498,14 +396,6 @@ func parseTargets(s string) ([]harness.Target, error) {
 		return nil, fmt.Errorf("no targets given")
 	}
 	return out, nil
-}
-
-func names(ts []harness.Target) []string {
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = t.Name
-	}
-	return out
 }
 
 func parseInts(s string) ([]int, error) {

@@ -117,22 +117,6 @@ func (t *termLeaders) check() error {
 	return nil
 }
 
-// waitHealth polls adminAddr until cond is satisfied or the budget runs
-// out. The last health (and fetch error) ride along in the failure.
-func waitHealth(adminAddr, what string, budget time.Duration, cond func(clusterHealth) bool) (clusterHealth, error) {
-	deadline := time.Now().Add(budget)
-	for {
-		h, err := fetchHealth(adminAddr)
-		if err == nil && cond(h) {
-			return h, nil
-		}
-		if time.Now().After(deadline) {
-			return h, fmt.Errorf("%s: not reached within %v (last health %+v, err %v)", what, budget, h.Cluster, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 func chaosRound(workers int, seed uint64) (err error) {
 	logf := func(format string, a ...any) { fmt.Printf("chaos: "+format+"\n", a...) }
 	logf("seed=%d workers=%d", seed, workers)
@@ -146,7 +130,7 @@ func chaosRound(workers int, seed uint64) (err error) {
 		defer os.RemoveAll(d)
 		dirs[i] = d
 	}
-	if err := seedFailoverStore(dirs[0], seed, chaosSnapKeys, chaosTailOps); err != nil {
+	if err := seedStore(dirs[0], seed, chaosSnapKeys, chaosTailOps); err != nil {
 		return fmt.Errorf("seeding leader store: %w", err)
 	}
 
@@ -322,19 +306,9 @@ func chaosRound(workers int, seed uint64) (err error) {
 		return err
 	}
 	defer clB.Close()
-	var servedB time.Duration
-	for {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		ok, werr := clB.Insert(ctx, chaosProbeB)
-		cancel()
-		if werr == nil && ok {
-			servedB = time.Since(partStart)
-			break
-		}
-		if time.Since(partStart) > recoveryBudget {
-			return fmt.Errorf("B not serving writes %v after the partition (budget %v; last err %v)",
-				time.Since(partStart).Round(time.Millisecond), recoveryBudget, werr)
-		}
+	servedB, err := firstWrite(clB, chaosProbeB, partStart, "B", "the partition")
+	if err != nil {
+		return err
 	}
 	logf("B self-promoted to term %d in %v, serving writes in %v (lease %v + hold-off %v budget, hard cap %v)",
 		termB, promotedIn.Round(time.Millisecond), servedB.Round(time.Millisecond), chaosLease, chaosHoldOff, recoveryBudget)
@@ -458,19 +432,9 @@ func chaosRound(workers int, seed uint64) (err error) {
 			dumpSlowOps(c.admin)
 		}
 	}()
-	var servedC time.Duration
-	for {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		ok, werr := clC.Insert(ctx, chaosProbeC)
-		cancel()
-		if werr == nil && ok {
-			servedC = time.Since(killStart)
-			break
-		}
-		if time.Since(killStart) > recoveryBudget {
-			return fmt.Errorf("C not serving writes %v after kill -9 of B (budget %v; last err %v)",
-				time.Since(killStart).Round(time.Millisecond), recoveryBudget, werr)
-		}
+	servedC, err := firstWrite(clC, chaosProbeC, killStart, "C", "kill -9 of B")
+	if err != nil {
+		return err
 	}
 	logf("B killed mid-load; C self-promoted to term %d, serving writes %v after the kill",
 		termC, servedC.Round(time.Millisecond))

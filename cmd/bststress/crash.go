@@ -313,59 +313,12 @@ func recoveryClock(seed uint64, shards int) error {
 	}
 	defer os.RemoveAll(dir)
 
-	// Build: 1M keys (shuffled — sequential inserts would spine the live
-	// tree), one checkpoint, then a 100k-op tail that only the WAL holds.
-	// sync=none keeps the build fast; the records still reach the file
-	// through the flusher before CloseDirty returns. With shards > 1 the
-	// keys spread evenly across lanes (the routed range is exactly the key
-	// set), so the timed reopen measures parallel lane replay.
+	// With shards > 1 the keys spread evenly across lanes (the routed range
+	// is exactly the key set), so the timed reopen measures parallel lane
+	// replay.
 	clockOpts := shardTreeOpts(shards, snapKeys+tailOps)
-	dur, err := durable.Open(dir, durable.Options{Sync: wal.SyncNone, TreeOptions: clockOpts})
-	if err != nil {
+	if err := seedStore(dir, seed, snapKeys, tailOps, clockOpts...); err != nil {
 		return err
-	}
-	keys := make([]int64, snapKeys+tailOps)
-	for i := range keys {
-		keys[i] = int64(i)
-	}
-	rng := rand.New(rand.NewSource(int64(seed)))
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-
-	acc := dur.NewAccessor()
-	insertAll := func(ks []int64) error {
-		out := make([]bst.OpResult, 4096)
-		for len(ks) > 0 {
-			n := min(len(ks), 4096)
-			acc.InsertBatch(ks[:n], out[:n])
-			for i := 0; i < n; i++ {
-				if out[i].Err != nil || !out[i].OK {
-					return fmt.Errorf("build InsertBatch(%d) = %+v", ks[i], out[i])
-				}
-			}
-			ks = ks[n:]
-		}
-		return nil
-	}
-	if err := insertAll(keys[:snapKeys]); err != nil {
-		acc.Close()
-		return err
-	}
-	ck, err := dur.Checkpoint()
-	if err != nil {
-		acc.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if ck.Keys != snapKeys {
-		acc.Close()
-		return fmt.Errorf("checkpoint covered %d keys, want %d", ck.Keys, snapKeys)
-	}
-	if err := insertAll(keys[snapKeys:]); err != nil {
-		acc.Close()
-		return err
-	}
-	acc.Close()
-	if err := dur.Crash(); err != nil {
-		return fmt.Errorf("Crash: %w", err)
 	}
 
 	start := time.Now()
@@ -393,6 +346,62 @@ func recoveryClock(seed uint64, shards int) error {
 		snapKeys, tailOps, dur2.Shards(), elapsed.Round(time.Millisecond), recoveryBudget)
 	if elapsed > recoveryBudget {
 		return fmt.Errorf("recovery took %v, over the %v budget", elapsed, recoveryBudget)
+	}
+	return nil
+}
+
+// seedStore builds a durable store in dir that a later open must recover:
+// the keys 0..snap+tail-1 inserted shuffled (sequential inserts would
+// spine the live tree), a checkpoint once snap of them are in, then the
+// tail that only the WAL holds, ended with a dirty close. sync=none keeps
+// the build fast; the records still reach the file through the flusher
+// before Crash returns. opts are the store's TreeOptions, which every later
+// open of dir must repeat.
+func seedStore(dir string, seed uint64, snap, tail int, opts ...bst.Option) error {
+	dur, err := durable.Open(dir, durable.Options{Sync: wal.SyncNone, TreeOptions: opts})
+	if err != nil {
+		return err
+	}
+	keys := make([]int64, snap+tail)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	rng := rand.New(rand.NewSource(int64(seed)))
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+
+	acc := dur.NewAccessor()
+	insertAll := func(ks []int64) error {
+		out := make([]bst.OpResult, 4096)
+		for len(ks) > 0 {
+			n := min(len(ks), 4096)
+			acc.InsertBatch(ks[:n], out[:n])
+			for i := 0; i < n; i++ {
+				if out[i].Err != nil || !out[i].OK {
+					return fmt.Errorf("seed InsertBatch(%d) = %+v", ks[i], out[i])
+				}
+			}
+			ks = ks[n:]
+		}
+		return nil
+	}
+	err = insertAll(keys[:snap])
+	if err == nil {
+		var ck durable.CheckpointStats
+		if ck, err = dur.Checkpoint(); err != nil {
+			err = fmt.Errorf("seed checkpoint: %w", err)
+		} else if ck.Keys != uint64(snap) {
+			err = fmt.Errorf("seed checkpoint covered %d keys, want %d", ck.Keys, snap)
+		}
+	}
+	if err == nil {
+		err = insertAll(keys[snap:])
+	}
+	acc.Close()
+	if err != nil {
+		return err
+	}
+	if err := dur.Crash(); err != nil {
+		return fmt.Errorf("Crash: %w", err)
 	}
 	return nil
 }

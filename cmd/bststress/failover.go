@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -16,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	bst "repro"
 	"repro/internal/client"
 	"repro/internal/durable"
 	"repro/internal/logx"
@@ -243,51 +241,39 @@ func fetchHealth(adminAddr string) (clusterHealth, error) {
 	return h, json.NewDecoder(resp.Body).Decode(&h)
 }
 
-// seedFailoverStore builds the leader's starting state on disk: snap
-// shuffled inserts, a checkpoint, then a tail of inserts that only the
-// WAL holds, ended with a dirty close — so the leader child recovers a
-// real snapshot + tail, and the follower's catch-up must cross both.
-func seedFailoverStore(dir string, seed uint64, snap, tail int) error {
-	dur, err := durable.Open(dir, durable.Options{Sync: wal.SyncNone})
-	if err != nil {
-		return err
-	}
-	ks := make([]int64, snap+tail)
-	for i := range ks {
-		ks[i] = int64(i)
-	}
-	rng := rand.New(rand.NewSource(int64(seed)))
-	rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
-
-	acc := dur.NewAccessor()
-	insertAll := func(part []int64) error {
-		out := make([]bst.OpResult, 4096)
-		for len(part) > 0 {
-			n := min(len(part), 4096)
-			acc.InsertBatch(part[:n], out[:n])
-			for i := 0; i < n; i++ {
-				if out[i].Err != nil || !out[i].OK {
-					return fmt.Errorf("seed InsertBatch(%d) = %+v", part[i], out[i])
-				}
-			}
-			part = part[n:]
+// waitHealth polls adminAddr until cond is satisfied or the budget runs
+// out. The last health (and fetch error) ride along in the failure.
+func waitHealth(adminAddr, what string, budget time.Duration, cond func(clusterHealth) bool) (clusterHealth, error) {
+	deadline := time.Now().Add(budget)
+	for {
+		h, err := fetchHealth(adminAddr)
+		if err == nil && cond(h) {
+			return h, nil
 		}
-		return nil
+		if time.Now().After(deadline) {
+			return h, fmt.Errorf("%s: not reached within %v (last health %+v, err %v)", what, budget, h.Cluster, err)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	if err := insertAll(ks[:snap]); err != nil {
-		acc.Close()
-		return err
+}
+
+// firstWrite retries an insert of key through cl until a node
+// acknowledges it, and returns how long after since that was. It fails
+// once recoveryBudget has passed since since; who names the node and after
+// the event since marks.
+func firstWrite(cl *client.Client, key int64, since time.Time, who, after string) (time.Duration, error) {
+	for {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		ok, err := cl.Insert(ctx, key)
+		cancel()
+		if err == nil && ok {
+			return time.Since(since), nil
+		}
+		if time.Since(since) > recoveryBudget {
+			return 0, fmt.Errorf("%s not serving writes %v after %s (budget %v; last err %v)",
+				who, time.Since(since).Round(time.Millisecond), after, recoveryBudget, err)
+		}
 	}
-	if _, err := dur.Checkpoint(); err != nil {
-		acc.Close()
-		return fmt.Errorf("seed checkpoint: %w", err)
-	}
-	if err := insertAll(ks[snap:]); err != nil {
-		acc.Close()
-		return err
-	}
-	acc.Close()
-	return dur.Crash()
 }
 
 const probeKey = int64(1) << 60 // first write on the promoted node
@@ -304,7 +290,7 @@ func failoverRound(workers int, seed uint64) (err error) {
 	}
 	defer os.RemoveAll(followerDir)
 
-	if err := seedFailoverStore(leaderDir, seed, snapKeys, tailOps); err != nil {
+	if err := seedStore(leaderDir, seed, snapKeys, tailOps); err != nil {
 		return fmt.Errorf("seeding leader store: %w", err)
 	}
 
@@ -323,15 +309,10 @@ func failoverRound(workers int, seed uint64) (err error) {
 	// bulk-load + 1.1M-op horizon): the leader is semi-sync, so writes
 	// before a follower connects would only time out.
 	catchup := time.Now()
-	for {
-		h, err := fetchHealth(leader.admin)
-		if err == nil && h.Cluster.Followers >= 1 && h.Cluster.AckedSeq >= h.Cluster.AppliedSeq && h.Cluster.AppliedSeq > 0 {
-			break
-		}
-		if time.Since(catchup) > 120*time.Second {
-			return fmt.Errorf("follower never caught up to the leader (last health: %+v, err: %v)", h, err)
-		}
-		time.Sleep(50 * time.Millisecond)
+	if _, err := waitHealth(leader.admin, "follower catch-up", 120*time.Second, func(h clusterHealth) bool {
+		return h.Cluster.Followers >= 1 && h.Cluster.AckedSeq >= h.Cluster.AppliedSeq && h.Cluster.AppliedSeq > 0
+	}); err != nil {
+		return err
 	}
 	fmt.Printf("failover: follower caught up %d-key + %d-op seed in %v\n",
 		snapKeys, tailOps, time.Since(catchup).Round(time.Millisecond))
@@ -378,19 +359,9 @@ func failoverRound(workers int, seed uint64) (err error) {
 			dumpSlowOps(follower.admin)
 		}
 	}()
-	var served time.Duration
-	for {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		ok, err := cl.Insert(ctx, probeKey)
-		cancel()
-		if err == nil && ok {
-			served = time.Since(killStart)
-			break
-		}
-		if time.Since(killStart) > recoveryBudget {
-			return fmt.Errorf("promoted node not serving writes %v after the kill (budget %v; last err %v)",
-				time.Since(killStart).Round(time.Millisecond), recoveryBudget, err)
-		}
+	served, err := firstWrite(cl, probeKey, killStart, "promoted node", "the kill")
+	if err != nil {
+		return err
 	}
 
 	// Audit over the wire against the promoted node. Semi-sync made every

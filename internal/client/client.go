@@ -135,8 +135,6 @@ type Config struct {
 	// Conns bounds concurrent requests (one per pooled connection).
 	// Default 4.
 	Conns int
-	// DialTimeout bounds each dial attempt. Default 2s.
-	DialTimeout time.Duration
 	// MaxAttempts is the total tries per operation (first attempt
 	// included). Default 8; 1 disables retries.
 	MaxAttempts int
@@ -254,9 +252,6 @@ func Dial(cfg Config) (*Client, error) {
 	if cfg.Conns <= 0 {
 		cfg.Conns = 4
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 8
 	}
@@ -333,6 +328,9 @@ func (cl *Client) invalidateLeader() {
 // leaderFailThreshold is how many consecutive dial failures of the
 // learned leader the client tolerates before invalidating the cache.
 const leaderFailThreshold = 2
+
+// dialTimeout bounds each dial attempt, pooled or pipelined.
+const dialTimeout = 2 * time.Second
 
 // noteBackpressure raises the adaptive backoff level (saturating).
 func (cl *Client) noteBackpressure() {
@@ -600,7 +598,7 @@ func (cl *Client) acquire(ctx context.Context) (*conn, error) {
 		c = nil
 	}
 	if c == nil {
-		nc, err := net.DialTimeout("tcp", addr, cl.cfg.DialTimeout)
+		nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err != nil {
 			// A learned leader that repeatedly stops dialing is stale
 			// topology: forget it so later attempts fall back to the seed

@@ -64,7 +64,7 @@ type Future struct {
 // caller must Close the pipeline; outstanding futures then fail over to
 // the pooled path when waited on.
 func (cl *Client) NewPipeline(ctx context.Context) (*Pipeline, error) {
-	d := net.Dialer{Timeout: cl.cfg.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	nc, err := d.DialContext(ctx, "tcp", cl.targetAddr())
 	if err != nil {
 		return nil, fmt.Errorf("client: pipeline dial: %w", err)

@@ -11,16 +11,18 @@ import (
 // insert or delete, exactly the internal/metrics sharding pattern. Writers
 // never CAS a shared summary word — the whole point of the lazy
 // augmentation design is that the paper's one-CAS insert and three-atomic
-// delete stay untouched — so the counter is a plain store over a load on a
-// line owned by one goroutine, and reading the total is a sum over shards
+// delete stay untouched — so the counter is an atomic load and store on a
+// line owned by one goroutine (on amd64 the store is an XCHGQ: one
+// uncontended locked exchange that never fails, and not one of the CAS/BTS
+// instructions Table 1 counts), and reading the total is a sum over shards
 // that is exact once the tree is quiescent and monotonically
 // under-approximate while it is not.
 //
 // Each shard also logs the mapped key of every mutation it counts, in a
 // fixed ring the handle owns: the key is stored at ring[n&mask] before the
 // count moves to n+1. That lets the refresher learn which key ranges
-// changed (Drain) and rescan only those, again without any read-modify-
-// write on the writer side.
+// changed (Drain) and rescan only those, again without a CAS or BTS on the
+// writer side.
 //
 // The ordering contract the orderstat layer depends on: a mutation's bump
 // happens before the mutating call returns. Any mutation whose caller has
@@ -52,9 +54,11 @@ type DirtyShard struct {
 	drained uint64
 }
 
-// Bump records one successful mutation of key. Single-writer: two stores
-// and a load on memory the handle owns, not an RMW. The key is stored
-// before the count, so a reader that sees the count also sees the key.
+// Bump records one successful mutation of key. Single-writer: a load and
+// two atomic stores on memory the handle owns; on amd64 each store is an
+// uncontended locked exchange (XCHGQ) that never fails, and none is a CAS
+// or BTS. The key is stored before the count, so a reader that sees the
+// count also sees the key.
 func (s *DirtyShard) Bump(key uint64) {
 	n := s.n.Load()
 	s.ring[n&(DirtyRing-1)].Store(key)

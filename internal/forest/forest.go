@@ -392,17 +392,6 @@ func (h *Handle) Range(lo, hi uint64, yield func(key uint64) bool) {
 	}
 }
 
-// Stats sums the per-shard handle statistics.
-func (h *Handle) Stats() core.Stats {
-	var s core.Stats
-	for _, ch := range h.hs {
-		if ch != nil {
-			s.Add(ch.Stats)
-		}
-	}
-	return s
-}
-
 // Close releases every shard handle's resources (epoch slots, reserved
 // arena indices, metrics shards).
 func (h *Handle) Close() {

@@ -12,10 +12,12 @@
 //
 // A Registry owns one Shard per tree handle. A shard is written by exactly
 // one goroutine (handles are single-goroutine by contract), so its counters
-// are updated with plain atomic store/load pairs — a MOV pair on x86-64,
-// not a LOCK ADD — and never contended. Shards are cache-line padded so
-// neighbouring shards never false-share. Scrapers sum all shards; a scrape
-// never blocks a writer.
+// are updated with an atomic load and an atomic store, never an atomic add.
+// On amd64 the store compiles to XCHGQ, which is implicitly locked: one
+// uncontended locked exchange per bump, on a line one handle owns. It never
+// fails, and it is not one of the CAS/BTS instructions Table 1 counts.
+// Shards are cache-line padded so neighbouring shards never false-share.
+// Scrapers sum all shards; a scrape never blocks a writer.
 //
 // Latency is recorded into power-of-two-bucket histograms: bucket i counts
 // operations whose duration d satisfies bits.Len64(d ns) == i, i.e.
@@ -192,9 +194,10 @@ type Shard struct {
 	_        [shardPad]byte
 }
 
-// Inc adds 1 to counter c. Single-writer: uses a store/load pair instead of
-// an atomic RMW, which is both cheaper and sufficient (atomicity is only
-// needed against concurrent *readers*).
+// Inc adds 1 to counter c. Single-writer: an atomic load and store instead
+// of an atomic add, which is sufficient (atomicity is only needed against
+// concurrent *readers*). The store is still a locked exchange (XCHGQ) on
+// amd64, uncontended on a line this shard owns; it never fails.
 func (s *Shard) Inc(c Counter) {
 	v := &s.counters[c]
 	v.Store(v.Load() + 1)

@@ -17,8 +17,9 @@
 //
 // Instead, writers only bump a per-handle sharded dirty counter and log
 // the mutated key in a ring the handle owns (core.Config.TrackDirty — the
-// internal/metrics single-writer pattern: plain stores on memory the
-// handle owns, no RMW), and a refresher reconciles summaries in waves:
+// internal/metrics single-writer pattern: atomic stores on memory the
+// handle owns, each an uncontended locked exchange on amd64, no CAS), and
+// a refresher reconciles summaries in waves:
 //
 //	keys, d0 := dirty.Drain()      // before any walk
 //	for each bucket a drained key falls in:

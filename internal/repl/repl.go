@@ -590,7 +590,7 @@ func (n *Node) appliedWake() <-chan struct{} {
 // of advancing the watermark — and an ack from an older term is not
 // counted either (the subscriber predates our promotion; it re-acks with
 // the right term within a heartbeat). Term 0 is a bootstrap follower that
-// has not heard any term yet (or a legacy frame) and is counted.
+// has not heard any term yet, and is counted.
 func (n *Node) noteAck(applied, term uint64) {
 	n.c.acksReceived.Add(1)
 	if our := n.term.Load(); term != 0 && term != our {

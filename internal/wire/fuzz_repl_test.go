@@ -82,9 +82,8 @@ func FuzzDecodeReplAck(f *testing.F) {
 	f.Add(AppendReplAck(nil, Ack{}))
 	f.Add(AppendReplAck(nil, Ack{AppliedSeq: 7})[:10])
 	f.Add(AppendReplAck(nil, Ack{AppliedSeq: 12, DurableSeq: 12, Trace: tracedCtx, TraceSeq: 12}))
-	// Term-carrying acks, and the legacy 16-byte body (no term field) that
-	// must still decode with Term 0 — the term is the last 8 bytes, so the
-	// truncation drops exactly it.
+	// A term-carrying ack, and the same ack without its term (the last 8
+	// bytes): a 16-byte body, which must be rejected as truncated.
 	f.Add(AppendReplAck(nil, Ack{AppliedSeq: 50, DurableSeq: 50, Term: 7}))
 	full := AppendReplAck(nil, Ack{AppliedSeq: 8, DurableSeq: 8, Term: 3})
 	f.Add(full[:len(full)-8])

@@ -35,10 +35,9 @@
 //	ReplAck:
 //	  uint64 appliedSeq      newest record applied to the follower's tree
 //	  uint64 durableSeq      newest record fsynced by the follower's WAL
-//	  uint64 term            highest term the acker has observed (absent on
-//	                         legacy 16-byte acks, decoded as 0 = unknown);
-//	                         a semi-sync leader refuses to count acks from
-//	                         a newer term — they prove it was deposed
+//	  uint64 term            highest term the acker has observed (0 = none
+//	                         yet); a semi-sync leader refuses to count acks
+//	                         from a newer term — they prove it was deposed
 //
 //	ReplStatus (either direction, on a dedicated probe connection):
 //	  uint64 term
@@ -292,24 +291,21 @@ func AppendReplAck(dst []byte, a Ack) []byte {
 	return dst
 }
 
-// DecodeReplAck decodes a ReplAck payload. A legacy 16-byte body (no term
-// field) decodes with Term 0 so old frames stay readable; the encoder
-// always writes the term.
+// DecodeReplAck decodes a ReplAck payload: exactly the 24-byte body
+// AppendReplAck writes.
 func DecodeReplAck(frame []byte) (Ack, error) {
 	var a Ack
 	rest, tc, seq, err := replBody(frame, ReplAck)
 	if err != nil {
 		return a, err
 	}
-	if len(rest) != 8+8 && len(rest) != 8+8+8 {
+	if len(rest) != 8+8+8 {
 		return a, ErrTruncated
 	}
 	a.Trace, a.TraceSeq = tc, seq
 	a.AppliedSeq = binary.BigEndian.Uint64(rest[0:8])
 	a.DurableSeq = binary.BigEndian.Uint64(rest[8:16])
-	if len(rest) == 8+8+8 {
-		a.Term = binary.BigEndian.Uint64(rest[16:24])
-	}
+	a.Term = binary.BigEndian.Uint64(rest[16:24])
 	return a, nil
 }
 

@@ -60,6 +60,15 @@ func TestReplAckRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplAckRejectsTermlessBody: AppendReplAck always writes the term,
+// so a 16-byte body (the same ack without its last 8 bytes) is truncated.
+func TestReplAckRejectsTermlessBody(t *testing.T) {
+	full := AppendReplAck(nil, Ack{AppliedSeq: 8, DurableSeq: 8, Term: 3})
+	if _, err := DecodeReplAck(full[:len(full)-8]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("16-byte ack body: got %v, want ErrTruncated", err)
+	}
+}
+
 func TestReplSnapshotRoundTrip(t *testing.T) {
 	want := SnapshotChunk{WALSeq: 55, Final: true, Keys: []int64{-9, -1, 0, 3, 1 << 50}}
 	got, err := DecodeReplSnapshot(AppendReplSnapshot(nil, want))

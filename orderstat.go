@@ -14,8 +14,9 @@ import (
 // O(log n) instead of an O(range) scan.
 // Writers pay one nil-checked counter bump per successful mutation, which
 // also logs the key so a refresh rescans only the key ranges that changed;
-// no atomic read-modify-write is added to the lock-free hot paths. Every
-// query names its consistency: Exact answers are equivalent to an
+// no CAS or BTS is added to the lock-free hot paths (the bump's two stores
+// are uncontended locked exchanges on amd64, on memory the handle owns).
+// Every query names its consistency: Exact answers are equivalent to an
 // epoch-pinned scan at the query's linearization point (forcing a summary
 // refresh wave when mutations have completed since the last one),
 // BoundedStale(m) accepts answers at most m completed mutations old in
