@@ -7,8 +7,9 @@
 # recover, audit every acked mutation, clock a 1M-key recovery), the
 # failover-stress replication gate (kill -9 a semi-sync leader mid-load,
 # promote the follower, audit every acked mutation on the new leader), a
-# fuzz smoke over the wire-frame and WAL-record decoders and the core
-# tree's single and batched operations, the tracing overhead gate
+# fuzz smoke over the wire-frame and WAL-record decoders, the core
+# tree's single and batched operations and the order-statistics waves,
+# the tracing overhead gate
 # (flight recorder installed with sampling off must stay within 1% of
 # untraced, sampled hot path must not allocate), one small table of every
 # bstbench grid (BENCH_fig4_smoke.json, BENCH_batch_smoke.json,
@@ -16,14 +17,20 @@
 # order-statistics gates (Exact-mode linearizability bracket checker and
 # the CountRange-vs-scan ≥10x speedup floor), and vet plus the unit tests
 # of the perfbench module.
+#
+# The bench targets write their JSON under $(BENCH_OUT), which git
+# ignores, so `make ci` leaves the checked-in BENCH_*.json baselines
+# alone. `make bench` runs them and copies the results over the
+# baselines: it is the one re-baselining step.
 
 GO ?= go
+BENCH_OUT = .bench_build/ci
 
 .PHONY: ci fmt-check vet build test race serve-smoke batch-stress \
 	crash-stress failover-stress chaos fuzz-smoke trace-overhead \
 	bench-fig4-smoke bench-batch-smoke bench-durable-smoke shard-smoke \
 	bench-shard-smoke aggregate-stress aggregate-smoke perfbench-check \
-	stress clean-data
+	bench stress clean-data
 
 ci: fmt-check vet build test race serve-smoke batch-stress crash-stress \
 	failover-stress chaos fuzz-smoke trace-overhead bench-fig4-smoke \
@@ -105,13 +112,15 @@ chaos:
 	done; \
 	grep "^chaos: OK" chaos_round.log
 
-# Short fuzz budgets over every frame/record decoder and the core tree's
+# Short fuzz budgets over every frame/record decoder, the core tree's
 # model-equivalence programs (single and batched ops, with and without
-# reclamation); decoder seed corpora are checked in under testdata/fuzz.
+# reclamation) and the order-statistics waves against a full walk;
+# decoder seed corpora are checked in under testdata/fuzz.
 # Run `go test -fuzz <name> ./internal/...` to fuzz for longer.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzModelEquivalence$$' -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReclaimEquivalence$$' -fuzztime 5s
+	$(GO) test ./internal/orderstat -run '^$$' -fuzz '^FuzzWavesMatchFullWalk$$' -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBatchOps$$' -fuzztime 5s
@@ -138,24 +147,28 @@ trace-overhead:
 # One small Figure 4 table: the paper's four trees at 1K keys, mixed,
 # 1 and 2 threads. Metrics stay off: they instrument only the NM cells, so
 # a paper-figure cell recorded with them on handicaps the paper's own
-# algorithm. The JSON lands in BENCH_fig4_smoke.json for the CI artifact
-# upload.
+# algorithm. The JSON lands in $(BENCH_OUT)/BENCH_fig4_smoke.json for the
+# CI artifact upload.
 bench-fig4-smoke:
+	@mkdir -p $(BENCH_OUT)
 	$(GO) run ./cmd/bstbench -targets nm,efrb,hj,bcco -keyranges 1000 -workloads mixed \
-		-threads 1,2 -duration 200ms -json BENCH_fig4_smoke.json
+		-threads 1,2 -duration 200ms -json $(BENCH_OUT)/BENCH_fig4_smoke.json
 
 # One batch-amortization table on a 1M-key prefill: batch sizes 1, 8 and
 # 64 against each other at one thread, 5 reps per cell. The JSON lands in
-# BENCH_batch_smoke.json for the CI artifact upload.
+# $(BENCH_OUT)/BENCH_batch_smoke.json for the CI artifact upload.
 bench-batch-smoke:
+	@mkdir -p $(BENCH_OUT)
 	$(GO) run ./cmd/bstbench -batch -batchsizes 1,8,64 -keyranges 1000000 -workloads mixed \
-		-threads 1 -duration 1s -reps 5 -json BENCH_batch_smoke.json
+		-threads 1 -duration 1s -reps 5 -json $(BENCH_OUT)/BENCH_batch_smoke.json
 
 # One small durable-overhead table (in-memory vs none/interval/fsync);
-# the JSON lands in BENCH_durable_smoke.json for the CI artifact upload.
+# the JSON lands in $(BENCH_OUT)/BENCH_durable_smoke.json for the CI
+# artifact upload.
 bench-durable-smoke:
+	@mkdir -p $(BENCH_OUT)
 	$(GO) run ./cmd/bstbench -durable -keyranges 10000 -workloads write-dominated \
-		-threads 2,8 -duration 200ms -json BENCH_durable_smoke.json
+		-threads 2,8 -duration 200ms -json $(BENCH_OUT)/BENCH_durable_smoke.json
 
 # The sharded-forest gate: a race pass over the shard routing, forest
 # batch fan-out, merged scans, and the per-lane WAL/snapshot/recovery
@@ -168,12 +181,14 @@ shard-smoke:
 	grep "^crash phase" shard_crash_round.log
 
 # One small shards=1-vs-8 scaling table on the mixed workload; the JSON
-# lands in BENCH_shard_smoke.json for the CI artifact upload. No speedup
-# assertion here: shard scaling needs real cores, and CI runners vary —
-# EXPERIMENTS.md records measured numbers from a pinned host.
+# lands in $(BENCH_OUT)/BENCH_shard_smoke.json for the CI artifact
+# upload. No speedup assertion here: shard scaling needs real cores, and
+# CI runners vary — EXPERIMENTS.md records measured numbers from a pinned
+# host.
 bench-shard-smoke:
+	@mkdir -p $(BENCH_OUT)
 	$(GO) run ./cmd/bstbench -shards 1,8 -keyranges 100000 -workloads mixed \
-		-threads 2,8 -duration 200ms -json BENCH_shard_smoke.json
+		-threads 2,8 -duration 200ms -json $(BENCH_OUT)/BENCH_shard_smoke.json
 
 # The order-statistics linearizability gate: Exact-mode Rank/CountRange
 # bracket-checked against concurrent inserts and deletes on the indexed
@@ -187,11 +202,17 @@ aggregate-stress:
 # lazily refreshed summary must beat counting a Scan by ≥10x (measured
 # headroom is orders of magnitude — the floor only catches a broken
 # summary path silently degrading to the scan). The JSON lands in
-# BENCH_aggregate_smoke.json for the CI artifact upload.
+# $(BENCH_OUT)/BENCH_aggregate_smoke.json for the CI artifact upload.
 aggregate-smoke:
+	@mkdir -p $(BENCH_OUT)
 	@out=$$($(GO) run ./cmd/bstbench -aggregate -keyranges 1000000 -duration 200ms \
-		-agg-min-speedup 10 -json BENCH_aggregate_smoke.json) || { echo "$$out"; exit 1; }; \
+		-agg-min-speedup 10 -json $(BENCH_OUT)/BENCH_aggregate_smoke.json) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | tail -1
+
+# Re-baseline: run the five bench targets and copy their JSON over the
+# checked-in BENCH_*.json files. Nothing else writes those files.
+bench: bench-fig4-smoke bench-batch-smoke bench-durable-smoke bench-shard-smoke aggregate-smoke
+	cp $(BENCH_OUT)/BENCH_*.json .
 
 # perfbench is its own module, so the ./... targets above never compile
 # it: vet and test it in place, so that a change to the public API it

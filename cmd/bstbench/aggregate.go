@@ -81,9 +81,10 @@ func mustAgg64(_ int64, err error) { fatal(err) }
 
 // runAggregateMode is the -aggregate entry point.
 func runAggregateMode(keyRanges []int, writers, reps int, dur time.Duration, seed uint64, minSpeedup float64, csvTable *stats.Table, doc *benchJSON) {
-	fmt.Printf("# bstbench: order-statistics queries vs scan — %d key ranges × methods %v, writers=%d\n",
+	info := infoOut(csvTable)
+	fmt.Fprintf(info, "# bstbench: order-statistics queries vs scan — %d key ranges × methods %v, writers=%d\n",
 		len(keyRanges), aggMethods, writers)
-	fmt.Printf("# GOMAXPROCS=%d duration/cell=%v reps=%d stale_budget=%d\n",
+	fmt.Fprintf(info, "# GOMAXPROCS=%d duration/cell=%v reps=%d stale_budget=%d\n",
 		runtime.GOMAXPROCS(0), dur, reps, aggStaleBudget)
 
 	var lastSpeedup float64
@@ -172,12 +173,13 @@ func runAggregateMode(keyRanges []int, writers, reps int, dur time.Duration, see
 		tree.Close()
 	}
 
-	// The smoke gate's assertion line — always last on stdout.
+	// The smoke gate's assertion line — always last on stdout, or on
+	// stderr under -csv.
 	status := "ok"
 	if minSpeedup > 0 && lastSpeedup < minSpeedup {
 		status = fmt.Sprintf("FAIL (need ≥%.0fx)", minSpeedup)
 	}
-	fmt.Printf("aggregate: count-exact vs scan-count %.1fx at %d keys: %s\n",
+	fmt.Fprintf(info, "aggregate: count-exact vs scan-count %.1fx at %d keys: %s\n",
 		lastSpeedup, keyRanges[len(keyRanges)-1], status)
 	if minSpeedup > 0 && lastSpeedup < minSpeedup {
 		fatal(fmt.Errorf("aggregate speedup gate failed: %.1fx < %.1fx", lastSpeedup, minSpeedup))

@@ -84,13 +84,17 @@ func main() {
 		fatal(runtrace.Start(f))
 		defer func() { runtrace.Stop(); f.Close() }()
 	}
+	var csvTable *stats.Table
+	if *csv {
+		csvTable = stats.NewTable("keyrange", "workload", "threads", "algorithm", "ops_per_sec")
+	}
 	if *metricsAddr != "" {
 		h := metrics.Handler(func() []metrics.Source {
 			return []metrics.Source{{Name: harness.TargetNM, Registry: curRegistry.Load()}}
 		})
 		srv, err := serveHTTP(*metricsAddr, h)
 		fatal(err)
-		fmt.Printf("# metrics endpoint: http://%s/metrics\n", srv)
+		fmt.Fprintf(infoOut(csvTable), "# metrics endpoint: http://%s/metrics\n", srv)
 	}
 
 	targets, err := parseTargets(*targetsFlag)
@@ -106,10 +110,6 @@ func main() {
 		mixes = append(mixes, m)
 	}
 
-	var csvTable *stats.Table
-	if *csv {
-		csvTable = stats.NewTable("keyrange", "workload", "threads", "algorithm", "ops_per_sec")
-	}
 	var doc *benchJSON
 	if *jsonPath != "" {
 		doc = newBenchJSON(duration.String(), *reps, *seed, *zipfS, *reclaim, !*noPrefill, *metricsOn)
@@ -146,6 +146,15 @@ func main() {
 	if doc != nil {
 		fatal(doc.write(*jsonPath))
 	}
+}
+
+// infoOut is where the header and gate lines go: stdout beside the
+// tables, stderr under -csv, so that stdout carries nothing but the CSV.
+func infoOut(csv *stats.Table) io.Writer {
+	if csv != nil {
+		return os.Stderr
+	}
+	return os.Stdout
 }
 
 // settings are the flag values every grid shares.
@@ -268,8 +277,9 @@ func shardGrid(counts []int, s settings) grid {
 // the table and its gain lines, or, when csv is set, adds one CSV row per
 // cell instead. Every cell is appended to doc when doc is set.
 func runGrid(g grid, s settings, csv *stats.Table, doc *benchJSON) {
-	fmt.Println(g.title[0])
-	fmt.Println(g.title[1])
+	info := infoOut(csv)
+	fmt.Fprintln(info, g.title[0])
+	fmt.Fprintln(info, g.title[1])
 	header := []string{"threads"}
 	for _, col := range g.cols {
 		header = append(header, col.header)

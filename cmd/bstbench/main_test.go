@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +15,50 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// TestMain lets a test run the command itself: the test binary started
+// with BSTBENCH_RUN_MAIN=1 runs main on its arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("BSTBENCH_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestCSVStdoutIsPlainCSV runs the command with -csv, for a Figure 4 grid
+// and for -aggregate, and parses its stdout with encoding/csv: the first
+// record is the header, every record has its five fields, and the header
+// and gate lines went to stderr instead.
+func TestCSVStdoutIsPlainCSV(t *testing.T) {
+	for _, args := range [][]string{
+		{"-targets", "nm", "-keyranges", "1000", "-workloads", "mixed", "-threads", "1", "-duration", "5ms"},
+		{"-aggregate", "-keyranges", "1000", "-duration", "5ms"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-csv"}, args...)...)
+		cmd.Env = append(os.Environ(), "BSTBENCH_RUN_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+		}
+		records, err := csv.NewReader(&stdout).ReadAll()
+		if err != nil {
+			t.Fatalf("%v: stdout is not CSV: %v", args, err)
+		}
+		if len(records) < 2 || strings.Join(records[0], ",") != "keyrange,workload,threads,algorithm,ops_per_sec" {
+			t.Fatalf("%v: %d records, first %q", args, len(records), records[0])
+		}
+		for i, r := range records {
+			if strings.HasPrefix(r[0], "#") {
+				t.Errorf("%v: record %d is a comment line: %q", args, i, r)
+			}
+		}
+		if !strings.HasPrefix(stderr.String(), "# ") {
+			t.Errorf("%v: header lines missing from stderr: %q", args, stderr.String())
+		}
+	}
+}
 
 func TestParseInts(t *testing.T) {
 	got, err := parseInts("1, 2,64")

@@ -32,8 +32,9 @@ import (
 // nonstop, so their key logs overflow and most waves walk the whole tree.
 // In the paced phase each worker owns an accessor and mutates a small hot
 // corner of its block in bursts far shorter than its key log, one burst
-// per completed query, over a static population: the waves then rescan
-// only the touched buckets, and the phase fails unless some did.
+// per completed query, over a static population: the waves then probe
+// only the drained keys and patch the buckets they fall in, and the phase
+// fails unless some did.
 func aggregateRound(workers int, seed uint64) error {
 	for _, sharded := range []bool{false, true} {
 		for _, paced := range []bool{false, true} {

@@ -20,9 +20,9 @@ import (
 //
 // Each shard also logs the mapped key of every mutation it counts, in a
 // fixed ring the handle owns: the key is stored at ring[n&mask] before the
-// count moves to n+1. That lets the refresher learn which key ranges
-// changed (Drain) and rescan only those, again without a CAS or BTS on the
-// writer side.
+// count moves to n+1. That lets the refresher learn which keys changed
+// (Drain) and probe only those, again without a CAS or BTS on the writer
+// side.
 //
 // The ordering contract the orderstat layer depends on: a mutation's bump
 // happens before the mutating call returns. Any mutation whose caller has

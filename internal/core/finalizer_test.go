@@ -15,7 +15,7 @@ func TestDroppedHandlesReleaseSlots(t *testing.T) {
 	tr := New(Config{Capacity: 1 << 16, Reclaim: true})
 	const n = 300
 	for i := 0; i < n; i++ {
-		h := tr.newHandle(1, true) // block size 1, exactly like pooled handles
+		h := tr.newHandle(1, true, false) // block size 1, exactly like pooled handles
 		h.Insert(keys.Map(int64(i)))
 		// dropped without Close
 	}

@@ -123,7 +123,7 @@ type Handle struct {
 	// ds is this handle's private dirty shard (Config.TrackDirty);
 	// successful mutations bump it, logging their key, before returning so
 	// the orderstat layer can tell whether its cached summaries have been
-	// overtaken and which key ranges to rescan.
+	// overtaken and which keys to probe again.
 	ds *DirtyShard
 
 	// stepHook, when non-nil, is invoked immediately before every atomic

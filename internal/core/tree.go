@@ -115,7 +115,7 @@ type Config struct {
 	// and key log (see dirty.go) that successful inserts and deletes bump
 	// before returning. The order-statistics layer (internal/orderstat)
 	// reads the total to decide whether its cached summaries are still
-	// exact, and drains the keys to decide which ranges to rescan.
+	// exact, and drains the keys to decide which keys to probe again.
 	// When false the hot paths pay one nil check per successful mutation.
 	TrackDirty bool
 }
@@ -209,14 +209,23 @@ func New(cfg Config) *Tree {
 	// arena slot at a time: sync.Pool may drop handles at any GC (and does
 	// so aggressively under the race detector), and a dropped handle
 	// strands its unused block.
-	t.handles.New = func() any { return t.newHandle(1, true) }
+	t.handles.New = func() any { return t.newHandle(1, true, false) }
 	return t
 }
 
 // NewHandle returns a per-goroutine accessor. A Handle must not be used
 // concurrently; each worker goroutine should create its own.
 func (t *Tree) NewHandle() *Handle {
-	return t.newHandle(0, false)
+	return t.newHandle(0, false, false)
+}
+
+// NewReader returns an accessor for a walker that reads on the tree's own
+// behalf, not a user's: the order-statistics refresher's probes and scans.
+// It has no metrics shard, so its lookups move no ops or batch counter,
+// and no dirty shard, since it never mutates. It must only look up and
+// scan; an insert or delete through it would go uncounted.
+func (t *Tree) NewReader() *Handle {
+	return t.newHandle(0, false, true)
 }
 
 // adaptiveBlock sizes a handle's private arena reservation. Unbounded
@@ -244,8 +253,8 @@ func adaptiveBlock(capacity int) int {
 // while pooled handles recycle straight into the arena's shared pool —
 // sync.Pool migrates and drops handles at will, and capacity parked in a
 // private free list would be invisible to every other handle until a GC
-// finalizer donates it.
-func (t *Tree) newHandle(block int, sharedFree bool) *Handle {
+// finalizer donates it. A reader gets neither a metrics nor a dirty shard.
+func (t *Tree) newHandle(block int, sharedFree, reader bool) *Handle {
 	if block <= 0 {
 		block = adaptiveBlock(t.cfg.Capacity)
 	}
@@ -261,11 +270,11 @@ func (t *Tree) newHandle(block int, sharedFree bool) *Handle {
 			h.slot = t.epoch.Register(func(idx uint32) { al.Recycle(idx) })
 		}
 	}
-	if t.met != nil {
+	if t.met != nil && !reader {
 		h.m = t.met.NewShard()
 		h.mmask = t.met.SampleMask()
 	}
-	if t.dirty != nil {
+	if t.dirty != nil && !reader {
 		h.ds = t.dirty.NewShard()
 	}
 	// Safety net for handles that are dropped instead of Closed (the

@@ -21,23 +21,27 @@
 // handle owns, each an uncontended locked exchange on amd64, no CAS), and
 // a refresher reconciles summaries in waves:
 //
-//	keys, d0 := dirty.Drain()      // before any walk
+//	keys, d0 := dirty.Drain()      // before any probe
+//	sort and deduplicate keys
+//	found := LookupBatch(keys)     // one epoch-pinned wavefront descent
 //	for each bucket a drained key falls in:
-//	    rescan it (epoch-pinned core.Handle.Range over its key range)
+//	    copy it, adding the found keys and dropping the others
 //	share every other bucket, rebuild the bucket directory
 //	publish Summary{..., CleanDirty: d0}
 //
-// A rescan runs under the same epoch pin as any Scan, so it sees every key
-// whose insert completed before the pin and is indifferent to racers — the
-// scan's usual weak-consistency contract. Reading d0 *before* the walk
-// makes CleanDirty a sound freshness token: a mutation stores its key
-// before its bump, so either its bump preceded the drain (it is counted in
-// d0, its key was drained, and its bucket is rescanned after it completed)
+// Exactness holds key by key. Reading d0 *before* the probes makes
+// CleanDirty a sound freshness token: a mutation stores its key before its
+// bump, so either its bump preceded the drain (it is counted in d0, its
+// key was drained, and the probe, which starts after the drain, sees it)
 // or it did not (it is not counted in d0, and the next drain returns its
-// key). If dirty.Total() still equals CleanDirty at query time, every
-// completed mutation is covered, and answering from the summary is
-// equivalent to running a fresh epoch-pinned scan at the query's
-// linearization point.
+// key). A key no drain returned has had no counted mutation since the
+// probe or walk that the previous summary holds for it, so carrying that
+// answer over is as good as probing again. If dirty.Total() still equals
+// CleanDirty at query time, every completed mutation is covered, and
+// answering from the summary is equivalent to running a fresh
+// epoch-pinned scan at the query's linearization point. A racing
+// mutation may or may not show, as in any Scan, and its key is drained by
+// the next wave.
 //
 // A wave walks the whole tree instead when it cannot trust the drained
 // keys (the first wave, or a drain that reports a lapped ring or a dropped
@@ -49,9 +53,10 @@
 // A Summary is an immutable bucket directory: ascending bucket lower
 // bounds covering the whole mapped key space, each bucket's sorted keys
 // and prefix sums (one per sumStride keys) in exactly-sized arrays, and
-// cumulative count and sum arrays across buckets. A wave rebuilds only the directory (O(n/B) for
-// bucket size B) and the rescanned buckets; every clean bucket's arrays
-// are shared with the previous summary, so no Fenwick tree is needed.
+// cumulative count and sum arrays across buckets. A wave rebuilds only the
+// directory (O(n/B) for bucket size B) and the patched buckets; every
+// clean bucket's arrays are shared with the previous summary, so no
+// Fenwick tree is needed.
 // Publishing is one atomic pointer store, so readers are lock-free and
 // never observe a half-built summary. Queries are two binary searches —
 // over the bucket bounds (or cumulative counts), then inside one bucket —
@@ -63,8 +68,9 @@
 //
 //   - Exact: serve the cached summary iff CleanDirty == dirty.Total(),
 //     else run (or join) a refresh wave and answer from its result. Cost:
-//     O(log n) when clean; when not, one wave — rescans of the touched
-//     buckets — amortized over all concurrent exact queries.
+//     O(log n) when clean; when not, one wave — a probe per drained key
+//     and a copy of each touched bucket — amortized over all concurrent
+//     exact queries.
 //   - BoundedStale(m): serve the cached summary iff at most m mutations
 //     have completed since it was built. Each completed mutation moves
 //     any count, rank or selection index by at most 1, so every answer is
@@ -88,7 +94,7 @@ import (
 // token, and every staleness bound would be a lie.
 var ErrNotTracked = errors.New("orderstat: tree was built without TrackDirty")
 
-// Bucket sizing: a full walk cuts buckets of bucketTarget keys; a rescanned
+// Bucket sizing: a full walk cuts buckets of bucketTarget keys; a patched
 // bucket that grew past maxBucket is split, and one that shrank below
 // minBucket merges with a neighbour. So every bucket of a summary with more
 // than one bucket holds between minBucket and maxBucket keys.
@@ -114,7 +120,7 @@ type bucket struct {
 }
 
 // Summary is one published wave: a bucket directory over the tree's
-// in-order key sequence, and the dirty total read before the wave's walks.
+// in-order key sequence, and the dirty total read before the wave's probes.
 // Immutable once published; readers share it lock-free.
 type Summary struct {
 	lo       []uint64 // lo[j]: bucket j's lower bound; lo[0] == 0, ascending
@@ -122,8 +128,9 @@ type Summary struct {
 	cumCount []int   // cumCount[j]: keys in buckets [0, j); len(buckets)+1 entries
 	cumSum   []int64 // cumSum[j]: sum of the user keys in buckets [0, j)
 
-	// CleanDirty is the dirty counter total read before the wave's walk
-	// began. The summary is exact while the counter still reads this.
+	// CleanDirty is the dirty counter total read before the wave's probes
+	// or walk began. The summary is exact while the counter still reads
+	// this.
 	CleanDirty uint64
 	// Wave numbers the refresh that built this summary (diagnostics).
 	Wave uint64
@@ -136,11 +143,12 @@ type Index struct {
 	dirty *core.DirtyCounter
 
 	// mu serializes refresh waves and guards the wave state below: h, the
-	// walker handle, and the drained keys, rescan and bucket scratch
-	// reused from wave to wave.
+	// reader handle, and the drained keys, their probe answers, and the
+	// bucket scratch reused from wave to wave.
 	mu      sync.Mutex
 	h       *core.Handle
 	log     []uint64
+	found   []bool
 	scan    []uint64
 	touched []int
 
@@ -154,20 +162,21 @@ type Index struct {
 }
 
 // New builds an Index over t. The tree must have been created with
-// Config.TrackDirty; the index registers one long-lived handle for its
-// refresh walks and is the dirty counter's only drainer.
+// Config.TrackDirty; the index registers one long-lived reader handle for
+// its probes and walks (core.Tree.NewReader: they are not user searches)
+// and is the dirty counter's only drainer.
 func New(t *core.Tree) (*Index, error) {
 	if t.Dirty() == nil {
 		return nil, ErrNotTracked
 	}
-	ix := &Index{t: t, dirty: t.Dirty(), h: t.NewHandle()}
+	ix := &Index{t: t, dirty: t.Dirty(), h: t.NewReader()}
 	var b builder
 	b.emit(0, nil)
 	ix.cur.Store(b.summary()) // empty tree, never-written token
 	return ix, nil
 }
 
-// Close releases the index's walker handle. The index must be quiescent.
+// Close releases the index's reader handle. The index must be quiescent.
 func (ix *Index) Close() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -181,8 +190,8 @@ func (ix *Index) Close() {
 type Stats struct {
 	Waves            uint64 // refresh waves run
 	FullWaves        uint64 // waves that walked the whole tree
-	BucketsRescanned uint64 // buckets rescanned by incremental waves
-	KeysWalked       uint64 // keys visited by all wave walks
+	BucketsRescanned uint64 // buckets patched by incremental waves
+	KeysWalked       uint64 // keys visited by full walks plus keys probed
 	WaveNanos        uint64 // wall time spent in waves
 	Served           uint64 // queries answered from a cached summary
 	Buckets          int    // buckets in the current summary
@@ -202,7 +211,9 @@ func (ix *Index) Stats() Stats {
 }
 
 // MetricsHook folds the index's refresh telemetry into a registry
-// snapshot (bst_orderstat_* series). Register it on a registry:
+// snapshot (bst_orderstat_* series; buckets_rescanned counts buckets
+// patched, keys_walked counts keys visited by full walks plus keys
+// probed). Register it on a registry:
 //
 //	reg.AddHook(ix.MetricsHook)
 //
@@ -240,12 +251,13 @@ func (ix *Index) Acquire(exact bool, maxDirty uint64) *Summary {
 	return ix.Refresh()
 }
 
-// Refresh runs one wave: drain the dirty keys and total, rescan the
-// buckets those keys fall in (or walk the whole tree when the drain cannot
-// be trusted or most keys are touched anyway), publish the result. Returns
-// the published summary (which may be a concurrent wave's result that is
-// already clean enough). Superseded summaries are garbage collected once
-// their readers finish — readers never block a wave.
+// Refresh runs one wave: drain the dirty keys and total, probe the
+// drained keys and patch the buckets they fall in (or walk the whole tree
+// when the drain cannot be trusted or most keys are touched anyway),
+// publish the result. Returns the published summary (which may be a
+// concurrent wave's result that is already clean enough). Superseded
+// summaries are garbage collected once their readers finish — readers
+// never block a wave.
 func (ix *Index) Refresh() *Summary {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -265,7 +277,7 @@ func (ix *Index) Refresh() *Summary {
 	} else if js, ok := ix.touchedBuckets(prev); !ok {
 		s = ix.fullWalk(prev.Len())
 	} else {
-		s = ix.rescan(prev, js)
+		s = ix.patch(prev, js)
 	}
 	s.CleanDirty, s.Wave = d0, ix.waves.Add(1)
 	ix.waveNanos.Add(uint64(time.Since(start)))
@@ -273,11 +285,13 @@ func (ix *Index) Refresh() *Summary {
 	return s
 }
 
-// touchedBuckets maps the drained keys to the distinct buckets of prev
-// they fall in, ascending. ok is false when those buckets hold more than
-// half of prev's keys: one full walk then costs less than the rescans.
+// touchedBuckets sorts and deduplicates the drained keys and maps them to
+// the distinct buckets of prev they fall in, ascending. ok is false when
+// those buckets hold more than half of prev's keys: one full walk then
+// costs less than the patches.
 func (ix *Index) touchedBuckets(prev *Summary) (js []int, ok bool) {
 	slices.Sort(ix.log)
+	ix.log = slices.Compact(ix.log)
 	js = ix.touched[:0]
 	held := 0
 	for _, u := range ix.log {
@@ -313,23 +327,28 @@ func (ix *Index) fullWalk(n int) *Summary {
 	return b.summary()
 }
 
-// rescan builds the next summary from prev by rescanning the buckets js
-// (ascending) and sharing every other bucket. A rescanned range too small
-// to stand alone absorbs the bucket after it (rescanning that one too if
-// it is also touched), or, at the end of the key space, joins the bucket
-// before it; one too large is split.
-func (ix *Index) rescan(prev *Summary, js []int) *Summary {
+// patch builds the next summary from prev: one batched lookup answers
+// every drained key (sorted, deduplicated), the buckets js (ascending)
+// that hold them are rebuilt from those answers, and every other bucket
+// is shared. A patched range too small to stand alone absorbs the bucket
+// after it (patching that one too if it is also touched), or, at the end
+// of the key space, joins the bucket before it; one too large is split.
+func (ix *Index) patch(prev *Summary, js []int) *Summary {
+	ix.found = slices.Grow(ix.found[:0], len(ix.log))[:len(ix.log)]
+	ix.h.LookupBatch(ix.log, ix.found)
+	ix.walked.Add(uint64(len(ix.log)))
 	nb := len(prev.buckets)
 	b := newBuilder(nb + len(js))
-	next := 0 // first bucket of prev not yet carried into b
+	next, p := 0, 0 // first bucket of prev not yet carried into b; first probe not yet merged
 	for i := 0; i < len(js); {
 		j := js[i]
 		i++
 		b.share(prev, next, j)
-		ks := ix.walk(prev, j, ix.scan[:0])
+		var ks []uint64
+		ks, p = ix.merge(prev, j, p, ix.scan[:0])
 		for next = j + 1; len(ks) < minBucket && next < nb; next++ {
 			if i < len(js) && js[i] == next {
-				ks = ix.walk(prev, next, ks)
+				ks, p = ix.merge(prev, next, p, ks)
 				i++
 			} else {
 				ks = append(ks, prev.buckets[next].keys...)
@@ -342,21 +361,27 @@ func (ix *Index) rescan(prev *Summary, js []int) *Summary {
 	return b.summary()
 }
 
-// walk appends the live keys in prev's bucket j's key range to dst, with
-// one epoch-pinned range scan.
-func (ix *Index) walk(prev *Summary, j int, dst []uint64) []uint64 {
-	hi := keys.Map(keys.MaxUser)
-	if j+1 < len(prev.lo) {
-		hi = prev.lo[j+1] - 1
+// merge appends prev's bucket j to dst as the probes from ix.log[p:] left
+// it: a probed key in j's range is kept or added if the lookup found it
+// and dropped if not; every other key is carried over. It returns the
+// first probe past the bucket.
+func (ix *Index) merge(prev *Summary, j, p int, dst []uint64) ([]uint64, int) {
+	old := prev.buckets[j].keys
+	last := j+1 == len(prev.lo)
+	for ; p < len(ix.log) && (last || ix.log[p] < prev.lo[j+1]); p++ {
+		u := ix.log[p]
+		k, hit := slices.BinarySearch(old, u)
+		dst = append(dst, old[:k]...)
+		if hit {
+			k++
+		}
+		if ix.found[p] {
+			dst = append(dst, u)
+		}
+		old = old[k:]
 	}
-	n := len(dst)
-	ix.h.Range(prev.lo[j], hi, func(u uint64) bool {
-		dst = append(dst, u)
-		return true
-	})
 	ix.rescanned.Add(1)
-	ix.walked.Add(uint64(len(dst) - n))
-	return dst
+	return append(dst, old...), p
 }
 
 // builder accumulates the next summary's buckets in key order.

@@ -407,3 +407,195 @@ func TestSmallTreeBuckets(t *testing.T) {
 	}
 	checkSummary(t, ix.Acquire(true, 0), walkAll(walker))
 }
+
+// newPatchTree builds an indexed tree holding every fourth key of
+// [0, 4n), inserted shuffled, and runs its first (full) wave. It returns
+// the index, a writer handle and a walker handle for walkAll.
+func newPatchTree(t *testing.T, n int) (*Index, *core.Handle, *core.Handle) {
+	t.Helper()
+	tree, ix := newTracked(t)
+	h, walker := tree.NewHandle(), tree.NewHandle()
+	t.Cleanup(func() { walker.Close(); h.Close() })
+	for _, i := range rand.New(rand.NewSource(3)).Perm(n) {
+		h.Insert(keys.Map(int64(4 * i)))
+	}
+	checkSummary(t, ix.Acquire(true, 0), walkAll(walker))
+	return ix, h, walker
+}
+
+// incrementalWave runs one exact acquire, fails unless it ran exactly one
+// incremental wave, and checks the summary against a full walk.
+func incrementalWave(t *testing.T, ix *Index, walker *core.Handle) *Summary {
+	t.Helper()
+	before := ix.Stats()
+	s := ix.Acquire(true, 0)
+	after := ix.Stats()
+	if after.Waves != before.Waves+1 || after.FullWaves != before.FullWaves {
+		t.Fatalf("ran %d waves, %d of them full; want one incremental wave",
+			after.Waves-before.Waves, after.FullWaves-before.FullWaves)
+	}
+	checkSummary(t, s, walkAll(walker))
+	return s
+}
+
+// TestWaveRepeatedKey logs one key three times between two waves (insert,
+// delete, insert): the wave probes it once and keeps its final state.
+func TestWaveRepeatedKey(t *testing.T) {
+	ix, h, walker := newPatchTree(t, 4096)
+	u := keys.Map(4*1000 + 1)
+	if !h.Insert(u) || !h.Delete(u) || !h.Insert(u) {
+		t.Fatal("insert, delete, insert of an absent key did not all succeed")
+	}
+	before := ix.Stats().KeysWalked
+	s := incrementalWave(t, ix, walker)
+	if probed := ix.Stats().KeysWalked - before; probed != 1 {
+		t.Fatalf("wave probed %d keys for one distinct drained key", probed)
+	}
+	if s.Count(u, u) != 1 {
+		t.Fatal("key inserted last is missing from the summary")
+	}
+}
+
+// TestWaveInsertThenDelete inserts and deletes one key between two waves:
+// the patched bucket keeps exactly its old keys.
+func TestWaveInsertThenDelete(t *testing.T) {
+	ix, h, walker := newPatchTree(t, 4096)
+	prev := ix.Acquire(true, 0)
+	u := keys.Map(4*2000 + 2)
+	if !h.Insert(u) || !h.Delete(u) {
+		t.Fatal("insert then delete of an absent key did not both succeed")
+	}
+	s := incrementalWave(t, ix, walker)
+	j := s.find(u)
+	if s.Len() != prev.Len() || !slices.Equal(s.buckets[j].keys, prev.buckets[prev.find(u)].keys) {
+		t.Fatalf("no-op churn changed the summary: %d keys, was %d", s.Len(), prev.Len())
+	}
+}
+
+// TestWaveKeyAtBucketBound mutates the key a bucket's lower bound names:
+// it belongs to that bucket, not the one before. Alone, it leaves the
+// bucket before shared; with a key of that bucket drained too, the wave
+// patches both and still puts the bound key in its own bucket.
+func TestWaveKeyAtBucketBound(t *testing.T) {
+	ix, h, walker := newPatchTree(t, 4096)
+	prev := ix.Acquire(true, 0)
+	j := len(prev.buckets) / 2
+	u := prev.lo[j]
+	if prev.buckets[j].keys[0] != u {
+		t.Fatalf("full walk started bucket %d at %d, not at its first key %d", j, u, prev.buckets[j].keys[0])
+	}
+	below := u - 1 // in bucket j-1's range, off the prefill's stride
+	for step, neighbour := range []bool{false, false, true, true} {
+		insert := step%2 == 1
+		if insert && !h.Insert(u) || !insert && !h.Delete(u) {
+			t.Fatalf("step %d: mutation (insert=%v) of the bound key failed", step, insert)
+		}
+		if neighbour && !(insert && h.Delete(below) || !insert && h.Insert(below)) {
+			t.Fatalf("step %d: mutation of the key below the bound failed", step)
+		}
+		s := incrementalWave(t, ix, walker)
+		if s.lo[j] != u || s.find(u) != j {
+			t.Fatalf("step %d: bound key %d maps to bucket %d (bound %d), want %d", step, u, s.find(u), s.lo[j], j)
+		}
+		if shared := &s.buckets[j-1].keys[0] == &prev.buckets[j-1].keys[0]; shared == neighbour {
+			t.Fatalf("step %d: bucket before the bound shared = %v, want %v", step, shared, !neighbour)
+		}
+		if got := s.buckets[j].keys[0] == u; got != insert {
+			t.Fatalf("step %d: bucket %d starts with the bound key = %v, want %v", step, j, got, insert)
+		}
+	}
+}
+
+// TestWaveSplitsGrownBucket inserts into one bucket's range until it holds
+// more than maxBucket keys: the wave splits it.
+func TestWaveSplitsGrownBucket(t *testing.T) {
+	ix, h, walker := newPatchTree(t, 4096)
+	prev := ix.Acquire(true, 0)
+	j := len(prev.buckets) / 3
+	want := maxBucket + 1 - len(prev.buckets[j].keys)
+	n := 0
+	for k := keys.Unmap(prev.lo[j]); k < keys.Unmap(prev.lo[j+1]) && n < want; k++ {
+		if h.Insert(keys.Map(k)) {
+			n++
+		}
+	}
+	if n < want {
+		t.Fatalf("bucket %d took only %d of %d new keys", j, n, want)
+	}
+	if s := incrementalWave(t, ix, walker); len(s.buckets) <= len(prev.buckets) {
+		t.Fatalf("%d buckets after the wave, %d before", len(s.buckets), len(prev.buckets))
+	}
+}
+
+// TestWaveMergesEmptiedLastBucket deletes every key of the key space's
+// last bucket: with no bucket after it to absorb, the empty range joins
+// its left neighbour, which then reaches the end of the key space.
+func TestWaveMergesEmptiedLastBucket(t *testing.T) {
+	ix, h, walker := newPatchTree(t, 4096)
+	prev := ix.Acquire(true, 0)
+	nb := len(prev.buckets)
+	for _, u := range prev.buckets[nb-1].keys {
+		h.Delete(u)
+	}
+	s := incrementalWave(t, ix, walker)
+	if len(s.buckets) != nb-1 || s.lo[nb-2] != prev.lo[nb-2] ||
+		!slices.Equal(s.buckets[nb-2].keys, prev.buckets[nb-2].keys) {
+		t.Fatalf("%d buckets after emptying the last of %d; last bound %d, want %d",
+			len(s.buckets), nb, s.lo[len(s.lo)-1], prev.lo[nb-2])
+	}
+}
+
+// FuzzWavesMatchFullWalk interprets the fuzz input as a program of
+// mutations and waves over a tree prefilled with every fourth key of
+// [0, 8192), and compares every wave's summary with a fresh full walk.
+// Each step is an opcode byte b and two key bytes, k = (hi<<8|lo) % 8192;
+// b%8 selects 0–2 insert k, 3–5 delete k, 6 a wave, and 7 a run over
+// [k, k+256): inserts when b/8 is even, deletes when odd. Runs split and
+// empty buckets and can lap the writer's ring; a final wave closes every
+// program. Run `go test -fuzz FuzzWavesMatchFullWalk ./internal/orderstat`
+// to explore.
+func FuzzWavesMatchFullWalk(f *testing.F) {
+	f.Add([]byte{6, 0, 0})
+	f.Add([]byte{0, 0, 9, 3, 0, 9, 0, 0, 9, 6, 0, 0})         // insert, delete, insert one key
+	f.Add([]byte{3, 0, 0, 3, 31, 252, 6, 0, 0, 0, 0, 0})      // delete the first and last keys
+	f.Add([]byte{7, 4, 0, 6, 0, 0, 7 + 8, 4, 0, 7 + 8, 5, 0}) // grow a bucket, then empty it
+	f.Add([]byte{7, 0, 0, 7, 1, 0, 7 + 8, 30, 0, 7 + 8, 31, 0})
+	f.Fuzz(func(t *testing.T, program []byte) {
+		const span = 8192
+		tree := core.New(core.Config{Capacity: 1 << 18, Reclaim: true, TrackDirty: true})
+		defer tree.Close()
+		ix, err := New(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		h, walker := tree.NewHandle(), tree.NewHandle()
+		defer h.Close()
+		defer walker.Close()
+		for _, i := range rand.New(rand.NewSource(5)).Perm(span / 4) {
+			h.Insert(keys.Map(int64(4 * i)))
+		}
+		wave := func() { checkSummary(t, ix.Acquire(true, 0), walkAll(walker)) }
+		wave()
+		for i := 0; i+2 < len(program); i += 3 {
+			b, k := program[i], (int64(program[i+1])<<8|int64(program[i+2]))%span
+			switch op := b % 8; {
+			case op < 3:
+				h.Insert(keys.Map(k))
+			case op < 6:
+				h.Delete(keys.Map(k))
+			case op == 6:
+				wave()
+			default:
+				for r := k; r < k+256; r++ {
+					if (b/8)%2 == 0 {
+						h.Insert(keys.Map(r))
+					} else {
+						h.Delete(keys.Map(r))
+					}
+				}
+			}
+		}
+		wave()
+	})
+}

@@ -13,7 +13,7 @@ import (
 // of the tree, so rank, select, count-in-range and sum-in-range answer in
 // O(log n) instead of an O(range) scan.
 // Writers pay one nil-checked counter bump per successful mutation, which
-// also logs the key so a refresh rescans only the key ranges that changed;
+// also logs the key so a refresh probes only the keys that changed;
 // no CAS or BTS is added to the lock-free hot paths (the bump's two stores
 // are uncontended locked exchanges on amd64, on memory the handle owns).
 // Every query names its consistency: Exact answers are equivalent to an
@@ -131,9 +131,10 @@ func (t *Tree) ScanIndexed(from, to int64, c Consistency, yield func(key int64) 
 // counters and gauges, under the series names Metrics reports when the
 // tree has WithMetrics (without the "bst_" prefix the exporters add):
 // orderstat_waves_total, orderstat_full_waves_total,
-// orderstat_buckets_rescanned_total, orderstat_keys_walked_total,
-// orderstat_wave_nanos_total, orderstat_served_total and the
-// orderstat_buckets gauge, summed over shards. A server that keeps its own
+// orderstat_buckets_rescanned_total (buckets patched by incremental
+// waves), orderstat_keys_walked_total (keys visited by full walks plus
+// keys probed), orderstat_wave_nanos_total, orderstat_served_total and
+// the orderstat_buckets gauge, summed over shards. A server that keeps its own
 // metrics registry calls it from a registry hook. A no-op on a tree
 // without WithOrderStatistics.
 func (t *Tree) ExportOrderStatsMetrics(counters map[string]uint64, gauges map[string]float64) {

@@ -274,7 +274,8 @@ func TestBoundedStaleBudgetPublic(t *testing.T) {
 
 // TestOrderStatsMetrics checks the refresh telemetry: on a WithMetrics
 // tree the wave counters and the bucket gauge reach Metrics (summed over
-// shards on a forest), they move only when a query runs a wave, and
+// shards on a forest), they move only when a query runs a wave, a wave's
+// probes are not counted as user searches or batches, and
 // ExportOrderStatsMetrics hands the same series to a foreign registry.
 func TestOrderStatsMetrics(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -299,12 +300,23 @@ func TestOrderStatsMetrics(t *testing.T) {
 			t.Fatalf("shards=%d: cached queries moved waves by %d, served by %d",
 				shards, d.Counters["orderstat_waves_total"], d.Counters["orderstat_served_total"])
 		}
-		tr.Delete(7)
+		for k := int64(1); k <= 20; k++ { // 10 deletes, 10 inserts: 20 probes
+			if k%2 == 0 {
+				tr.Delete(k * 7 * 100)
+			} else {
+				tr.Insert(k*7*100 + 1)
+			}
+		}
 		tr.CountRange(0, 1000, bst.Exact)
 		d = tr.Metrics().Sub(m)
 		if d.Counters["orderstat_waves_total"] == 0 || d.Counters["orderstat_buckets_rescanned_total"] == 0 ||
-			d.Counters["orderstat_full_waves_total"] != 0 {
-			t.Fatalf("shards=%d: one delete should run an incremental wave: %v", shards, d.Counters)
+			d.Counters["orderstat_full_waves_total"] != 0 || d.Counters["orderstat_keys_walked_total"] != 20 {
+			t.Fatalf("shards=%d: 20 mutations should run an incremental wave probing 20 keys: %v", shards, d.Counters)
+		}
+		for _, name := range []string{"ops_search_total", "batch_ops_total", "batch_seek_skipped_levels_total"} {
+			if d.Counters[name] != 0 {
+				t.Fatalf("shards=%d: an incremental wave moved %s by %d", shards, name, d.Counters[name])
+			}
 		}
 
 		counters, gauges := map[string]uint64{}, map[string]float64{}
