@@ -121,18 +121,14 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzModelEquivalence$$' -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReclaimEquivalence$$' -fuzztime 5s
 	$(GO) test ./internal/orderstat -run '^$$' -fuzz '^FuzzWavesMatchFullWalk$$' -fuzztime 5s
-	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s
-	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s
-	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBatchOps$$' -fuzztime 5s
-	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBatchResponse$$' -fuzztime 5s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 20s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeReplSubscribe$$' -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeReplFrames$$' -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeReplAck$$' -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeReplSnapshot$$' -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeReplStatus$$' -fuzztime 5s
-	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeAggregate$$' -fuzztime 5s
-	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeAggregateResponse$$' -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s
 
 # The tracing overhead gate, both halves: with a recorder installed but

@@ -3,7 +3,10 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"runtime"
+	"runtime/debug"
+	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/rtrace"
@@ -24,6 +27,13 @@ type benchJSON struct {
 	Prefill    bool       `json:"prefill"`
 	Metrics    bool       `json:"metrics_enabled"`
 	Cells      []cellJSON `json:"cells"`
+	// NumCPU, CPUModel and VCSRevision stamp the host and the source
+	// revision a document was measured on, so two documents can be told
+	// apart before their cells are compared. (bst-bench/v1: new fields,
+	// never renamed.)
+	NumCPU      int    `json:"num_cpu"`
+	CPUModel    string `json:"cpu_model"`
+	VCSRevision string `json:"vcs_revision"`
 }
 
 type cellJSON struct {
@@ -85,17 +95,50 @@ type latencyJSON struct {
 
 func newBenchJSON(duration string, reps int, seed uint64, zipf float64, reclaim, prefill, metricsOn bool) *benchJSON {
 	return &benchJSON{
-		Schema:     "bst-bench/v1",
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Duration:   duration,
-		Reps:       reps,
-		Seed:       seed,
-		Zipf:       zipf,
-		Reclaim:    reclaim,
-		Prefill:    prefill,
-		Metrics:    metricsOn,
+		Schema:      "bst-bench/v1",
+		GoVersion:   runtime.Version(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Duration:    duration,
+		Reps:        reps,
+		Seed:        seed,
+		Zipf:        zipf,
+		Reclaim:     reclaim,
+		Prefill:     prefill,
+		Metrics:     metricsOn,
+		NumCPU:      runtime.NumCPU(),
+		CPUModel:    cpuModel(),
+		VCSRevision: vcsRevision(),
 	}
+}
+
+// cpuModel returns the first "model name" in /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return "unknown"
+}
+
+// vcsRevision returns the commit the binary was built from: the build
+// info's vcs.revision when the toolchain stamped one (go build inside a
+// checkout does), else `git rev-parse HEAD` in the working directory (go
+// run stamps none, and the make targets use go run), else "unknown".
+func vcsRevision() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" && s.Value != "" {
+				return s.Value
+			}
+		}
+	}
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		return strings.TrimSpace(string(out))
+	}
+	return "unknown"
 }
 
 // addTracePhases folds one rep's recorder phase aggregates into the cell.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +57,30 @@ func TestCSVStdoutIsPlainCSV(t *testing.T) {
 		}
 		if !strings.HasPrefix(stderr.String(), "# ") {
 			t.Errorf("%v: header lines missing from stderr: %q", args, stderr.String())
+		}
+	}
+}
+
+// TestDocumentStamp: every bst-bench/v1 document names the host's CPU
+// count and model and the source revision it was measured on.
+func TestDocumentStamp(t *testing.T) {
+	doc := newBenchJSON("5ms", 1, 1, 0, false, true, false)
+	if doc.NumCPU != runtime.NumCPU() || doc.NumCPU < 1 {
+		t.Errorf("num_cpu = %d, want %d", doc.NumCPU, runtime.NumCPU())
+	}
+	if doc.CPUModel == "" {
+		t.Error("cpu_model is empty")
+	}
+	if rev := doc.VCSRevision; rev != "unknown" && (len(rev) < 40 || strings.Trim(rev, "0123456789abcdef") != "") {
+		t.Errorf("vcs_revision = %q, want a commit hash or \"unknown\"", rev)
+	}
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"num_cpu":`, `"cpu_model":`, `"vcs_revision":`} {
+		if !bytes.Contains(b, []byte(field)) {
+			t.Errorf("document lacks %s: %s", field, b)
 		}
 	}
 }

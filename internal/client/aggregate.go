@@ -24,22 +24,24 @@ type Consistency struct {
 	MaxDirty uint64
 }
 
-func (c Consistency) mode() uint8 {
+// query builds the aggregate request for kind under c.
+func (c Consistency) query(kind uint8, key, to int64) wire.Request {
+	q := wire.Request{Op: wire.OpAggregate, Kind: kind, Mode: wire.AggModeStale, MaxDirty: c.MaxDirty, Key: key, To: to}
 	if c.Exact {
-		return wire.AggModeExact
+		q.Mode = wire.AggModeExact
 	}
-	return wire.AggModeStale
+	return q
 }
 
 // Rank returns the number of keys strictly less than key.
 func (cl *Client) Rank(ctx context.Context, key int64, c Consistency) (int64, error) {
-	return cl.aggregate(ctx, wire.AggregateRequest{Kind: wire.AggRank, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: key})
+	return cl.aggregate(ctx, c.query(wire.AggRank, key, 0))
 }
 
 // Select returns the i-th smallest key (0-based); an index outside
 // [0, count) answers bst.ErrSelectOutOfRange.
 func (cl *Client) Select(ctx context.Context, i int64, c Consistency) (int64, error) {
-	v, err := cl.aggregate(ctx, wire.AggregateRequest{Kind: wire.AggSelect, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: i})
+	v, err := cl.aggregate(ctx, c.query(wire.AggSelect, i, 0))
 	if errors.Is(err, bst.ErrKeyOutOfRange) {
 		// The wire's out-of-range status names the index here.
 		err = fmt.Errorf("%w: %d", bst.ErrSelectOutOfRange, i)
@@ -49,19 +51,16 @@ func (cl *Client) Select(ctx context.Context, i int64, c Consistency) (int64, er
 
 // CountRange returns the number of keys in [lo, hi], inclusive.
 func (cl *Client) CountRange(ctx context.Context, lo, hi int64, c Consistency) (int64, error) {
-	return cl.aggregate(ctx, wire.AggregateRequest{Kind: wire.AggCount, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: lo, To: hi})
+	return cl.aggregate(ctx, c.query(wire.AggCount, lo, hi))
 }
 
 // SumRange returns the sum of the keys in [lo, hi], inclusive.
 func (cl *Client) SumRange(ctx context.Context, lo, hi int64, c Consistency) (int64, error) {
-	return cl.aggregate(ctx, wire.AggregateRequest{Kind: wire.AggSum, Mode: c.mode(), MaxDirty: c.MaxDirty, Key: lo, To: hi})
+	return cl.aggregate(ctx, c.query(wire.AggSum, lo, hi))
 }
 
 // aggregate runs one aggregate query through the single-op retry loop.
-func (cl *Client) aggregate(ctx context.Context, q wire.AggregateRequest) (int64, error) {
-	x := call{req: wire.Request{Op: wire.OpAggregate, Key: q.Key}, agg: q}
-	if err := cl.do(ctx, &x, 0, nil); err != nil {
-		return 0, err
-	}
-	return x.value, nil
+func (cl *Client) aggregate(ctx context.Context, q wire.Request) (int64, error) {
+	resp, err := cl.point(ctx, q)
+	return resp.Value, err
 }

@@ -64,17 +64,9 @@ func (cl *Client) Do(ctx context.Context, ops []Op) ([]OpResult, error) {
 // frame. out slots for operations that exhaust their attempts keep the
 // error of their last attempt.
 func (cl *Client) doChunk(ctx context.Context, ops []Op, out []OpResult) error {
-	cl.stats[statRequests].Add(uint64(len(ops)))
-
-	// One trace context covers the whole chunk, surviving every retry and
-	// redirect (KClientSend's Arg carries the op count, not a key).
-	x := call{req: wire.Request{Op: wire.OpBatch, Trace: cl.cfg.Trace.SampleNext()}}
-	if x.req.Trace.Sampled() {
-		start := time.Now()
-		defer cl.cfg.Trace.Span(x.req.Trace, rtrace.KClientSend, start, int64(len(ops)))
-	}
-
-	// pending holds the indices still awaiting a definitive outcome.
+	// pending holds the indices still awaiting a definitive outcome. An
+	// unknown kind is refused here and never reaches the wire, so only the
+	// operations sent count as requests.
 	pending := make([]int, 0, len(ops))
 	for i, op := range ops {
 		if op.Kind != wire.OpInsert && op.Kind != wire.OpDelete && op.Kind != wire.OpLookup {
@@ -83,9 +75,22 @@ func (cl *Client) doChunk(ctx context.Context, ops []Op, out []OpResult) error {
 		}
 		pending = append(pending, i)
 	}
+	if len(pending) == 0 {
+		return nil
+	}
+	cl.stats[statRequests].Add(uint64(len(pending)))
 
-	x.bops = make([]wire.BatchOp, 0, len(pending))
-	x.results = make([]wire.BatchResult, 0, len(pending))
+	// One trace context covers the whole chunk, surviving every retry and
+	// redirect (KClientSend's Arg carries the op count, not a key).
+	x := call{
+		req:  wire.Request{Op: wire.OpBatch, Trace: cl.cfg.Trace.SampleNext(), Ops: make([]wire.BatchOp, 0, len(pending))},
+		resp: wire.Response{Results: make([]wire.BatchResult, 0, len(pending))},
+	}
+	if x.req.Trace.Sampled() {
+		start := time.Now()
+		defer cl.cfg.Trace.Span(x.req.Trace, rtrace.KClientSend, start, int64(len(pending)))
+	}
+
 	for attempt := 0; attempt < cl.cfg.MaxAttempts && len(pending) > 0; attempt++ {
 		if attempt > 0 {
 			cl.stats[statRetries].Add(uint64(len(pending)))
@@ -94,9 +99,9 @@ func (cl *Client) doChunk(ctx context.Context, ops []Op, out []OpResult) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		x.bops = x.bops[:0]
+		x.req.Ops = x.req.Ops[:0]
 		for _, idx := range pending {
-			x.bops = append(x.bops, wire.BatchOp{Op: ops[idx].Kind, Key: ops[idx].Key})
+			x.req.Ops = append(x.req.Ops, wire.BatchOp{Op: ops[idx].Kind, Key: ops[idx].Key})
 		}
 		x.req.ID = cl.id.Add(1)
 		x.req.DeadlineMS = deadlineMS(ctx)
@@ -108,8 +113,8 @@ func (cl *Client) doChunk(ctx context.Context, ops []Op, out []OpResult) error {
 			cl.stats[statTransport].Add(1)
 		case x.resp.Status != wire.StatusOK:
 			class, err = cl.fail(x.resp.Status, x.resp.Leader, x.req.Trace, attempt)
-		case len(x.results) != len(pending):
-			return fmt.Errorf("%w: batch response carries %d results for %d ops", ErrBadRequest, len(x.results), len(pending))
+		case len(x.resp.Results) != len(pending):
+			return fmt.Errorf("%w: batch response carries %d results for %d ops", ErrBadRequest, len(x.resp.Results), len(pending))
 		}
 		if err != nil {
 			for _, idx := range pending {
@@ -123,7 +128,7 @@ func (cl *Client) doChunk(ctx context.Context, ops []Op, out []OpResult) error {
 			next := pending[:0]
 			class = permanent
 			for k, idx := range pending {
-				r := x.results[k]
+				r := x.resp.Results[k]
 				if r.Status == wire.StatusOK {
 					out[idx] = OpResult{OK: r.OK}
 					continue

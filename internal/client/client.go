@@ -525,16 +525,11 @@ func (cl *Client) pause(ctx context.Context, class retryClass, leader string, at
 	return cl.sleep(ctx, cl.backoff(base, cl.shifted(attempt)))
 }
 
-// call is one request's trip through the retry loop: the frame to send
-// (req.Op picks its shape) and the reply the last exchange decoded.
+// call is one request's trip through the retry loop: the frame to send and
+// the reply the last exchange decoded into the same record.
 type call struct {
-	req  wire.Request          // every kind's id, deadline and trace; a point op itself
-	agg  wire.AggregateRequest // OpAggregate: the query
-	bops []wire.BatchOp        // OpBatch: the pending operations
-
-	resp    wire.Response      // reply id, status, ok bit, range keys, redirect address
-	value   int64              // OpAggregate reply
-	results []wire.BatchResult // OpBatch reply: one per bop
+	req  wire.Request
+	resp wire.Response
 }
 
 // do runs a single-op or aggregate call through the retry loop, starting
@@ -640,11 +635,11 @@ func (cl *Client) release(c *conn, keep bool) {
 	cl.pool <- nil
 }
 
-// exchange sends x's frame on a pooled connection and decodes the reply
-// into x: acquire, write, flush, read, check the id, then keep the
-// connection or drop it. Only the encode and decode steps differ by frame
-// kind. An error is a transport failure, and the connection is closed; the
-// pool slot is replaced with nil so the next use redials.
+// exchange sends x.req on a pooled connection and decodes the reply into
+// x.resp: acquire, write, flush, read, check the id, then keep the
+// connection or drop it. An error is a transport failure, and the
+// connection is closed; the pool slot is replaced with nil so the next use
+// redials.
 func (cl *Client) exchange(ctx context.Context, x *call) error {
 	c, err := cl.acquire(ctx)
 	if err != nil {
@@ -653,15 +648,7 @@ func (cl *Client) exchange(ctx context.Context, x *call) error {
 	keep := false
 	defer func() { cl.release(c, keep) }()
 
-	switch x.req.Op {
-	case wire.OpBatch:
-		c.scratch = wire.AppendBatchRequest(c.scratch[:0], x.req.ID, x.req.DeadlineMS, x.req.Trace, x.bops)
-	case wire.OpAggregate:
-		x.agg.ID, x.agg.DeadlineMS, x.agg.Trace = x.req.ID, x.req.DeadlineMS, x.req.Trace
-		c.scratch = wire.AppendAggregateRequest(c.scratch[:0], x.agg)
-	default:
-		c.scratch = wire.AppendRequest(c.scratch[:0], x.req)
-	}
+	c.scratch = wire.AppendRequest(c.scratch[:0], &x.req)
 	if err := wire.WriteFrame(c.bw, c.scratch); err != nil {
 		return fmt.Errorf("client: write: %w", err)
 	}
@@ -673,25 +660,7 @@ func (cl *Client) exchange(ctx context.Context, x *call) error {
 	if err != nil {
 		return fmt.Errorf("client: read: %w", err)
 	}
-	switch x.req.Op {
-	case wire.OpAggregate:
-		var ar wire.AggregateResponse
-		ar, err = wire.DecodeAggregateResponse(payload)
-		x.resp, x.value = wire.Response{ID: ar.ID, Status: ar.Status}, ar.Value
-	case wire.OpBatch:
-		var id uint64
-		var st wire.Status
-		id, st, x.results, err = wire.DecodeBatchResponse(payload, x.results[:0])
-		x.resp = wire.Response{ID: id, Status: st}
-		if err == nil && st != wire.StatusOK {
-			// A frame refused as a whole carries no per-op tail: it is a
-			// plain response, whose redirect tail names the leader.
-			x.resp, err = wire.DecodeResponse(payload)
-		}
-	default:
-		x.resp, err = wire.DecodeResponse(payload)
-	}
-	if err != nil {
+	if err := wire.DecodeResponse(payload, x.req.Op, &x.resp); err != nil {
 		return fmt.Errorf("client: decode: %w", err)
 	}
 	if x.resp.ID != x.req.ID {

@@ -87,6 +87,13 @@ func (p *Pipeline) Submit(ctx context.Context, op Op) (*Future, error) {
 	if op.Kind != wire.OpInsert && op.Kind != wire.OpDelete && op.Kind != wire.OpLookup {
 		return nil, fmt.Errorf("%w: unknown op kind %d", ErrBadRequest, op.Kind)
 	}
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	if p.err != nil {
+		return nil, p.err
+	}
+	// Only a submission that will be written counts as a request and
+	// draws a trace sample.
 	f := &Future{p: p, done: make(chan struct{}), op: op, trace: p.cl.cfg.Trace.SampleNext()}
 	req := wire.Request{
 		ID:         p.cl.id.Add(1),
@@ -96,17 +103,11 @@ func (p *Pipeline) Submit(ctx context.Context, op Op) (*Future, error) {
 		Trace:      f.trace,
 	}
 	p.cl.stats[statRequests].Add(1)
-
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	if p.err != nil {
-		return nil, p.err
-	}
 	// Register before writing: the response can race back before the
 	// write lock is released.
 	p.pending[req.ID] = f
 	buf := wire.GetBuf()
-	*buf = wire.AppendRequest((*buf)[:0], req)
+	*buf = wire.AppendRequest((*buf)[:0], &req)
 	err := wire.WriteFrame(p.bw, *buf)
 	wire.PutBuf(buf)
 	if err != nil {
@@ -180,8 +181,10 @@ func (p *Pipeline) readLoop() {
 			p.wmu.Unlock()
 			return
 		}
-		resp, err := wire.DecodeResponse(payload)
-		if err != nil {
+		// Submit sends point ops only, and every point op's reply has the
+		// same shape, so the reply decodes before its future is known.
+		var resp wire.Response
+		if err := wire.DecodeResponse(payload, wire.OpLookup, &resp); err != nil {
 			p.wmu.Lock()
 			p.failLocked(fmt.Errorf("client: pipeline decode: %w", err))
 			p.wmu.Unlock()

@@ -3,8 +3,10 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -378,6 +380,45 @@ func TestMetricsHook(t *testing.T) {
 	}
 	if s.Gauges["wal_last_seq"] != 10 || s.Gauges["checkpoint_backlog_ops"] != 0 {
 		t.Fatalf("gauges wrong: %v", s.Gauges)
+	}
+}
+
+// TestMetricsHookSeries pins every series MetricsHook exports, by kind, on
+// a one-shard and a four-shard store, so a renamed or dropped series fails
+// here before a dashboard notices.
+func TestMetricsHookSeries(t *testing.T) {
+	counters := []string{
+		"recovery_replayed_ops_total", "snapshot_keys_total", "snapshots_total",
+		"wal_append_total", "wal_bytes_written_total", "wal_fsync_total",
+		"wal_group_commits_total", "wal_group_records_total",
+		"wal_rotations_total", "wal_torn_bytes_truncated_total",
+	}
+	gauges := []string{
+		"checkpoint_backlog_ops", "checkpoint_last_wal_seq", "wal_durable_seq",
+		"wal_group_size_max", "wal_last_seq", "wal_segments",
+	}
+	histograms := []string{"snapshot_duration_seconds", "wal_fsync_seconds"}
+	for _, shards := range []int{1, 4} {
+		d := openT(t, t.TempDir(), Options{Sync: wal.SyncNone,
+			TreeOptions: []bst.Option{bst.WithShards(shards)}})
+		s := metrics.Snapshot{External: map[string]uint64{}, Gauges: map[string]float64{},
+			ExternalLatency: map[string]metrics.LatencySnapshot{}}
+		d.MetricsHook(&s)
+		for _, kind := range []struct {
+			name      string
+			got, want []string
+		}{
+			{"counters", slices.Sorted(maps.Keys(s.External)), counters},
+			{"gauges", slices.Sorted(maps.Keys(s.Gauges)), gauges},
+			{"histograms", slices.Sorted(maps.Keys(s.ExternalLatency)), histograms},
+		} {
+			if !slices.Equal(kind.got, kind.want) {
+				t.Errorf("shards=%d %s = %v, want %v", shards, kind.name, kind.got, kind.want)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

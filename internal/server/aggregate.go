@@ -24,7 +24,7 @@ type AggregateStore interface {
 // StatusNoIndex, like a tree built without order statistics.
 func (s *Server) executeAggregate(x *call) {
 	s.stats.aggregates.Add(1)
-	q := &x.agg
+	q := &x.req
 	cons := bst.BoundedStale(q.MaxDirty)
 	if q.Mode == wire.AggModeExact {
 		cons = bst.Exact
@@ -37,14 +37,15 @@ func (s *Server) executeAggregate(x *call) {
 	case q.Kind == wire.AggRank:
 		n, err = agg.Rank(q.Key, cons)
 	case q.Kind == wire.AggSelect:
-		x.value, err = agg.Select(int(q.Key), cons)
+		x.resp.Value, err = agg.Select(int(q.Key), cons)
 	case q.Kind == wire.AggCount:
 		n, err = agg.CountRange(q.Key, q.To, cons)
 	case q.Kind == wire.AggSum:
-		x.value, err = agg.SumRange(q.Key, q.To, cons)
+		x.resp.Value, err = agg.SumRange(q.Key, q.To, cons)
 	}
 	if q.Kind == wire.AggRank || q.Kind == wire.AggCount {
-		x.value = int64(n)
+		x.resp.Value = int64(n)
 	}
+	x.resp.OK = err == nil
 	x.resp.Status = s.statusOf(err)
 }

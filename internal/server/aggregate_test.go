@@ -97,7 +97,7 @@ func TestAggregateBadTail(t *testing.T) {
 	br := bufio.NewReader(c)
 
 	// Base header says OpAggregate, but the 18-byte tail is missing.
-	bad := wire.AppendRequest(nil, wire.Request{ID: 7, Op: wire.OpAggregate, Key: 3})
+	bad := wire.AppendRequest(nil, &wire.Request{ID: 7, Op: wire.OpAggregate, Key: 3})
 	if err := wire.WriteFrame(bw, bad); err != nil || bw.Flush() != nil {
 		t.Fatalf("write bad frame: %v", err)
 	}
@@ -105,15 +105,16 @@ func TestAggregateBadTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read response: %v", err)
 	}
-	resp, err := wire.DecodeAggregateResponse(payload)
+	var resp wire.Response
+	err = wire.DecodeResponse(payload, wire.OpAggregate, &resp)
 	if err != nil || resp.ID != 7 || resp.Status != wire.StatusBadRequest {
 		t.Fatalf("bad-tail response = (%+v, %v), want id 7 StatusBadRequest", resp, err)
 	}
 
 	// The connection survived: a well-formed aggregate on the same conn
 	// still answers.
-	good := wire.AppendAggregateRequest(nil, wire.AggregateRequest{
-		ID: 8, Kind: wire.AggRank, Mode: wire.AggModeExact, Key: 0,
+	good := wire.AppendRequest(nil, &wire.Request{
+		ID: 8, Op: wire.OpAggregate, Kind: wire.AggRank, Mode: wire.AggModeExact, Key: 0,
 	})
 	if err := wire.WriteFrame(bw, good); err != nil || bw.Flush() != nil {
 		t.Fatalf("write good frame: %v", err)
@@ -122,7 +123,7 @@ func TestAggregateBadTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read second response: %v", err)
 	}
-	resp, err = wire.DecodeAggregateResponse(payload)
+	err = wire.DecodeResponse(payload, wire.OpAggregate, &resp)
 	if err != nil || resp.ID != 8 || resp.Status != wire.StatusOK || resp.Value != 0 {
 		t.Fatalf("good response = (%+v, %v), want id 8 OK value 0", resp, err)
 	}

@@ -250,8 +250,22 @@ func TestPipelineFallbackAfterClose(t *testing.T) {
 	if ok, err := cl.Lookup(ctx, 123); err != nil || !ok {
 		t.Fatalf("lookup(123) after fallback = (%v, %v), want (true, nil)", ok, err)
 	}
+	// Stats.Requests counts only operations that reach the wire: neither a
+	// Submit refused by the closed pipeline nor a Do slot refused locally
+	// for its unknown kind counts.
+	before := cl.Stats().Requests
 	if _, err := p.Submit(ctx, client.InsertOp(1)); !errors.Is(err, client.ErrPipelineClosed) {
 		t.Fatalf("Submit after Close err = %v, want ErrPipelineClosed", err)
+	}
+	if got := cl.Stats().Requests - before; got != 0 {
+		t.Fatalf("a refused Submit counted %d requests, want 0", got)
+	}
+	res, err := cl.Do(ctx, []client.Op{{Kind: 99, Key: 1}, client.LookupOp(123)})
+	if err != nil || !errors.Is(res[0].Err, client.ErrBadRequest) || res[1].Err != nil || !res[1].OK {
+		t.Fatalf("Do with an unknown kind = (%+v, %v), want slot 0 ErrBadRequest and slot 1 found", res, err)
+	}
+	if got := cl.Stats().Requests - before; got != 1 {
+		t.Fatalf("Do with one unknown kind of two counted %d requests, want 1", got)
 	}
 }
 

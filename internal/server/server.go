@@ -429,26 +429,22 @@ func (s *Server) forgetConn(c net.Conn) {
 }
 
 // call is one request's trip through the server: the decoded frame, its
-// deadline, the outcome its execute step wrote, and the batch buffers.
-// Each connection reuses one, bound to the connection's accessor, so the
+// deadline, the reply its execute step wrote, and the batch buffers. Each
+// connection reuses one, bound to the connection's accessor, so the
 // steady-state path decodes, executes and encodes without allocating.
 type call struct {
 	acc bst.Accessor   // the connection's accessor
 	ta  ticketAccessor // acc's ticket methods; nil when it has none
 
-	req      wire.Request
-	ops      []wire.BatchOp        // OpBatch: the decoded operations
-	agg      wire.AggregateRequest // OpAggregate: the decoded query
-	arg      int64                 // trace argument: the key, or a batch's op count
-	mutates  bool                  // a write: only a leader takes it
-	deadline time.Time             // arrival plus the request's budget
+	req      wire.Request // the decoded frame; its Ops capacity is reused
+	arg      int64        // trace argument: the key, or a batch's op count
+	mutates  bool         // a write: only a leader takes it
+	deadline time.Time    // arrival plus the request's budget
 
-	resp    wire.Response      // status, ok bit, range keys, redirect address
-	results []wire.BatchResult // OpBatch with StatusOK: one per op
-	value   int64              // OpAggregate with StatusOK
-	ticket  wal.Ticket         // a single-op mutation's WAL record, waited on per window
-	seq     uint64             // WAL horizon the semi-sync gate must cover (0: none)
-	lost    error              // a batch's WAL failure: no response may be sent
+	resp   wire.Response // the reply; its Results capacity is reused
+	ticket wal.Ticket    // a single-op mutation's WAL record, waited on per window
+	seq    uint64        // WAL horizon the semi-sync gate must cover (0: none)
+	lost   error         // a batch's WAL failure: no response may be sent
 
 	keys []int64 // one same-kind run of a batch
 	res  []bst.OpResult
@@ -471,10 +467,12 @@ type ticketAccessor interface {
 // a flush, so a relentless pipeline still sees bounded ack latency.
 const maxWindow = 256
 
-// pendingResp is one deferred response: the encoded payload plus the WAL
-// sequence it would acknowledge (0 for reads and failed ops).
+// pendingResp is one deferred response: the encoded payload, the op it
+// answers and the WAL sequence it would acknowledge (0 for reads and
+// failed ops).
 type pendingResp struct {
 	payload []byte
+	op      uint8
 	seq     uint64
 }
 
@@ -513,12 +511,12 @@ func (s *Server) handleConn(c net.Conn) {
 		tickets wal.TicketSet
 		maxSeq  uint64
 	)
-	stage := func(payload []byte, t wal.Ticket, seq uint64) {
+	stage := func(payload []byte, op uint8, t wal.Ticket, seq uint64) {
 		if nwin < len(win) {
 			win[nwin].payload = append(win[nwin].payload[:0], payload...)
-			win[nwin].seq = seq
+			win[nwin].op, win[nwin].seq = op, seq
 		} else {
-			win = append(win, pendingResp{payload: append([]byte(nil), payload...), seq: seq})
+			win = append(win, pendingResp{payload: append([]byte(nil), payload...), op: op, seq: seq})
 		}
 		nwin++
 		// One ticket per WAL lane: a sharded store routes each mutation to
@@ -571,8 +569,8 @@ func (s *Server) handleConn(c net.Conn) {
 				for i := 0; i < nwin; i++ {
 					if win[i].seq > acked {
 						id := binary.BigEndian.Uint64(win[i].payload[:8])
-						win[i].payload = wire.AppendResponse(win[i].payload[:0],
-							wire.Response{ID: id, Status: st, Leader: leader})
+						win[i].payload = wire.AppendResponse(win[i].payload[:0], win[i].op,
+							&wire.Response{ID: id, Status: st, Leader: leader})
 					}
 				}
 			}
@@ -612,21 +610,22 @@ func (s *Server) handleConn(c net.Conn) {
 			}
 			return
 		}
-		req, err := wire.DecodeRequest(frame)
-		if err != nil {
-			// The stream can no longer be trusted to be framed; answer
-			// and hang up.
+		err = wire.DecodeRequest(frame, &x.req)
+		if errors.Is(err, wire.ErrShortHeader) {
+			// Cut inside the header or its trace extension: answer and
+			// hang up, as nothing after it can be trusted.
 			s.stats.badRequests.Add(1)
 			if !flushWin() {
 				return
 			}
-			*out = wire.AppendResponse((*out)[:0], wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
-			s.writeFrame(c, bw, *out, true)
+			*out = wire.AppendResponse((*out)[:0], x.req.Op, &wire.Response{ID: x.req.ID, Status: wire.StatusBadRequest})
+			c.SetWriteDeadline(time.Now().Add(s.cfg.ReadTimeout))
+			if wire.WriteFrame(bw, *out) == nil {
+				bw.Flush()
+			}
 			return
 		}
-
-		x.req = req
-		poisoned := s.serve(&x, frame, tr)
+		poisoned := s.serve(&x, err, tr)
 		if x.lost != nil {
 			// A batch changed the tree but its WAL records failed: the same
 			// rule as a failed window wait — acknowledge nothing, sever.
@@ -634,8 +633,11 @@ func (s *Server) handleConn(c net.Conn) {
 			nwin = 0
 			return
 		}
-		*out = s.encode((*out)[:0], &x)
-		stage(*out, x.ticket, x.seq)
+		if st := x.resp.Status; (st == wire.StatusNotLeader || st == wire.StatusFenced) && s.cfg.Cluster != nil {
+			x.resp.Leader = s.cfg.Cluster.LeaderAddr()
+		}
+		*out = wire.AppendResponse((*out)[:0], x.req.Op, &x.resp)
+		stage(*out, x.req.Op, x.ticket, x.seq)
 		// Flush only when no next request is already buffered: that is
 		// the moment the client is actually waiting on us.
 		if br.Buffered() == 0 || poisoned || nwin >= maxWindow {
@@ -646,44 +648,30 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 }
 
-// leaderAddr returns the cluster leader's data address ("" standalone).
-func (s *Server) leaderAddr() string {
-	if cl := s.cfg.Cluster; cl != nil {
-		return cl.LeaderAddr()
-	}
-	return ""
-}
-
-// writeFrame appends one framed payload to the connection's write buffer,
-// flushing it when flush is set; false means the connection is broken.
-func (s *Server) writeFrame(c net.Conn, bw *bufio.Writer, payload []byte, flush bool) bool {
-	c.SetWriteDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	if wire.WriteFrame(bw, payload) != nil {
-		return false
-	}
-	if flush {
-		return bw.Flush() == nil
-	}
-	return true
-}
-
-// serve runs one request through the steps every frame kind shares, in
-// one order: decode the frame-specific tail (a malformed one answers
-// StatusBadRequest and the connection survives, since the frame boundary
-// held), open the trace, refuse while draining, gate writes by role, take
-// an admission slot or shed, guard the slot against panics, count the
-// request, hit the failpoints, set the deadline, refuse a request whose
-// budget is already spent, and execute. The outcome lands in x. poisoned
-// reports a recovered panic: the response is StatusInternal and the
-// connection must close.
-func (s *Server) serve(x *call, frame []byte, tr *rtrace.Conn) (poisoned bool) {
+// serve runs one decoded request through the steps every frame kind
+// shares, in one order: refuse a malformed tail (decodeErr: StatusBadRequest,
+// and the connection survives, since the frame boundary held), open the
+// trace, refuse while draining, gate writes by role, take an admission slot
+// or shed, guard the slot against panics, count the request, hit the
+// failpoints, set the deadline, refuse a request whose budget is already
+// spent, and execute. The reply lands in x.resp. poisoned reports a
+// recovered panic: the response is StatusInternal and the connection must
+// close.
+func (s *Server) serve(x *call, decodeErr error, tr *rtrace.Conn) (poisoned bool) {
 	start := time.Now()
-	x.resp = wire.Response{ID: x.req.ID}
+	x.resp = wire.Response{ID: x.req.ID, Results: x.resp.Results[:0]}
 	x.ticket, x.seq, x.lost = wal.Ticket{}, 0, nil
-	if !x.decode(frame) {
+	if decodeErr != nil {
 		s.stats.badRequests.Add(1)
 		x.resp.Status = wire.StatusBadRequest
 		return false
+	}
+	x.arg, x.mutates = x.req.Key, x.req.Op == wire.OpInsert || x.req.Op == wire.OpDelete
+	if x.req.Op == wire.OpBatch {
+		x.arg = int64(len(x.req.Ops))
+		for _, o := range x.req.Ops {
+			x.mutates = x.mutates || o.Op != wire.OpLookup
+		}
 	}
 	tr.StartRequest(x.req.Trace, x.req.Op, x.arg)
 	if s.draining.Load() {
@@ -696,7 +684,7 @@ func (s *Server) serve(x *call, frame []byte, tr *rtrace.Conn) (poisoned bool) {
 	// batches, aggregates) are served from any role. A fenced node —
 	// deposed by a newer term — answers StatusFenced instead of
 	// StatusNotLeader so clients (and audits) can tell "never was the
-	// leader" from "stop trusting this one"; encode adds the leader's
+	// leader" from "stop trusting this one"; handleConn adds the leader's
 	// address to both.
 	if cl := s.cfg.Cluster; cl != nil && x.mutates && !cl.IsLeader() {
 		if cl.Fenced() {
@@ -725,7 +713,7 @@ func (s *Server) serve(x *call, frame []byte, tr *rtrace.Conn) (poisoned bool) {
 			s.stats.panics.Add(1)
 			s.log.Error("panic serving request", "op", wire.OpName(x.req.Op), "arg", x.arg,
 				"conn", tr.ID(), "trace", tr.Context().TraceID, "panic", p)
-			x.resp = wire.Response{ID: x.req.ID, Status: wire.StatusInternal}
+			x.resp = wire.Response{ID: x.req.ID, Status: wire.StatusInternal, Results: x.resp.Results[:0]}
 			x.ticket, x.seq = wal.Ticket{}, 0
 			poisoned = true
 		}
@@ -768,47 +756,6 @@ func (s *Server) serve(x *call, frame []byte, tr *rtrace.Conn) (poisoned bool) {
 		s.cfg.Trace.NoteSampledSeq(x.seq, tr.Context())
 	}
 	return false
-}
-
-// decode fills the frame-specific fields of x from frame; false means an
-// unknown op or a malformed batch or aggregate tail.
-func (x *call) decode(frame []byte) bool {
-	var err error
-	switch op := x.req.Op; op {
-	case wire.OpInsert, wire.OpDelete, wire.OpLookup, wire.OpLookupAt, wire.OpRange:
-		x.arg, x.mutates = x.req.Key, op == wire.OpInsert || op == wire.OpDelete
-	case wire.OpBatch:
-		x.ops, err = wire.DecodeBatchOps(frame, x.ops[:0])
-		x.arg, x.mutates = int64(len(x.ops)), false
-		for i := range x.ops {
-			if x.ops[i].Op != wire.OpLookup {
-				x.mutates = true
-				break
-			}
-		}
-	case wire.OpAggregate:
-		x.agg, err = wire.DecodeAggregate(frame)
-		x.arg, x.mutates = x.agg.Key, false
-	default:
-		return false
-	}
-	return err == nil
-}
-
-// encode appends x's response payload to dst: the aggregate shape with
-// its value, the batch shape with its per-op statuses, or the plain
-// response — which is also how a batch rejected as a whole answers, and
-// which names the leader on a redirect.
-func (s *Server) encode(dst []byte, x *call) []byte {
-	switch {
-	case x.req.Op == wire.OpAggregate:
-		return wire.AppendAggregateResponse(dst, wire.AggregateResponse{ID: x.req.ID, Status: x.resp.Status, Value: x.value})
-	case x.req.Op == wire.OpBatch && x.resp.Status == wire.StatusOK:
-		return wire.AppendBatchResponse(dst, x.req.ID, x.results)
-	case x.resp.Status == wire.StatusNotLeader || x.resp.Status == wire.StatusFenced:
-		x.resp.Leader = s.leaderAddr()
-	}
-	return wire.AppendResponse(dst, x.resp)
 }
 
 // errReplLag is execute's error for an OpLookupAt whose sequence floor the
@@ -859,13 +806,13 @@ func (s *Server) statusOf(err error) wire.Status {
 // replication wait is the response window's, so x.seq is the WAL horizon
 // the batch reached.
 func (s *Server) executeBatch(x *call) {
-	ops := x.ops
+	ops := x.req.Ops
 	s.stats.batchOps.Add(uint64(len(ops)))
-	results := x.results[:0]
+	results := x.resp.Results[:0]
 	for range ops {
 		results = append(results, wire.BatchResult{})
 	}
-	x.results = results
+	x.resp.Results = results
 
 	i := 0
 	for i < len(ops) {

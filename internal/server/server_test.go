@@ -422,7 +422,7 @@ func TestDeadlineExpiredBeforeExecution(t *testing.T) {
 	defer c.Close()
 	st := fp.Site(FPHandle)
 	st.StallNext()
-	if err := wire.WriteFrame(c, wire.AppendRequest(nil, wire.Request{ID: 5, Op: wire.OpInsert, DeadlineMS: 1, Key: 3})); err != nil {
+	if err := wire.WriteFrame(c, wire.AppendRequest(nil, &wire.Request{ID: 5, Op: wire.OpInsert, DeadlineMS: 1, Key: 3})); err != nil {
 		t.Fatal(err)
 	}
 	if !st.WaitStalled(5 * time.Second) {
@@ -434,8 +434,8 @@ func TestDeadlineExpiredBeforeExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.DecodeResponse(payload)
-	if err != nil {
+	var resp wire.Response
+	if err := wire.DecodeResponse(payload, wire.OpInsert, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.ID != 5 || resp.Status != wire.StatusDeadlineExceeded {
@@ -458,14 +458,15 @@ func TestBadRequestsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := wire.WriteFrame(c, wire.AppendRequest(nil, wire.Request{ID: 1, Op: 99, Key: 1})); err != nil {
+	if err := wire.WriteFrame(c, wire.AppendRequest(nil, &wire.Request{ID: 1, Op: 99, Key: 1})); err != nil {
 		t.Fatal(err)
 	}
 	payload, _, err := wire.ReadFrame(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, _ := wire.DecodeResponse(payload)
+	var resp wire.Response
+	wire.DecodeResponse(payload, 99, &resp)
 	if resp.Status != wire.StatusBadRequest {
 		t.Fatalf("unknown op status = %v, want StatusBadRequest", resp.Status)
 	}
@@ -480,6 +481,65 @@ func TestBadRequestsRejected(t *testing.T) {
 	c2.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := c2.Read(make([]byte, 1)); err == nil {
 		t.Fatal("connection with hostile length prefix survived")
+	}
+}
+
+// TestMalformedTailKeepsConnection: a frame whose header parses but whose
+// op tail does not — a range cut short of its 12-byte tail, a lookup-at
+// cut short of its sequence floor — answers StatusBadRequest, and the
+// connection keeps serving, since the frame boundary held. Only a payload
+// cut inside the header is answered and then closes the connection.
+func TestMalformedTailKeepsConnection(t *testing.T) {
+	_, srv, cl := startServer(t, nil, Config{})
+	defer cl.Close()
+	defer shutdown(t, srv)
+	if _, err := cl.Insert(context.Background(), 5); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	roundTrip := func(payload []byte, op uint8) wire.Response {
+		t.Helper()
+		if err := wire.WriteFrame(c, payload); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		reply, _, err := wire.ReadFrame(c, nil)
+		if err != nil {
+			t.Fatalf("read after a %d-byte %s frame: %v", len(payload), wire.OpName(op), err)
+		}
+		var resp wire.Response
+		if err := wire.DecodeResponse(reply, op, &resp); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		return resp
+	}
+
+	rng := wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpRange, Key: 0, To: 10})
+	if resp := roundTrip(rng[:len(rng)-4], wire.OpRange); resp.ID != 1 || resp.Status != wire.StatusBadRequest {
+		t.Fatalf("truncated range tail = %+v, want id 1 StatusBadRequest", resp)
+	}
+	at := wire.AppendRequest(nil, &wire.Request{ID: 2, Op: wire.OpLookupAt, Key: 5})
+	if resp := roundTrip(at[:len(at)-1], wire.OpLookupAt); resp.ID != 2 || resp.Status != wire.StatusBadRequest {
+		t.Fatalf("truncated lookup-at tail = %+v, want id 2 StatusBadRequest", resp)
+	}
+	lookup := wire.AppendRequest(nil, &wire.Request{ID: 3, Op: wire.OpLookup, Key: 5})
+	if resp := roundTrip(lookup, wire.OpLookup); resp.ID != 3 || resp.Status != wire.StatusOK || !resp.OK {
+		t.Fatalf("lookup after two bad tails = %+v, want id 3 found", resp)
+	}
+	if got := srv.Counters().BadRequests; got != 2 {
+		t.Fatalf("BadRequests = %d, want 2", got)
+	}
+
+	if resp := roundTrip(lookup[:10], wire.OpLookup); resp.Status != wire.StatusBadRequest {
+		t.Fatalf("short header = %+v, want StatusBadRequest", resp)
+	}
+	if _, err := c.Read(make([]byte, 1)); err == nil {
+		t.Fatal("connection survived a short header")
 	}
 }
 

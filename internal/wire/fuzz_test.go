@@ -17,131 +17,195 @@ import (
 // budget in CI; run `go test -fuzz FuzzDecodeRequest ./internal/wire`
 // for a real session.
 
-func FuzzDecodeRequest(f *testing.F) {
-	f.Add(AppendRequest(nil, Request{ID: 1, Op: OpInsert, DeadlineMS: 50, Key: 42}))
-	f.Add(AppendRequest(nil, Request{ID: 2, Op: OpRange, Key: -10, To: 10, Limit: 100}))
-	f.Add(AppendRequest(nil, Request{ID: 3, Op: OpLookup, Key: 7})[:5])
+// frame encodes q and cuts the last cut bytes off, for truncated seeds.
+func frame(q Request, cut int) []byte {
+	b := AppendRequest(nil, &q)
+	return b[:len(b)-cut]
+}
+
+// reply encodes p as the reply to op and cuts the last cut bytes off.
+func reply(op uint8, p Response, cut int) []byte {
+	b := AppendResponse(nil, op, &p)
+	return b[:len(b)-cut]
+}
+
+// The data-plane seeds, by frame kind. The merged targets start from every
+// kind's seeds; the per-kind targets from one kind's.
+
+func pointRequestSeeds() [][]byte {
 	traced := rtrace.Context{TraceID: 0xfeedbeefcafe, SpanID: 7, Flags: rtrace.FlagSampled}
-	f.Add(AppendRequest(nil, Request{ID: 4, Op: OpInsert, Key: 9, Trace: traced}))
-	f.Add(AppendRequest(nil, Request{ID: 5, Op: OpRange, Key: -1, To: 1, Limit: 8, Trace: traced}))
-	f.Add(AppendRequest(nil, Request{ID: 6, Op: OpLookupAt, Key: 3, MinSeq: 11, Trace: traced})[:reqBaseLen+4])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		q, err := DecodeRequest(data)
-		if err != nil {
-			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("DecodeRequest: unexpected error class %v", err)
-			}
-			return
-		}
-		q2, err := DecodeRequest(AppendRequest(nil, q))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded request: %v", err)
-		}
-		if q2 != q {
-			t.Fatalf("round trip changed the request: %+v -> %+v", q, q2)
-		}
-	})
+	return [][]byte{
+		frame(Request{ID: 1, Op: OpInsert, DeadlineMS: 50, Key: 42}, 0),
+		frame(Request{ID: 2, Op: OpRange, Key: -10, To: 10, Limit: 100}, 0),
+		frame(Request{ID: 3, Op: OpLookup, Key: 7}, reqBaseLen-5),
+		frame(Request{ID: 4, Op: OpInsert, Key: 9, Trace: traced}, 0),
+		frame(Request{ID: 5, Op: OpRange, Key: -1, To: 1, Limit: 8, Trace: traced}, 0),
+		frame(Request{ID: 6, Op: OpLookupAt, Key: 3, MinSeq: 11, Trace: traced}, rtrace.ContextLen+4),
+	}
 }
 
-func FuzzDecodeResponse(f *testing.F) {
-	f.Add(AppendResponse(nil, Response{ID: 1, Status: StatusOK, OK: true}))
-	f.Add(AppendResponse(nil, Response{ID: 2, Status: StatusOK, Keys: []int64{1, 2, 3}}))
-	f.Add(AppendResponse(nil, Response{ID: 3, Status: StatusOK, Keys: []int64{}}))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 9, 0, 1, 0xff, 0xff, 0xff, 0xff}) // huge key count
-	// Fenced/NotLeader responses carry a redirect tail instead of keys;
-	// cover both the hinted and hintless forms plus a truncated tail.
-	f.Add(AppendResponse(nil, Response{ID: 4, Status: StatusFenced, Leader: "10.0.0.2:4000"}))
-	f.Add(AppendResponse(nil, Response{ID: 5, Status: StatusFenced}))
-	f.Add(AppendResponse(nil, Response{ID: 6, Status: StatusNotLeader, Leader: "h:1"}))
-	fenced := AppendResponse(nil, Response{ID: 7, Status: StatusFenced, Leader: "10.0.0.3:4000"})
-	f.Add(fenced[:len(fenced)-5])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeResponse(data)
-		if err != nil {
-			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("DecodeResponse: unexpected error class %v", err)
-			}
-			return
-		}
-		// The decoder must never trust a length prefix beyond the bytes
-		// actually present (the uint32 n*8 wrap-around trap).
-		if len(p.Keys) > len(data)/8 {
-			t.Fatalf("decoded %d keys out of a %d-byte frame", len(p.Keys), len(data))
-		}
-		p2, err := DecodeResponse(AppendResponse(nil, p))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded response: %v", err)
-		}
-		if !reflect.DeepEqual(p, p2) {
-			t.Fatalf("round trip changed the response: %+v -> %+v", p, p2)
-		}
-	})
-}
-
-func FuzzDecodeBatchOps(f *testing.F) {
+func batchRequestSeeds() [][]byte {
 	ops := []BatchOp{{Op: OpInsert, Key: 1}, {Op: OpDelete, Key: -2}, {Op: OpLookup, Key: 3}}
 	traced := rtrace.Context{TraceID: 0xabad1dea, SpanID: 3, Flags: rtrace.FlagSampled}
-	f.Add(AppendBatchRequest(nil, 9, 25, rtrace.Context{}, ops))
-	f.Add(AppendBatchRequest(nil, 10, 0, rtrace.Context{}, nil))
-	f.Add(AppendBatchRequest(nil, 11, 0, rtrace.Context{}, ops)[:reqBaseLen+2])
-	f.Add(AppendBatchRequest(nil, 12, 25, traced, ops))
-	f.Add(AppendBatchRequest(nil, 13, 0, traced, ops)[:reqBaseLen+rtrace.ContextLen+2])
+	return [][]byte{
+		frame(Request{ID: 9, Op: OpBatch, DeadlineMS: 25, Ops: ops}, 0),
+		frame(Request{ID: 10, Op: OpBatch}, 0),
+		frame(Request{ID: 11, Op: OpBatch, Ops: ops}, 27),
+		frame(Request{ID: 12, Op: OpBatch, DeadlineMS: 25, Ops: ops, Trace: traced}, 0),
+		frame(Request{ID: 13, Op: OpBatch, Ops: ops, Trace: traced}, 27),
+	}
+}
+
+func aggregateRequestSeeds() [][]byte {
+	traced := rtrace.Context{TraceID: 0xfeed, SpanID: 2, Flags: rtrace.FlagSampled}
+	return [][]byte{
+		frame(Request{ID: 1, Op: OpAggregate, Kind: AggRank, Mode: AggModeExact, Key: 42}, 0),
+		frame(Request{ID: 2, Op: OpAggregate, Kind: AggCount, Mode: AggModeStale, MaxDirty: 64, Key: -5, To: 5}, 0),
+		frame(Request{ID: 3, Op: OpAggregate, Kind: AggSum, Mode: AggModeExact, Key: 0, To: 1 << 30, Trace: traced}, 0),
+		frame(Request{ID: 4, Op: OpAggregate, Kind: AggSelect, Mode: AggModeStale, Key: 10}, aggTailLen-3),
+	}
+}
+
+// pointResponseSeeds are replies to single-key ops. Fenced/NotLeader
+// replies carry a redirect tail instead of keys: the hinted and hintless
+// forms plus a truncated tail.
+func pointResponseSeeds() [][]byte {
+	return [][]byte{
+		reply(OpLookup, Response{ID: 1, Status: StatusOK, OK: true}, 0),
+		reply(OpRange, Response{ID: 2, Status: StatusOK, Keys: []int64{1, 2, 3}}, 0),
+		reply(OpRange, Response{ID: 3, Status: StatusOK, Keys: []int64{}}, 0),
+		{0, 0, 0, 0, 0, 0, 0, 9, 0, 1, 0xff, 0xff, 0xff, 0xff}, // huge key or result count
+		reply(OpInsert, Response{ID: 4, Status: StatusFenced, Leader: "10.0.0.2:4000"}, 0),
+		reply(OpInsert, Response{ID: 5, Status: StatusFenced}, 0),
+		reply(OpInsert, Response{ID: 6, Status: StatusNotLeader, Leader: "h:1"}, 0),
+		reply(OpInsert, Response{ID: 7, Status: StatusFenced, Leader: "10.0.0.3:4000"}, 5),
+	}
+}
+
+func batchResponseSeeds() [][]byte {
+	results := []BatchResult{{Status: StatusOK, OK: true}, {Status: StatusCapacity}, {Status: StatusKeyOutOfRange}}
+	return [][]byte{
+		reply(OpBatch, Response{ID: 4, Status: StatusOK, Results: results}, 0),
+		reply(OpBatch, Response{ID: 5, Status: StatusOK}, 0),
+		reply(OpBatch, Response{ID: 6, Status: StatusOverloaded}, 0),
+	}
+}
+
+func aggregateResponseSeeds() [][]byte {
+	return [][]byte{
+		reply(OpAggregate, Response{ID: 1, Status: StatusOK, OK: true, Value: 77}, 0),
+		reply(OpAggregate, Response{ID: 2, Status: StatusNoIndex}, 0),
+		reply(OpAggregate, Response{ID: 3, Status: StatusOK, OK: true, Value: -9}, 5),
+	}
+}
+
+func addSeeds(f *testing.F, kinds ...[][]byte) {
+	for _, seeds := range kinds {
+		for _, s := range seeds {
+			f.Add(s)
+		}
+	}
+}
+
+// checkRequest holds DecodeRequest to the fuzz properties on one input.
+func checkRequest(t *testing.T, data []byte) {
+	var q Request
+	if err := DecodeRequest(data, &q); err != nil {
+		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBatchTooBig) &&
+			!errors.Is(err, ErrBadOp) && !errors.Is(err, ErrBadAggregate) {
+			t.Fatalf("DecodeRequest: unexpected error class %v", err)
+		}
+		return
+	}
+	for i, o := range q.Ops {
+		if !pointOp(o.Op) {
+			t.Fatalf("op %d: accepted invalid batch opcode %d", i, o.Op)
+		}
+	}
+	var q2 Request
+	if err := DecodeRequest(AppendRequest(nil, &q), &q2); err != nil {
+		t.Fatalf("re-decode of re-encoded %s request: %v", OpName(q.Op), err)
+	}
+	if !reflect.DeepEqual(q, q2) {
+		t.Fatalf("round trip changed the request: %+v -> %+v", q, q2)
+	}
+}
+
+// checkResponse holds DecodeResponse, decoding data as the reply to op, to
+// the fuzz properties.
+func checkResponse(t *testing.T, data []byte, op uint8) {
+	var p Response
+	if err := DecodeResponse(data, op, &p); err != nil {
+		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBatchTooBig) {
+			t.Fatalf("DecodeResponse(%s): unexpected error class %v", OpName(op), err)
+		}
+		return
+	}
+	// The decoder must never trust a length prefix beyond the bytes
+	// actually present (the uint32 n*8 wrap-around trap).
+	if len(p.Keys) > len(data)/8 || len(p.Results) > len(data)/2 {
+		t.Fatalf("decoded %d keys and %d results out of a %d-byte frame", len(p.Keys), len(p.Results), len(data))
+	}
+	var p2 Response
+	if err := DecodeResponse(AppendResponse(nil, op, &p), op, &p2); err != nil {
+		t.Fatalf("re-decode of re-encoded %s response: %v", OpName(op), err)
+	}
+	if !reflect.DeepEqual(p, p2) {
+		t.Fatalf("%s round trip changed the response: %+v -> %+v", OpName(op), p, p2)
+	}
+}
+
+// FuzzDecodeRequest decodes every request kind: seeds #0–#5 are point and
+// range frames, #6–#10 batches, #11–#14 aggregates.
+func FuzzDecodeRequest(f *testing.F) {
+	addSeeds(f, pointRequestSeeds(), batchRequestSeeds(), aggregateRequestSeeds())
+	f.Fuzz(checkRequest)
+}
+
+// FuzzDecodeBatchOps and FuzzDecodeAggregate run FuzzDecodeRequest's
+// check from one kind's seeds and corpus, so a session spends its
+// mutations near that kind's tail.
+func FuzzDecodeBatchOps(f *testing.F) {
+	addSeeds(f, batchRequestSeeds())
+	f.Fuzz(checkRequest)
+}
+
+func FuzzDecodeAggregate(f *testing.F) {
+	addSeeds(f, aggregateRequestSeeds())
+	f.Fuzz(checkRequest)
+}
+
+// dataPlaneOps are the ops whose reply FuzzDecodeResponse decodes each
+// input as.
+var dataPlaneOps = []uint8{OpInsert, OpDelete, OpLookup, OpLookupAt, OpRange, OpAggregate, OpBatch}
+
+// FuzzDecodeResponse decodes each input as the reply to every data-plane
+// op: seeds #0–#7 are single-key replies, #8–#10 batch replies, #11–#13
+// aggregate replies.
+func FuzzDecodeResponse(f *testing.F) {
+	addSeeds(f, pointResponseSeeds(), batchResponseSeeds(), aggregateResponseSeeds())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decoded, err := DecodeBatchOps(data, nil)
-		if err != nil {
-			return
-		}
-		for i, o := range decoded {
-			if o.Op != OpInsert && o.Op != OpDelete && o.Op != OpLookup {
-				t.Fatalf("op %d: accepted invalid opcode %d", i, o.Op)
-			}
-		}
-		// The server only reaches DecodeBatchOps after DecodeRequest said
-		// Op == OpBatch; the tail decoder itself never looks at the op
-		// byte, so gate the round trip the same way.
-		q, err := DecodeRequest(data)
-		if err != nil || q.Op != OpBatch {
-			return
-		}
-		again, err := DecodeBatchOps(AppendBatchRequest(nil, q.ID, q.DeadlineMS, q.Trace, decoded), nil)
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded batch: %v", err)
-		}
-		if !reflect.DeepEqual(decoded, again) {
-			t.Fatalf("round trip changed the ops: %+v -> %+v", decoded, again)
+		for _, op := range dataPlaneOps {
+			checkResponse(t, data, op)
 		}
 	})
 }
 
+// FuzzDecodeBatchResponse and FuzzDecodeAggregateResponse decode each
+// input as the reply to one op only, from that op's seeds and corpus.
 func FuzzDecodeBatchResponse(f *testing.F) {
-	results := []BatchResult{{Status: StatusOK, OK: true}, {Status: StatusCapacity}, {Status: StatusKeyOutOfRange}}
-	f.Add(AppendBatchResponse(nil, 4, results))
-	f.Add(AppendBatchResponse(nil, 5, nil))
-	f.Add(AppendResponse(nil, Response{ID: 6, Status: StatusOverloaded}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		id, st, res, err := DecodeBatchResponse(data, nil)
-		if err != nil {
-			return
-		}
-		if st != StatusOK {
-			if len(res) != 0 {
-				t.Fatalf("frame-level status %v must carry no per-op tail, got %d", st, len(res))
-			}
-			return
-		}
-		id2, st2, res2, err := DecodeBatchResponse(AppendBatchResponse(nil, id, res), nil)
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded batch response: %v", err)
-		}
-		if id2 != id || st2 != st || !reflect.DeepEqual(res, res2) {
-			t.Fatalf("round trip changed the response: (%d %v %+v) -> (%d %v %+v)", id, st, res, id2, st2, res2)
-		}
-	})
+	addSeeds(f, batchResponseSeeds())
+	f.Fuzz(func(t *testing.T, data []byte) { checkResponse(t, data, OpBatch) })
+}
+
+func FuzzDecodeAggregateResponse(f *testing.F) {
+	addSeeds(f, aggregateResponseSeeds())
+	f.Fuzz(func(t *testing.T, data []byte) { checkResponse(t, data, OpAggregate) })
 }
 
 func FuzzReadFrame(f *testing.F) {
 	var framed bytes.Buffer
-	WriteFrame(&framed, AppendRequest(nil, Request{ID: 1, Op: OpInsert, Key: 42}))
+	WriteFrame(&framed, AppendRequest(nil, &Request{ID: 1, Op: OpInsert, Key: 42}))
 	f.Add(framed.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0, 0, 0, 2, 0xab})

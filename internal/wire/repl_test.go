@@ -79,34 +79,3 @@ func TestReplSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v != %+v", got, want)
 	}
 }
-
-func TestNotLeaderResponseCarriesLeader(t *testing.T) {
-	want := Response{ID: 9, Status: StatusNotLeader, Leader: "node-a:9000"}
-	got, err := DecodeResponse(AppendResponse(nil, want))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip: %+v != %+v", got, want)
-	}
-	// An empty leader (follower that has lost its lease and knows no
-	// leader) still round-trips.
-	want = Response{ID: 10, Status: StatusNotLeader}
-	if got, err = DecodeResponse(AppendResponse(nil, want)); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("empty leader round trip: %+v, %v", got, err)
-	}
-}
-
-func TestLookupAtRequestRoundTrip(t *testing.T) {
-	want := Request{ID: 4, Op: OpLookupAt, DeadlineMS: 250, Key: 77, MinSeq: 1 << 33}
-	got, err := DecodeRequest(AppendRequest(nil, want))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got != want {
-		t.Fatalf("round trip: %+v != %+v", got, want)
-	}
-	if _, err := DecodeRequest(AppendRequest(nil, want)[:reqBaseLen+3]); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated minSeq tail: got %v, want ErrTruncated", err)
-	}
-}

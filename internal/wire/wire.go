@@ -6,53 +6,62 @@
 //	uint32 length (big-endian, length of the payload that follows)
 //	payload
 //
-// A request payload is
+// Every data-plane request payload starts with one 21-byte header
 //
 //	uint64 id          correlation id, echoed in the response
-//	uint8  op          OpInsert | OpDelete | OpLookup | OpRange
+//	uint8  op          an Op code; bit 7 is TraceFlag (see below)
 //	uint32 deadline_ms time budget for the request (0 = server default)
-//	int64  key         the key (Range: lower bound, inclusive)
-//	[op bit 7 set: 16-byte trace context — see below]
-//	[Range only]
-//	int64  to          upper bound, inclusive
-//	uint32 limit       maximum keys to return (0 = server default)
+//	int64  key         the key; Range and Aggregate: the first operand;
+//	                   Batch: reserved, 0
+//
+// and every response payload with one 10-byte base
+//
+//	uint64 id          copied from the request
+//	uint8  status      see Status
+//	uint8  ok          the result bit (insert/delete: changed, lookup:
+//	                   present, range and aggregate: 1, batch: 0);
+//	                   0 unless status is StatusOK
+//
+// after which comes the op's tail, all integers big-endian:
+//
+//	op           request tail               response tail on StatusOK
+//	OpInsert     -                          -
+//	OpDelete     -                          -
+//	OpLookup     -                          -
+//	OpLookupAt   uint64 min_seq             -
+//	OpRange      int64 to; uint32 limit     uint32 n; n × int64 keys
+//	OpAggregate  uint8 kind; uint8 mode;    int64 value
+//	             uint64 max_dirty; int64 to
+//	OpBatch      uint16 n;                  uint32 n;
+//	             n × {uint8 op; int64 key}  n × {uint8 status; uint8 ok}
+//
+// A StatusNotLeader or StatusFenced response, to any op, carries the
+// redirect tail (uint16 n; n bytes of the leader's data address, n = 0
+// when none is known) instead. Any other status carries no tail: an
+// aggregate error or a batch refused as a whole (shed, drained, bad
+// request) is the bare base. The five single-key ops — Insert, Delete,
+// Lookup, LookupAt and Range — share one response shape, in which the
+// keys tail may follow any non-redirect status (only Range on StatusOK
+// sends one). A single-key request tail is a minimum length, trailing
+// bytes ignored; the aggregate and batch tails and every response tail
+// must fill the payload exactly. Request, Response and the one codec pair
+// for each (AppendRequest/DecodeRequest, AppendResponse/DecodeResponse)
+// hold every op's fields and are the only place this table is read.
 //
 // Tracing rides an optional extension: when bit 7 of the op/kind byte
 // (TraceFlag) is set, a 16-byte rtrace context (uint64 trace id, uint32
 // span id, uint8 flags, 3 reserved zero bytes) is inserted immediately
-// after the 21-byte base header and every op-specific tail shifts by 16.
-// Op codes never use bit 7, so legacy frames decode unchanged and
-// decoders mask the bit out before interpreting the op. Responses carry
-// no extension — the requesting client already holds the context.
+// after the 21-byte header and every op-specific tail shifts by 16. Op
+// codes never use bit 7, so legacy frames decode unchanged and decoders
+// mask the bit out before interpreting the op. Responses carry no
+// extension — the requesting client already holds the context.
 // Replication frames place the same context (plus the covered WAL
 // sequence) directly after the kind byte; see repl.go.
 //
-// and a response payload is
-//
-//	uint64 id          copied from the request
-//	uint8  status      see Status
-//	uint8  ok          operation result bit (insert/delete: changed,
-//	                   lookup: present); 0 unless status is StatusOK
-//	[Range + StatusOK only]
-//	uint32 count
-//	count × int64 keys (ascending)
-//
-// An OpBatch request carries up to MaxBatchOps point operations in one
-// frame; its payload extends the base request (whose key field is reserved
-// and must be 0) with
-//
-//	uint16 count
-//	count × { uint8 subop (OpInsert|OpDelete|OpLookup); int64 key }
-//
-// and a StatusOK batch response extends the base response (ok = 0) with
-//
-//	uint32 count       equal to the request's count
-//	count × { uint8 status; uint8 ok }
-//
-// so every operation reports its own status: one key hitting capacity or
-// the key range does not poison its neighbours. A batch response whose
-// frame-level status is not StatusOK has no per-op tail — the frame status
-// applies to every operation (the batch was rejected before execution).
+// A request too short for its header or trace extension fails to decode
+// with ErrShortHeader. Any other request error lies in the op's tail; the
+// frame boundary held, so a server answers it with StatusBadRequest and
+// keeps the connection.
 //
 // The protocol is deliberately dumb: no negotiation, no streaming, one
 // response per request. Clients may pipeline — ids disambiguate, and the
@@ -93,16 +102,13 @@ const (
 	// 6–9 and 11 are the replication frame kinds (see repl.go); they never
 	// appear as data-plane request ops.
 
-	// OpLookupAt is Contains with a sequence floor: the request's payload
-	// extends the base request with a uint64 minSeq, and the server blocks
-	// until its applied sequence reaches minSeq (read-your-writes on a
-	// follower) or the deadline expires (StatusReplLag).
+	// OpLookupAt is Contains with a sequence floor: the server blocks until
+	// its applied sequence reaches min_seq (read-your-writes on a follower)
+	// or the deadline expires (StatusReplLag).
 	OpLookupAt uint8 = 10
 
-	// OpAggregate is an order-statistics query (rank/select/count/sum over
-	// a key range). The request tail and the dedicated response codec live
-	// in aggregate.go; the response value is a single int64, so the generic
-	// Response shape does not apply.
+	// OpAggregate is an order-statistics query: rank, select, count or sum
+	// over a key range (Kind), answered as one int64 value.
 	OpAggregate uint8 = 12
 )
 
@@ -111,6 +117,20 @@ const (
 // the bound keeps a single frame's tree time short enough that batching
 // cannot starve the connection's deadline handling.
 const MaxBatchOps = 1024
+
+// Aggregate query kinds.
+const (
+	AggRank   uint8 = 1 // # keys strictly below Key
+	AggSelect uint8 = 2 // the Key-th smallest key (0-based)
+	AggCount  uint8 = 3 // # keys in [Key, To], inclusive
+	AggSum    uint8 = 4 // sum of keys in [Key, To], inclusive
+)
+
+// Aggregate consistency modes.
+const (
+	AggModeStale uint8 = 0 // bounded-stale: answer lags ≤ MaxDirty mutations
+	AggModeExact uint8 = 1 // exact: linearized at the query's refresh point
+)
 
 // OpName returns a human-readable operation name.
 func OpName(op uint8) string {
@@ -161,8 +181,8 @@ const (
 	// connection will close; reconnect elsewhere or retry after backoff.
 	StatusDraining
 	// StatusBadRequest: malformed frame or unknown op. Permanent; the
-	// server drops the connection after sending it when the stream can no
-	// longer be trusted.
+	// server drops the connection after sending it only when the request
+	// header itself was cut short (ErrShortHeader).
 	StatusBadRequest
 	// StatusInternal: the handler panicked; the request's effect is
 	// unknown and the connection is poisoned and will close.
@@ -218,176 +238,35 @@ func (s Status) String() string {
 	}
 }
 
-// Request is one decoded request frame.
+// Request is one data-plane request frame. Each field is read only by the
+// ops the package table gives it.
 type Request struct {
 	ID         uint64
 	Op         uint8
-	DeadlineMS uint32 // 0 = use the server's default deadline
-	Key        int64
-	To         int64  // OpRange only
-	Limit      uint32 // OpRange only; 0 = server default
-	MinSeq     uint64 // OpLookupAt only: applied-sequence floor
+	DeadlineMS uint32    // 0 = use the server's default deadline
+	Key        int64     // the key; range low bound; rank key or select index
+	To         int64     // OpRange, OpAggregate (count/sum): high bound
+	Limit      uint32    // OpRange: maximum keys to return; 0 = server default
+	MinSeq     uint64    // OpLookupAt: applied-sequence floor
+	Kind       uint8     // OpAggregate: AggRank | AggSelect | AggCount | AggSum
+	Mode       uint8     // OpAggregate: AggModeStale | AggModeExact
+	MaxDirty   uint64    // OpAggregate, AggModeStale: staleness budget
+	Ops        []BatchOp // OpBatch: at most MaxBatchOps point operations
 	// Trace is the optional trace context (zero = untraced). Encoded only
 	// when non-zero, signalled by TraceFlag on the op byte.
 	Trace rtrace.Context
 }
 
-// Response is one decoded response frame.
+// Response is one data-plane response frame. Its tail fields are read
+// only for the op and status the package table gives them.
 type Response struct {
-	ID     uint64
-	Status Status
-	OK     bool
-	Keys   []int64 // OpRange results
-	Leader string  // StatusNotLeader/StatusFenced only: the leader's data address
-}
-
-// Frame-shape errors.
-var (
-	ErrFrameTooBig = errors.New("wire: frame exceeds MaxFrame")
-	ErrTruncated   = errors.New("wire: truncated frame")
-	ErrBatchTooBig = errors.New("wire: batch exceeds MaxBatchOps")
-	ErrBadBatchOp  = errors.New("wire: batch carries a non-point operation")
-)
-
-const (
-	reqBaseLen   = 8 + 1 + 4 + 8 // id, op, deadline, key
-	reqRangeLen  = reqBaseLen + 8 + 4
-	reqMinSeqLen = reqBaseLen + 8
-	respBaseLen  = 8 + 1 + 1 // id, status, ok
-)
-
-// AppendRequest appends q's payload encoding to dst and returns it. A
-// non-zero Trace sets TraceFlag on the op byte and inserts the 16-byte
-// context after the base header.
-func AppendRequest(dst []byte, q Request) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, q.ID)
-	op := q.Op
-	traced := q.Trace != (rtrace.Context{})
-	if traced {
-		op |= TraceFlag
-	}
-	dst = append(dst, op)
-	dst = binary.BigEndian.AppendUint32(dst, q.DeadlineMS)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(q.Key))
-	if traced {
-		dst = rtrace.AppendContext(dst, q.Trace)
-	}
-	if q.Op == OpRange {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(q.To))
-		dst = binary.BigEndian.AppendUint32(dst, q.Limit)
-	}
-	if q.Op == OpLookupAt {
-		dst = binary.BigEndian.AppendUint64(dst, q.MinSeq)
-	}
-	return dst
-}
-
-// DecodeRequest decodes a request payload, masking TraceFlag out of the op
-// byte and filling Trace when the extension is present.
-func DecodeRequest(frame []byte) (Request, error) {
-	var q Request
-	if len(frame) < reqBaseLen {
-		return q, ErrTruncated
-	}
-	q.ID = binary.BigEndian.Uint64(frame[0:8])
-	q.Op = frame[8]
-	q.DeadlineMS = binary.BigEndian.Uint32(frame[9:13])
-	q.Key = int64(binary.BigEndian.Uint64(frame[13:21]))
-	off := reqBaseLen
-	if q.Op&TraceFlag != 0 {
-		q.Op &^= TraceFlag
-		tc, ok := rtrace.DecodeContext(frame[off:])
-		if !ok {
-			return q, ErrTruncated
-		}
-		q.Trace = tc
-		off += rtrace.ContextLen
-	}
-	if q.Op == OpRange {
-		if len(frame) < off+12 {
-			return q, ErrTruncated
-		}
-		q.To = int64(binary.BigEndian.Uint64(frame[off : off+8]))
-		q.Limit = binary.BigEndian.Uint32(frame[off+8 : off+12])
-	}
-	if q.Op == OpLookupAt {
-		if len(frame) < off+8 {
-			return q, ErrTruncated
-		}
-		q.MinSeq = binary.BigEndian.Uint64(frame[off : off+8])
-	}
-	return q, nil
-}
-
-// AppendResponse appends p's payload encoding to dst and returns it.
-func AppendResponse(dst []byte, p Response) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, p.ID)
-	dst = append(dst, uint8(p.Status))
-	var ok byte
-	if p.OK {
-		ok = 1
-	}
-	dst = append(dst, ok)
-	if p.Status == StatusNotLeader || p.Status == StatusFenced {
-		// The redirect tail replaces the keys tail: a NotLeader/Fenced
-		// response never carries keys, and the status byte tells the
-		// decoder which shape follows.
-		addr := p.Leader
-		if len(addr) > MaxReplAddr {
-			addr = addr[:MaxReplAddr]
-		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(addr)))
-		return append(dst, addr...)
-	}
-	if p.Keys != nil {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Keys)))
-		for _, k := range p.Keys {
-			dst = binary.BigEndian.AppendUint64(dst, uint64(k))
-		}
-	}
-	return dst
-}
-
-// DecodeResponse decodes a response payload.
-func DecodeResponse(frame []byte) (Response, error) {
-	var p Response
-	if len(frame) < respBaseLen {
-		return p, ErrTruncated
-	}
-	p.ID = binary.BigEndian.Uint64(frame[0:8])
-	p.Status = Status(frame[8])
-	p.OK = frame[9] != 0
-	if p.Status == StatusNotLeader || p.Status == StatusFenced {
-		rest := frame[respBaseLen:]
-		if len(rest) < 2 {
-			return p, ErrTruncated
-		}
-		n := int(binary.BigEndian.Uint16(rest))
-		rest = rest[2:]
-		if n > MaxReplAddr || len(rest) != n {
-			return p, ErrTruncated
-		}
-		p.Leader = string(rest)
-		return p, nil
-	}
-	if len(frame) > respBaseLen {
-		rest := frame[respBaseLen:]
-		if len(rest) < 4 {
-			return p, ErrTruncated
-		}
-		n := binary.BigEndian.Uint32(rest)
-		rest = rest[4:]
-		// 64-bit compare: n*8 in uint32 wraps for n >= 1<<29, which would
-		// let a hostile length prefix through to a giant allocation.
-		if uint64(len(rest)) != uint64(n)*8 {
-			return p, ErrTruncated
-		}
-		p.Keys = make([]int64, n)
-		for i := range p.Keys {
-			p.Keys[i] = int64(binary.BigEndian.Uint64(rest[i*8:]))
-		}
-	}
-	return p, nil
+	ID      uint64
+	Status  Status
+	OK      bool
+	Keys    []int64       // the single-key ops' keys tail (OpRange results)
+	Leader  string        // StatusNotLeader/StatusFenced: the leader's data address
+	Value   int64         // OpAggregate with StatusOK
+	Results []BatchResult // OpBatch with StatusOK: one per operation
 }
 
 // BatchOp is one point operation inside an OpBatch request.
@@ -402,120 +281,248 @@ type BatchResult struct {
 	OK     bool
 }
 
-// AppendBatchRequest appends an OpBatch request payload to dst and returns
-// it. It panics when ops exceeds MaxBatchOps or contains a non-point
-// subop — both are programmer errors on the encoding side (the client
-// splits oversized batches before encoding).
-func AppendBatchRequest(dst []byte, id uint64, deadlineMS uint32, tc rtrace.Context, ops []BatchOp) []byte {
-	if len(ops) > MaxBatchOps {
-		panic(ErrBatchTooBig)
+// Frame-shape errors.
+var (
+	ErrFrameTooBig = errors.New("wire: frame exceeds MaxFrame")
+	ErrTruncated   = errors.New("wire: truncated frame")
+	// ErrShortHeader: a request payload ends inside its header or trace
+	// extension. Every other request error lies past the header.
+	ErrShortHeader  = fmt.Errorf("%w: request header", ErrTruncated)
+	ErrBatchTooBig  = errors.New("wire: batch exceeds MaxBatchOps")
+	ErrBadOp        = errors.New("wire: unknown op, or a non-point op inside a batch")
+	ErrBadAggregate = errors.New("wire: bad aggregate kind or mode")
+)
+
+const (
+	reqBaseLen  = 8 + 1 + 4 + 8 // id, op, deadline, key
+	respBaseLen = 8 + 1 + 1     // id, status, ok
+	aggTailLen  = 1 + 1 + 8 + 8 // kind, mode, maxDirty, to
+)
+
+// pointOp reports whether op may ride inside an OpBatch.
+func pointOp(op uint8) bool { return op == OpInsert || op == OpDelete || op == OpLookup }
+
+// redirect reports whether st carries the leader-address tail.
+func redirect(st Status) bool { return st == StatusNotLeader || st == StatusFenced }
+
+// AppendRequest appends q's payload encoding to dst and returns it. A
+// non-zero Trace sets TraceFlag on the op byte and inserts the 16-byte
+// context after the header. It panics when an OpBatch carries more than
+// MaxBatchOps operations or a non-point one: the client splits and checks
+// batches before encoding, so either is a programmer error.
+func AppendRequest(dst []byte, q *Request) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, q.ID)
+	traced := q.Trace != (rtrace.Context{})
+	if traced {
+		dst = append(dst, q.Op|TraceFlag)
+	} else {
+		dst = append(dst, q.Op)
 	}
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	op := OpBatch
-	if tc != (rtrace.Context{}) {
-		op |= TraceFlag
+	dst = binary.BigEndian.AppendUint32(dst, q.DeadlineMS)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(q.Key))
+	if traced {
+		dst = rtrace.AppendContext(dst, q.Trace)
 	}
-	dst = append(dst, op)
-	dst = binary.BigEndian.AppendUint32(dst, deadlineMS)
-	dst = binary.BigEndian.AppendUint64(dst, 0) // reserved key field
-	if tc != (rtrace.Context{}) {
-		dst = rtrace.AppendContext(dst, tc)
-	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(ops)))
-	for _, o := range ops {
-		if o.Op != OpInsert && o.Op != OpDelete && o.Op != OpLookup {
-			panic(ErrBadBatchOp)
+	switch q.Op {
+	case OpLookupAt:
+		dst = binary.BigEndian.AppendUint64(dst, q.MinSeq)
+	case OpRange:
+		dst = binary.BigEndian.AppendUint64(dst, uint64(q.To))
+		dst = binary.BigEndian.AppendUint32(dst, q.Limit)
+	case OpAggregate:
+		dst = append(dst, q.Kind, q.Mode)
+		dst = binary.BigEndian.AppendUint64(dst, q.MaxDirty)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(q.To))
+	case OpBatch:
+		if len(q.Ops) > MaxBatchOps {
+			panic(ErrBatchTooBig)
 		}
-		dst = append(dst, o.Op)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(o.Key))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(q.Ops)))
+		for _, o := range q.Ops {
+			if !pointOp(o.Op) {
+				panic(ErrBadOp)
+			}
+			dst = append(dst, o.Op)
+			dst = binary.BigEndian.AppendUint64(dst, uint64(o.Key))
+		}
 	}
 	return dst
 }
 
-// DecodeBatchOps decodes the per-op tail of an OpBatch request payload
-// (the caller has already run DecodeRequest on frame and seen Op ==
-// OpBatch), appending the operations to dst so a per-connection scratch
-// slice makes the steady-state decode allocation-free.
-func DecodeBatchOps(frame []byte, dst []BatchOp) ([]BatchOp, error) {
-	off := reqBaseLen
-	if len(frame) > 8 && frame[8]&TraceFlag != 0 {
-		off += rtrace.ContextLen
+// DecodeRequest decodes a request payload into q, masking TraceFlag out of
+// the op byte. It keeps the capacity of q.Ops, so a per-connection record
+// decodes batches without allocating, and overwrites every other field;
+// on error q holds what was decoded before it.
+func DecodeRequest(frame []byte, q *Request) error {
+	*q = Request{Ops: q.Ops[:0]}
+	if len(frame) < reqBaseLen {
+		return ErrShortHeader
 	}
-	if len(frame) < off+2 {
-		return dst, ErrTruncated
-	}
-	rest := frame[off:]
-	n := int(binary.BigEndian.Uint16(rest))
-	rest = rest[2:]
-	if n > MaxBatchOps {
-		return dst, ErrBatchTooBig
-	}
-	if len(rest) != n*9 {
-		return dst, ErrTruncated
-	}
-	for i := 0; i < n; i++ {
-		op := rest[i*9]
-		if op != OpInsert && op != OpDelete && op != OpLookup {
-			return dst, ErrBadBatchOp
+	q.ID = binary.BigEndian.Uint64(frame[0:8])
+	q.Op = frame[8] &^ TraceFlag
+	q.DeadlineMS = binary.BigEndian.Uint32(frame[9:13])
+	q.Key = int64(binary.BigEndian.Uint64(frame[13:21]))
+	tail := frame[reqBaseLen:]
+	if frame[8]&TraceFlag != 0 {
+		tc, ok := rtrace.DecodeContext(tail)
+		if !ok {
+			return ErrShortHeader
 		}
-		dst = append(dst, BatchOp{
-			Op:  op,
-			Key: int64(binary.BigEndian.Uint64(rest[i*9+1:])),
-		})
+		q.Trace = tc
+		tail = tail[rtrace.ContextLen:]
 	}
-	return dst, nil
+	switch q.Op {
+	case OpInsert, OpDelete, OpLookup:
+	case OpLookupAt:
+		if len(tail) < 8 {
+			return ErrTruncated
+		}
+		q.MinSeq = binary.BigEndian.Uint64(tail)
+	case OpRange:
+		if len(tail) < 12 {
+			return ErrTruncated
+		}
+		q.To = int64(binary.BigEndian.Uint64(tail))
+		q.Limit = binary.BigEndian.Uint32(tail[8:])
+	case OpAggregate:
+		if len(tail) != aggTailLen {
+			return ErrTruncated
+		}
+		q.Kind, q.Mode = tail[0], tail[1]
+		q.MaxDirty = binary.BigEndian.Uint64(tail[2:])
+		q.To = int64(binary.BigEndian.Uint64(tail[10:]))
+		if q.Kind < AggRank || q.Kind > AggSum || q.Mode > AggModeExact {
+			return ErrBadAggregate
+		}
+	case OpBatch:
+		if len(tail) < 2 {
+			return ErrTruncated
+		}
+		n := int(binary.BigEndian.Uint16(tail))
+		tail = tail[2:]
+		if n > MaxBatchOps {
+			return ErrBatchTooBig
+		}
+		if len(tail) != n*9 {
+			return ErrTruncated
+		}
+		for i := 0; i < n; i++ {
+			op := tail[i*9]
+			if !pointOp(op) {
+				return ErrBadOp
+			}
+			q.Ops = append(q.Ops, BatchOp{Op: op, Key: int64(binary.BigEndian.Uint64(tail[i*9+1:]))})
+		}
+	default:
+		return ErrBadOp
+	}
+	return nil
 }
 
-// AppendBatchResponse appends a StatusOK OpBatch response payload carrying
-// one result per operation. Frame-level failures (overload, draining, bad
-// request) use a plain AppendResponse with no per-op tail.
-func AppendBatchResponse(dst []byte, id uint64, results []BatchResult) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = append(dst, uint8(StatusOK))
-	dst = append(dst, 0) // the frame-level ok bit is unused for batches
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(results)))
-	for _, r := range results {
-		var ok byte
-		if r.OK {
-			ok = 1
+// AppendResponse appends p's payload encoding, the reply to a request for
+// op, to dst and returns it.
+func AppendResponse(dst []byte, op uint8, p *Response) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, p.ID)
+	dst = append(dst, uint8(p.Status))
+	if p.OK {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
+	}
+	switch {
+	case redirect(p.Status):
+		addr := p.Leader
+		if len(addr) > MaxReplAddr {
+			addr = addr[:MaxReplAddr]
 		}
-		dst = append(dst, uint8(r.Status), ok)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(addr)))
+		dst = append(dst, addr...)
+	case p.Status != StatusOK && (op == OpBatch || op == OpAggregate):
+		// A refused batch or a failed aggregate is the bare base.
+	case op == OpBatch:
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Results)))
+		for _, r := range p.Results {
+			ok := byte(0)
+			if r.OK {
+				ok = 1
+			}
+			dst = append(dst, uint8(r.Status), ok)
+		}
+	case op == OpAggregate:
+		dst = binary.BigEndian.AppendUint64(dst, uint64(p.Value))
+	case p.Keys != nil:
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Keys)))
+		for _, k := range p.Keys {
+			dst = binary.BigEndian.AppendUint64(dst, uint64(k))
+		}
 	}
 	return dst
 }
 
-// DecodeBatchResponse decodes an OpBatch response payload, appending the
-// per-op results to dst. When the frame-level status is not StatusOK there
-// is no per-op tail: the returned results are dst unchanged and st tells
-// the caller what happened to the whole batch.
-func DecodeBatchResponse(frame []byte, dst []BatchResult) (id uint64, st Status, results []BatchResult, err error) {
+// DecodeResponse decodes a response payload, the reply to a request for
+// op, into p. It keeps the capacity of p.Results, so a caller-owned record
+// decodes batch replies without allocating, and overwrites every other
+// field: Keys is a fresh slice, or nil when the reply has no keys tail.
+func DecodeResponse(frame []byte, op uint8, p *Response) error {
+	*p = Response{Results: p.Results[:0]}
 	if len(frame) < respBaseLen {
-		return 0, 0, dst, ErrTruncated
+		return ErrTruncated
 	}
-	id = binary.BigEndian.Uint64(frame[0:8])
-	st = Status(frame[8])
-	if st != StatusOK {
-		return id, st, dst, nil
+	p.ID = binary.BigEndian.Uint64(frame[0:8])
+	p.Status = Status(frame[8])
+	p.OK = frame[9] != 0
+	tail := frame[respBaseLen:]
+	switch {
+	case redirect(p.Status):
+		if len(tail) < 2 {
+			return ErrTruncated
+		}
+		n := int(binary.BigEndian.Uint16(tail))
+		if n > MaxReplAddr || len(tail) != 2+n {
+			return ErrTruncated
+		}
+		p.Leader = string(tail[2:])
+	case p.Status != StatusOK && (op == OpBatch || op == OpAggregate):
+		if len(tail) != 0 {
+			return ErrTruncated
+		}
+	case op == OpBatch:
+		if len(tail) < 4 {
+			return ErrTruncated
+		}
+		n := binary.BigEndian.Uint32(tail)
+		tail = tail[4:]
+		if n > MaxBatchOps {
+			return ErrBatchTooBig
+		}
+		if len(tail) != int(n)*2 {
+			return ErrTruncated
+		}
+		for i := 0; i < int(n); i++ {
+			p.Results = append(p.Results, BatchResult{Status: Status(tail[i*2]), OK: tail[i*2+1] != 0})
+		}
+	case op == OpAggregate:
+		if len(tail) != 8 {
+			return ErrTruncated
+		}
+		p.Value = int64(binary.BigEndian.Uint64(tail))
+	case len(tail) > 0:
+		if len(tail) < 4 {
+			return ErrTruncated
+		}
+		n := binary.BigEndian.Uint32(tail)
+		tail = tail[4:]
+		// 64-bit compare: n*8 in uint32 wraps for n >= 1<<29, which would
+		// let a hostile length prefix through to a giant allocation.
+		if uint64(len(tail)) != uint64(n)*8 {
+			return ErrTruncated
+		}
+		p.Keys = make([]int64, n)
+		for i := range p.Keys {
+			p.Keys[i] = int64(binary.BigEndian.Uint64(tail[i*8:]))
+		}
 	}
-	rest := frame[respBaseLen:]
-	if len(rest) < 4 {
-		return id, st, dst, ErrTruncated
-	}
-	n := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	if n > MaxBatchOps {
-		return id, st, dst, ErrBatchTooBig
-	}
-	if len(rest) != n*2 {
-		return id, st, dst, ErrTruncated
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, BatchResult{
-			Status: Status(rest[i*2]),
-			OK:     rest[i*2+1] != 0,
-		})
-	}
-	return id, st, dst, nil
+	return nil
 }
 
 // bufPool recycles frame-payload buffers across requests. The hot paths

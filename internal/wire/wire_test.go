@@ -4,74 +4,42 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/rtrace"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
-	cases := []Request{
-		{ID: 1, Op: OpInsert, DeadlineMS: 250, Key: 42},
-		{ID: 2, Op: OpDelete, Key: -7},
-		{ID: 3, Op: OpLookup, DeadlineMS: 1, Key: 1 << 50},
-		{ID: 4, Op: OpRange, Key: -100, To: 100, Limit: 32},
-	}
-	for _, q := range cases {
-		payload := AppendRequest(nil, q)
-		got, err := DecodeRequest(payload)
-		if err != nil {
-			t.Fatalf("DecodeRequest(%+v): %v", q, err)
-		}
-		if got != q {
-			t.Fatalf("round trip: got %+v, want %+v", got, q)
+	for _, g := range goldenRequests {
+		var q Request
+		if err := DecodeRequest(AppendRequest(nil, &g.q), &q); err != nil || !reflect.DeepEqual(q, g.q) {
+			t.Fatalf("%s: round trip = (%+v, %v), want %+v", g.name, q, err, g.q)
 		}
 	}
 }
 
 // TestTraceExtensionRoundTrip pins the optional trace extension: traced
-// requests round-trip with every op-specific tail shifted past the
-// context, untraced frames never carry the flag, and a traced frame
-// truncated inside the extension is rejected as ErrTruncated.
+// requests of every op round-trip with the op's tail shifted past the
+// context, untraced frames never carry the flag, and a traced frame cut
+// inside the extension is a short header.
 func TestTraceExtensionRoundTrip(t *testing.T) {
-	tc := rtrace.Context{TraceID: 0x1122334455667788, SpanID: 0x99aabbcc, Flags: rtrace.FlagSampled}
-	cases := []Request{
-		{ID: 1, Op: OpInsert, DeadlineMS: 9, Key: 42, Trace: tc},
-		{ID: 2, Op: OpRange, Key: -100, To: 100, Limit: 32, Trace: tc},
-		{ID: 3, Op: OpLookupAt, Key: 5, MinSeq: 77, Trace: tc},
-	}
-	for _, q := range cases {
-		payload := AppendRequest(nil, q)
-		if payload[8]&TraceFlag == 0 {
-			t.Fatalf("traced %s request did not set TraceFlag", OpName(q.Op))
+	for _, g := range goldenRequests {
+		payload := AppendRequest(nil, &g.q)
+		if traced := g.q.Trace != (rtrace.Context{}); traced != (payload[8]&TraceFlag != 0) {
+			t.Fatalf("%s: TraceFlag = %v, want %v", g.name, !traced, traced)
 		}
-		got, err := DecodeRequest(payload)
-		if err != nil {
-			t.Fatalf("DecodeRequest(%+v): %v", q, err)
+		if g.q.Trace == (rtrace.Context{}) {
+			continue
 		}
-		if got != q {
-			t.Fatalf("round trip: got %+v, want %+v", got, q)
+		var q Request
+		if err := DecodeRequest(payload[:reqBaseLen+8], &q); !errors.Is(err, ErrShortHeader) {
+			t.Fatalf("%s: truncated trace ext err = %v, want ErrShortHeader", g.name, err)
 		}
-		if _, err := DecodeRequest(payload[:reqBaseLen+8]); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("truncated trace ext err = %v, want ErrTruncated", err)
-		}
-	}
-	if p := AppendRequest(nil, Request{ID: 4, Op: OpInsert, Key: 1}); p[8]&TraceFlag != 0 {
-		t.Fatal("untraced request set TraceFlag")
-	}
-
-	// Batch requests: the per-op tail shifts past the context.
-	ops := []BatchOp{{Op: OpInsert, Key: 1}, {Op: OpLookup, Key: 2}}
-	payload := AppendBatchRequest(nil, 7, 50, tc, ops)
-	q, err := DecodeRequest(payload)
-	if err != nil || q.Op != OpBatch || q.Trace != tc {
-		t.Fatalf("traced batch header: %+v, %v", q, err)
-	}
-	got, err := DecodeBatchOps(payload, nil)
-	if err != nil || len(got) != len(ops) || got[0] != ops[0] || got[1] != ops[1] {
-		t.Fatalf("traced batch ops: %+v, %v", got, err)
 	}
 
 	// Replication kinds: context plus covered WAL seq after the kind byte.
+	tc := rtrace.Context{TraceID: 0x1122334455667788, SpanID: 0x99aabbcc, Flags: rtrace.FlagSampled}
 	fb := FrameBatch{Term: 3, CommitSeq: 20, Addr: "h:1", N: 1,
 		Frames: make([]byte, 25), Trace: tc, TraceSeq: 19}
 	fb2, err := DecodeReplFrames(AppendReplFrames(nil, fb))
@@ -88,42 +56,67 @@ func TestTraceExtensionRoundTrip(t *testing.T) {
 }
 
 func TestResponseRoundTrip(t *testing.T) {
-	cases := []Response{
-		{ID: 9, Status: StatusOK, OK: true},
-		{ID: 10, Status: StatusOverloaded},
-		{ID: 11, Status: StatusCapacity},
-		{ID: 12, Status: StatusOK, OK: true, Keys: []int64{-5, 0, 7, 1 << 40}},
-		{ID: 13, Status: StatusOK, Keys: []int64{}},
+	for _, g := range goldenResponses {
+		var p Response
+		if err := DecodeResponse(AppendResponse(nil, g.op, &g.p), g.op, &p); err != nil || !reflect.DeepEqual(p, g.p) {
+			t.Fatalf("%s: round trip = (%+v, %v), want %+v", g.name, p, err, g.p)
+		}
 	}
-	for _, p := range cases {
-		payload := AppendResponse(nil, p)
-		got, err := DecodeResponse(payload)
-		if err != nil {
-			t.Fatalf("DecodeResponse(%+v): %v", p, err)
-		}
-		if got.ID != p.ID || got.Status != p.Status || got.OK != p.OK || len(got.Keys) != len(p.Keys) {
-			t.Fatalf("round trip: got %+v, want %+v", got, p)
-		}
-		for i := range p.Keys {
-			if got.Keys[i] != p.Keys[i] {
-				t.Fatalf("key %d: got %d, want %d", i, got.Keys[i], p.Keys[i])
-			}
-		}
+}
+
+// TestDecodeReusesRecord: both decoders keep the caller's Ops/Results
+// capacity and overwrite every other field, so one record serves a
+// connection whose frames change kind.
+func TestDecodeReusesRecord(t *testing.T) {
+	var q Request
+	batch := Request{ID: 8, Op: OpBatch, Ops: goldenOps, Trace: goldenTrace}
+	if err := DecodeRequest(AppendRequest(nil, &batch), &q); err != nil {
+		t.Fatal(err)
+	}
+	ops := &q.Ops[:1][0]
+	agg := Request{ID: 9, Op: OpAggregate, Key: 1, To: 5, Kind: AggSum, Mode: AggModeStale, MaxDirty: 3}
+	if err := DecodeRequest(AppendRequest(nil, &agg), &q); err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Ops) != 0 || cap(q.Ops) < 3 || &q.Ops[:1][0] != ops {
+		t.Fatalf("Ops = %v (cap %d): the batch's backing array was not kept", q.Ops, cap(q.Ops))
+	}
+	q.Ops = nil
+	if !reflect.DeepEqual(q, agg) {
+		t.Fatalf("aggregate decoded over a traced batch = %+v, want %+v", q, agg)
+	}
+
+	var p Response
+	results := Response{ID: 2, Status: StatusOK, Results: []BatchResult{{StatusOK, true}, {StatusCapacity, false}}}
+	if err := DecodeResponse(AppendResponse(nil, OpBatch, &results), OpBatch, &p); err != nil {
+		t.Fatal(err)
+	}
+	first := &p.Results[0]
+	redirect := Response{ID: 3, Status: StatusNotLeader, Leader: "h:2"}
+	if err := DecodeResponse(AppendResponse(nil, OpBatch, &redirect), OpBatch, &p); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Results) != 0 || &p.Results[:1][0] != first {
+		t.Fatalf("Results = %v: the batch's backing array was not kept", p.Results)
+	}
+	p.Results = nil
+	if !reflect.DeepEqual(p, redirect) {
+		t.Fatalf("redirect decoded over a batch reply = %+v, want %+v", p, redirect)
 	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	q := Request{ID: 77, Op: OpRange, Key: 1, To: 9, Limit: 4}
-	if err := WriteFrame(&buf, AppendRequest(nil, q)); err != nil {
+	if err := WriteFrame(&buf, AppendRequest(nil, &q)); err != nil {
 		t.Fatal(err)
 	}
 	payload, _, err := ReadFrame(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRequest(payload)
-	if err != nil || got != q {
+	var got Request
+	if err := DecodeRequest(payload, &got); err != nil || !reflect.DeepEqual(got, q) {
 		t.Fatalf("frame round trip: got %+v, %v; want %+v", got, err, q)
 	}
 }
@@ -131,19 +124,19 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestScratchReuse(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 3; i++ {
-		if err := WriteFrame(&buf, AppendRequest(nil, Request{ID: uint64(i), Op: OpLookup, Key: int64(i)})); err != nil {
+		if err := WriteFrame(&buf, AppendRequest(nil, &Request{ID: uint64(i), Op: OpLookup, Key: int64(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var scratch []byte
+	var q Request
 	for i := 0; i < 3; i++ {
 		payload, s, err := ReadFrame(&buf, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		scratch = s
-		q, err := DecodeRequest(payload)
-		if err != nil || q.ID != uint64(i) {
+		if err := DecodeRequest(payload, &q); err != nil || q.ID != uint64(i) {
 			t.Fatalf("frame %d: got %+v, %v", i, q, err)
 		}
 	}
@@ -161,150 +154,237 @@ func TestOversizedFrameRejected(t *testing.T) {
 	}
 }
 
+// TestTruncatedFrames: a request payload cut inside the header or trace
+// extension is ErrShortHeader; a cut inside any op's tail, request or
+// response, is a plain ErrTruncated. Single-key request tails are minimum
+// lengths; every other tail must fill the payload exactly.
 func TestTruncatedFrames(t *testing.T) {
-	if _, err := DecodeRequest(make([]byte, 5)); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("short request err = %v, want ErrTruncated", err)
+	decodeReq := func(b []byte) error {
+		var q Request
+		return DecodeRequest(b, &q)
 	}
-	if _, err := DecodeRequest(AppendRequest(nil, Request{Op: OpRange})[:25]); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("short range request err = %v, want ErrTruncated", err)
+	if err := decodeReq(make([]byte, 5)); !errors.Is(err, ErrShortHeader) || !errors.Is(err, ErrTruncated) {
+		t.Fatalf("short request err = %v, want ErrShortHeader (a truncation)", err)
 	}
-	if _, err := DecodeResponse(make([]byte, 3)); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("short response err = %v, want ErrTruncated", err)
+	for _, g := range goldenRequests {
+		full := AppendRequest(nil, &g.q)
+		tail := reqBaseLen
+		if g.q.Trace != (rtrace.Context{}) {
+			tail += rtrace.ContextLen
+		}
+		for i := tail; i < len(full); i++ {
+			if err := decodeReq(full[:i]); !errors.Is(err, ErrTruncated) || errors.Is(err, ErrShortHeader) {
+				t.Fatalf("%s cut at %d: err = %v, want a tail truncation", g.name, i, err)
+			}
+		}
+		err := decodeReq(append(full[:len(full):len(full)], 0))
+		if exact := g.q.Op == OpAggregate || g.q.Op == OpBatch; exact != errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s with a trailing byte: err = %v", g.name, err)
+		}
 	}
-	// Range response whose declared count exceeds the payload.
-	p := AppendResponse(nil, Response{Status: StatusOK, Keys: []int64{1, 2, 3}})
-	if _, err := DecodeResponse(p[:len(p)-8]); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated keys err = %v, want ErrTruncated", err)
+
+	decodeResp := func(b []byte, op uint8) error {
+		var p Response
+		return DecodeResponse(b, op, &p)
+	}
+	for _, op := range dataPlaneOps {
+		if err := decodeResp(make([]byte, 3), op); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("short %s response err = %v, want ErrTruncated", OpName(op), err)
+		}
+	}
+	for _, g := range goldenResponses {
+		full := AppendResponse(nil, g.op, &g.p)
+		for i := respBaseLen; i < len(full); i++ {
+			if i == respBaseLen && g.op != OpBatch && g.op != OpAggregate && !redirect(g.p.Status) {
+				continue // a bare base is a whole single-key reply
+			}
+			if err := decodeResp(full[:i], g.op); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%s cut at %d: err = %v, want ErrTruncated", g.name, i, err)
+			}
+		}
+		// A single-key reply reads bytes after a bare base as a keys tail,
+		// too short here; every other reply is exact.
+		if err := decodeResp(append(full[:len(full):len(full)], 1, 2, 3), g.op); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s with junk: err = %v, want ErrTruncated", g.name, err)
+		}
+	}
+}
+
+func TestLookupAtRequestRoundTrip(t *testing.T) {
+	want := Request{ID: 4, Op: OpLookupAt, DeadlineMS: 250, Key: 77, MinSeq: 1 << 33}
+	var got Request
+	if err := DecodeRequest(AppendRequest(nil, &want), &got); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip: %+v, %v; want %+v", got, err, want)
+	}
+	if err := DecodeRequest(AppendRequest(nil, &want)[:reqBaseLen+3], &got); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated minSeq tail: got %v, want ErrTruncated", err)
+	}
+}
+
+func TestNotLeaderResponseCarriesLeader(t *testing.T) {
+	// The redirect tail is the same for every op, batches included, and an
+	// empty leader (a follower that lost its lease) still round-trips.
+	for _, want := range []Response{
+		{ID: 9, Status: StatusNotLeader, Leader: "node-a:9000"},
+		{ID: 10, Status: StatusNotLeader},
+		{ID: 11, Status: StatusFenced, Leader: "node-b:9000"},
+	} {
+		for _, op := range dataPlaneOps {
+			var got Response
+			if err := DecodeResponse(AppendResponse(nil, op, &want), op, &got); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s round trip: %+v, %v; want %+v", OpName(op), got, err, want)
+			}
+		}
 	}
 }
 
 func TestBatchRequestRoundTrip(t *testing.T) {
-	ops := []BatchOp{
-		{Op: OpInsert, Key: 42},
-		{Op: OpDelete, Key: -7},
-		{Op: OpLookup, Key: 1 << 50},
-	}
-	payload := AppendBatchRequest(nil, 99, 250, rtrace.Context{}, ops)
-	q, err := DecodeRequest(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.ID != 99 || q.Op != OpBatch || q.DeadlineMS != 250 || q.Key != 0 {
-		t.Fatalf("batch base header = %+v", q)
-	}
-	got, err := DecodeBatchOps(payload, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("decoded %d ops, want %d", len(got), len(ops))
-	}
-	for i := range ops {
-		if got[i] != ops[i] {
-			t.Fatalf("op %d: got %+v, want %+v", i, got[i], ops[i])
-		}
+	want := Request{ID: 99, Op: OpBatch, DeadlineMS: 250, Ops: []BatchOp{
+		{Op: OpInsert, Key: 42}, {Op: OpDelete, Key: -7}, {Op: OpLookup, Key: 1 << 50}}}
+	var got Request
+	if err := DecodeRequest(AppendRequest(nil, &want), &got); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch round trip = (%+v, %v), want %+v", got, err, want)
 	}
 	// Empty batches are legal on the wire.
-	got, err = DecodeBatchOps(AppendBatchRequest(nil, 1, 0, rtrace.Context{}, nil), nil)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty batch: %v, %d ops", err, len(got))
+	if err := DecodeRequest(AppendRequest(nil, &Request{ID: 1, Op: OpBatch}), &got); err != nil || len(got.Ops) != 0 {
+		t.Fatalf("empty batch: %v, %d ops", err, len(got.Ops))
 	}
 }
 
 func TestBatchResponseRoundTrip(t *testing.T) {
-	results := []BatchResult{
-		{Status: StatusOK, OK: true},
-		{Status: StatusOK, OK: false},
-		{Status: StatusCapacity},
-		{Status: StatusKeyOutOfRange},
+	want := Response{ID: 7, Status: StatusOK, Results: []BatchResult{
+		{Status: StatusOK, OK: true}, {Status: StatusOK}, {Status: StatusCapacity}, {Status: StatusKeyOutOfRange}}}
+	var got Response
+	if err := DecodeResponse(AppendResponse(nil, OpBatch, &want), OpBatch, &got); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch reply round trip = (%+v, %v), want %+v", got, err, want)
 	}
-	payload := AppendBatchResponse(nil, 7, results)
-	id, st, got, err := DecodeBatchResponse(payload, nil)
-	if err != nil || id != 7 || st != StatusOK {
-		t.Fatalf("decode: id=%d st=%v err=%v", id, st, err)
+	// A frame-level rejection is the bare base, whatever Results holds.
+	refused := AppendResponse(nil, OpBatch, &Response{ID: 8, Status: StatusOverloaded, Results: want.Results})
+	if len(refused) != respBaseLen {
+		t.Fatalf("refused batch encodes %d bytes, want the %d-byte base", len(refused), respBaseLen)
 	}
-	if len(got) != len(results) {
-		t.Fatalf("decoded %d results, want %d", len(got), len(results))
-	}
-	for i := range results {
-		if got[i] != results[i] {
-			t.Fatalf("result %d: got %+v, want %+v", i, got[i], results[i])
-		}
-	}
-	// A frame-level rejection has no per-op tail.
-	payload = AppendResponse(nil, Response{ID: 8, Status: StatusOverloaded})
-	id, st, got, err = DecodeBatchResponse(payload, nil)
-	if err != nil || id != 8 || st != StatusOverloaded || len(got) != 0 {
-		t.Fatalf("rejected batch: id=%d st=%v n=%d err=%v", id, st, len(got), err)
+	if err := DecodeResponse(refused, OpBatch, &got); err != nil || got.ID != 8 || got.Status != StatusOverloaded || len(got.Results) != 0 {
+		t.Fatalf("rejected batch: %+v, %v", got, err)
 	}
 }
 
 func TestBatchMalformed(t *testing.T) {
-	payload := AppendBatchRequest(nil, 1, 0, rtrace.Context{}, []BatchOp{{Op: OpInsert, Key: 5}})
-	if _, err := DecodeBatchOps(payload[:len(payload)-4], nil); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated batch ops err = %v, want ErrTruncated", err)
+	decode := func(b []byte) error {
+		var q Request
+		return DecodeRequest(b, &q)
 	}
-	// A subop outside the point-op set must be rejected.
-	bad := append([]byte(nil), payload...)
-	bad[reqBaseLen+2] = OpRange
-	if _, err := DecodeBatchOps(bad, nil); !errors.Is(err, ErrBadBatchOp) {
-		t.Fatalf("bad subop err = %v, want ErrBadBatchOp", err)
+	// A subop outside the point-op set, or an unknown op, is rejected.
+	batch := AppendRequest(nil, &Request{ID: 1, Op: OpBatch, Ops: []BatchOp{{Op: OpInsert, Key: 5}}})
+	batch[reqBaseLen+2] = OpRange
+	if err := decode(batch); !errors.Is(err, ErrBadOp) {
+		t.Fatalf("bad subop err = %v, want ErrBadOp", err)
 	}
-	// A count beyond MaxBatchOps must be rejected before the tail is read.
-	big := AppendRequest(nil, Request{ID: 1, Op: OpBatch})
-	big = append(big, byte((MaxBatchOps+1)>>8), byte((MaxBatchOps+1)&0xff))
-	if _, err := DecodeBatchOps(big, nil); !errors.Is(err, ErrBatchTooBig) {
+	if err := decode(AppendRequest(nil, &Request{ID: 1, Op: 99, Key: 1})); !errors.Is(err, ErrBadOp) {
+		t.Fatalf("unknown op err = %v, want ErrBadOp", err)
+	}
+	// A count beyond MaxBatchOps is rejected before the tail is read, in
+	// a request and in a reply.
+	big := AppendRequest(nil, &Request{ID: 1, Op: OpBatch})
+	big[reqBaseLen], big[reqBaseLen+1] = byte((MaxBatchOps+1)>>8), byte((MaxBatchOps+1)&0xff)
+	if err := decode(big); !errors.Is(err, ErrBatchTooBig) {
 		t.Fatalf("oversized batch err = %v, want ErrBatchTooBig", err)
 	}
-	resp := AppendBatchResponse(nil, 1, []BatchResult{{Status: StatusOK, OK: true}})
-	if _, _, _, err := DecodeBatchResponse(resp[:len(resp)-1], nil); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated batch response err = %v, want ErrTruncated", err)
+	bigResp := append(AppendResponse(nil, OpBatch, &Response{ID: 1, Status: StatusOverloaded})[:8], 0, 0, 0, 0,
+		byte((MaxBatchOps+1)>>8), byte((MaxBatchOps+1)&0xff))
+	var p Response
+	if err := DecodeResponse(bigResp, OpBatch, &p); !errors.Is(err, ErrBatchTooBig) {
+		t.Fatalf("oversized batch reply err = %v, want ErrBatchTooBig", err)
 	}
-	if err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err, _ = r.(error)
-			}
-		}()
-		AppendBatchRequest(nil, 1, 0, rtrace.Context{}, make([]BatchOp, MaxBatchOps+1))
-		return nil
-	}(); !errors.Is(err, ErrBatchTooBig) {
-		t.Fatalf("oversized encode panic = %v, want ErrBatchTooBig", err)
+	for _, c := range []struct {
+		ops  []BatchOp
+		want error
+	}{{make([]BatchOp, MaxBatchOps+1), ErrBatchTooBig}, {[]BatchOp{{Op: OpRange}}, ErrBadOp}} {
+		if err := func() (err error) {
+			defer func() { err, _ = recover().(error) }()
+			AppendRequest(nil, &Request{Op: OpBatch, Ops: c.ops})
+			return nil
+		}(); !errors.Is(err, c.want) {
+			t.Fatalf("encode panic = %v, want %v", err, c.want)
+		}
+	}
+}
+
+func TestAggregateRequestRoundTrip(t *testing.T) {
+	traced := rtrace.Context{TraceID: 0xdecafbad, SpanID: 5, Flags: rtrace.FlagSampled}
+	for _, want := range []Request{
+		{ID: 1, Op: OpAggregate, DeadlineMS: 50, Kind: AggRank, Mode: AggModeExact, Key: 42},
+		{ID: 2, Op: OpAggregate, Kind: AggSelect, Mode: AggModeStale, MaxDirty: 128, Key: 7},
+		{ID: 3, Op: OpAggregate, Kind: AggCount, Mode: AggModeExact, Key: -100, To: 100},
+		{ID: 4, Op: OpAggregate, Kind: AggSum, Mode: AggModeStale, MaxDirty: 1 << 40, Key: 0, To: 1 << 50},
+		{ID: 5, Op: OpAggregate, Kind: AggCount, Mode: AggModeExact, Key: -1, To: 1, Trace: traced},
+	} {
+		var got Request
+		if err := DecodeRequest(AppendRequest(nil, &want), &got); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip = (%+v, %v), want %+v", got, err, want)
+		}
+	}
+}
+
+func TestDecodeAggregateRejects(t *testing.T) {
+	good := AppendRequest(nil, &Request{ID: 9, Op: OpAggregate, Kind: AggRank, Mode: AggModeExact, Key: 1})
+	for _, bad := range []struct{ off, val int }{{reqBaseLen, 99}, {reqBaseLen, 0}, {reqBaseLen + 1, 7}} {
+		b := append([]byte(nil), good...)
+		b[bad.off] = byte(bad.val)
+		var q Request
+		if err := DecodeRequest(b, &q); !errors.Is(err, ErrBadAggregate) {
+			t.Fatalf("aggregate byte %d = %d: err = %v, want ErrBadAggregate", bad.off, bad.val, err)
+		}
+	}
+}
+
+func TestAggregateResponseRoundTrip(t *testing.T) {
+	for _, want := range []Response{
+		{ID: 1, Status: StatusOK, OK: true, Value: 12345},
+		{ID: 2, Status: StatusOK, OK: true, Value: -1},
+		{ID: 3, Status: StatusNoIndex},
+		{ID: 4, Status: StatusDeadlineExceeded},
+		{ID: 5, Status: StatusOverloaded},
+	} {
+		var got Response
+		if err := DecodeResponse(AppendResponse(nil, OpAggregate, &want), OpAggregate, &got); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip = (%+v, %v), want %+v", got, err, want)
+		}
+	}
+	// Error statuses carry no value tail, whatever Value holds.
+	if b := AppendResponse(nil, OpAggregate, &Response{ID: 6, Status: StatusNoIndex, Value: 9}); len(b) != respBaseLen {
+		t.Fatalf("aggregate error encodes %d bytes, want the %d-byte base", len(b), respBaseLen)
 	}
 }
 
 // TestBatchSteadyStateZeroAlloc asserts the pooled-buffer encode/decode
 // cycle — the per-frame work of the server loop and the pipelined
-// client — does not allocate once the pool and scratch slices are warm.
+// client — does not allocate once the pool and the records are warm.
 func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items on purpose under the race detector")
 	}
-	ops := make([]BatchOp, 64)
-	for i := range ops {
-		ops[i] = BatchOp{Op: OpLookup, Key: int64(i)}
+	q := Request{ID: 3, Op: OpBatch, Ops: make([]BatchOp, 64)}
+	for i := range q.Ops {
+		q.Ops[i] = BatchOp{Op: OpLookup, Key: int64(i)}
 	}
-	results := make([]BatchResult, 64)
-	opScratch := make([]BatchOp, 0, 64)
-	resScratch := make([]BatchResult, 0, 64)
+	p := Response{ID: 3, Results: make([]BatchResult, 64)}
+	var serverReq Request
+	var clientResp Response
 
 	allocs := testing.AllocsPerRun(200, func() {
 		// Client side: encode a batch request into a pooled buffer.
 		req := GetBuf()
-		*req = AppendBatchRequest(*req, 3, 0, rtrace.Context{}, ops)
-		// Server side: decode it into per-connection scratch, encode the
+		*req = AppendRequest(*req, &q)
+		// Server side: decode it into the connection's record, encode the
 		// response into another pooled buffer.
-		var err error
-		opScratch, err = DecodeBatchOps(*req, opScratch[:0])
-		if err != nil {
+		if err := DecodeRequest(*req, &serverReq); err != nil {
 			t.Fatal(err)
 		}
 		PutBuf(req)
 		resp := GetBuf()
-		*resp = AppendBatchResponse(*resp, 3, results)
-		// Client side again: decode the response into scratch.
-		_, _, resScratch, err = DecodeBatchResponse(*resp, resScratch[:0])
-		if err != nil {
+		*resp = AppendResponse(*resp, OpBatch, &p)
+		// Client side again: decode the response into its record.
+		if err := DecodeResponse(*resp, OpBatch, &clientResp); err != nil {
 			t.Fatal(err)
 		}
 		PutBuf(resp)
