@@ -1,8 +1,9 @@
 # Correctness gate for the lock-free BST repro. `make ci` is the full
-# tier: formatting, vet, build, the unit suite, a race pass over every
-# package, the deterministic serve smoke test (one shed, one
-# capacity refusal, one graceful drain, one batch/pipelining stage on a
-# real socket), a short batched-operation linearizability round, the
+# tier: formatting, vet, build, the unit suite (which runs bstserve as a
+# process: serve, scrape, drain on SIGTERM, reopen its data dir), a race
+# pass over every package, the pipelining floor (a pipelined client must
+# beat request-per-round-trip by ≥2× on a real socket; the log shows the
+# ratio), a short batched-operation linearizability round, the
 # crash-stress durability gate (kill -9 a durable fsync server mid-load,
 # recover, audit every acked mutation, clock a 1M-key recovery), the
 # failover-stress replication gate (kill -9 a semi-sync leader mid-load,
@@ -58,8 +59,13 @@ race:
 	$(GO) test -race ./internal/core
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/core$$')
 
+# The pipelining floor: one connection, 4,000 round-trip inserts against
+# 4,000 pipelined ones; the pipeline must win by ≥2×, and -v prints the
+# measured ratio. Shed, capacity, drain and batch paths are unit tests in
+# ./internal/server, and ./cmd/bstserve's test drives the binary itself.
 serve-smoke:
-	$(GO) run ./cmd/bstserve -smoke
+	BST_PIPELINE_FLOOR=1 $(GO) test ./internal/server \
+		-run '^TestPipelineThroughputFloor$$' -count=1 -v
 
 # Batched ops racing single ops through the Wing & Gong linearizability
 # check (per-op windows spanning the whole batched call).

@@ -8,7 +8,10 @@
 //
 // A side HTTP listener (-admin) serves /healthz, /readyz, /metrics
 // (Prometheus) and /debug/vars, deliberately separate from the data port so
-// probes and scrapes bypass admission control.
+// probes and scrapes bypass admission control. The tree is built with
+// metrics on, and one scrape carries its contention series, op latency
+// histograms and order-statistics counters beside the server's, the WAL's
+// and replication's.
 //
 // With -data <dir> the store becomes durable: mutations are written to a
 // group-commit WAL before they are acknowledged (-sync picks the policy),
@@ -31,20 +34,12 @@
 // per shard), removing the shared allocation and group-commit bottlenecks
 // under write-heavy load. Sharding is incompatible with replication, which
 // streams a single dense WAL sequence.
-//
-// With -smoke the binary instead runs a deterministic in-process
-// self-test — one shed response, one capacity response, one graceful
-// drain, then a batch/pipelining stage that requires the pipelined client
-// to beat request-per-round-trip throughput — and exits 0/1.
-// `make serve-smoke` wires it into CI.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -55,9 +50,7 @@ import (
 	"time"
 
 	bst "repro"
-	"repro/internal/client"
 	"repro/internal/durable"
-	"repro/internal/failpoint"
 	"repro/internal/logx"
 	"repro/internal/metrics"
 	"repro/internal/repl"
@@ -78,7 +71,6 @@ func main() {
 		deadline     = flag.Duration("deadline", time.Second, "default per-request deadline for requests that carry none")
 		readTimeout  = flag.Duration("read-timeout", 60*time.Second, "per-frame read deadline (idle + slow-loris bound)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a signal-triggered drain may wait for in-flight requests")
-		smoke        = flag.Bool("smoke", false, "run the in-process serve smoke test and exit")
 
 		dataDir      = flag.String("data", "", "durability directory (WAL + snapshots); empty = in-memory only")
 		syncPolicy   = flag.String("sync", "fsync", "WAL sync policy with -data: fsync | interval | none")
@@ -101,16 +93,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if *smoke {
-		if err := runSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "bstserve: SMOKE FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("bstserve: smoke OK — shed, capacity, drain, batch and pipeline paths all exercised")
-		return
-	}
-
-	opts := []bst.Option{}
+	opts := []bst.Option{bst.WithMetrics(0)}
 	if *capacity > 0 {
 		opts = append(opts, bst.WithCapacity(*capacity))
 	}
@@ -189,9 +172,10 @@ func main() {
 		tree = bst.New(opts...)
 		cfg.Store = tree
 	}
-	if *orderStats {
-		reg.AddHook(func(s *metrics.Snapshot) { tree.ExportOrderStatsMetrics(s.External, s.Gauges) })
-	}
+	// The tree keeps its own registry (its per-accessor shards, arena,
+	// epoch and order-statistics series); fold it into the admin registry
+	// so one scrape carries the tree beside the server and storage layers.
+	reg.AddHook(func(s *metrics.Snapshot) { foldTreeMetrics(s, tree.Metrics()) })
 
 	// Replication rides the durable store's WAL: a node with a replication
 	// listener streams committed frames to followers; a node with
@@ -237,6 +221,11 @@ func main() {
 		cfg.Metrics.AddHook(node.MetricsHook)
 		cfg.Cluster = node
 	}
+
+	// Catch SIGTERM/SIGINT before the listeners are announced, so a signal
+	// sent as soon as they are printed drains instead of killing.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 
 	srv := server.New(cfg)
 	if err := srv.Start(*addr); err != nil {
@@ -297,8 +286,6 @@ func main() {
 	// Graceful drain on SIGTERM/SIGINT: readiness flips first (the admin
 	// listener stays up so load balancers observe the drain), then the data
 	// plane flushes, then the reclamation domain closes.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	sig := <-sigc
 	fmt.Fprintf(os.Stderr, "bstserve: %v — draining (up to %v)\n", sig, *drainTimeout)
 
@@ -337,239 +324,25 @@ func main() {
 	}
 }
 
-// runSmoke is the deterministic self-test behind `make serve-smoke`: a real
-// server on a loopback port must (1) shed a request while its single
-// in-flight slot is frozen, (2) push back with a capacity error when its
-// 128-node arena fills and accept writes again after deletes, (3) drain
-// gracefully with the frozen request completing and acknowledged, and
-// (4) answer batch frames with correct per-op statuses and deliver at
-// least 2× single-op throughput to a pipelined client on the same link.
-func runSmoke() error {
-	tree := bst.New(bst.WithCapacity(128), bst.WithReclamation())
-	fp := failpoint.NewSet()
-	srv := server.New(server.Config{Store: tree, MaxInFlight: 1, Failpoints: fp})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return err
+// foldTreeMetrics adds the tree's telemetry to a registry snapshot: the
+// fixed tree counters into Counters, every other counter (arena, epoch,
+// order statistics) into External, the gauges, and the per-op latency
+// histograms.
+func foldTreeMetrics(s *metrics.Snapshot, m bst.Metrics) {
+	for c := metrics.Counter(0); c < metrics.NumCounters; c++ {
+		s.Counters[c] += m.Counters[c.Name()]
+		delete(m.Counters, c.Name())
 	}
-	addr := srv.Addr().String()
-
-	retrying, err := client.Dial(client.Config{Addr: addr, Seed: 1})
-	if err != nil {
-		return err
+	for k, v := range m.Counters {
+		s.External[k] += v
 	}
-	defer retrying.Close()
-	oneShot, err := client.Dial(client.Config{Addr: addr, MaxAttempts: 1, Seed: 2})
-	if err != nil {
-		return err
+	for k, v := range m.Gauges {
+		s.Gauges[k] += v
 	}
-	defer oneShot.Close()
-	ctx := context.Background()
-
-	// 1. Shed: freeze the only admission slot, observe StatusOverloaded,
-	// then release and confirm the frozen op was acknowledged truthfully.
-	st := fp.Site(server.FPHandle)
-	st.StallNext()
-	frozen := make(chan error, 1)
-	go func() {
-		_, err := retrying.Insert(ctx, -1)
-		frozen <- err
-	}()
-	if !st.WaitStalled(5 * time.Second) {
-		return errors.New("insert never reached the handler failpoint")
+	for op := metrics.Op(0); op < metrics.NumOps; op++ {
+		l := m.Latency[op.Name()]
+		h := metrics.LatencySnapshot{Count: l.Count, SumNanos: l.SumNanos}
+		copy(h.Buckets[:], l.Buckets)
+		s.Latency[op].Add(h)
 	}
-	if _, err := oneShot.Insert(ctx, -2); !errors.Is(err, client.ErrOverloaded) {
-		return fmt.Errorf("probe during overload: err = %v, want ErrOverloaded", err)
-	}
-	st.Release()
-	if err := <-frozen; err != nil {
-		return fmt.Errorf("frozen insert: %v", err)
-	}
-	if !tree.Contains(-1) {
-		return errors.New("acknowledged insert missing after stall release")
-	}
-	fmt.Println("bstserve: smoke 1/4 — load shed observed, frozen request completed")
-
-	// 2. Capacity: fill the arena over the wire, verify the distinct wire
-	// status, free half, verify the retrying client converges.
-	var kept []int64
-	for k := int64(0); ; k++ {
-		ok, err := oneShot.Insert(ctx, k)
-		if err != nil {
-			if !errors.Is(err, bst.ErrCapacity) {
-				return fmt.Errorf("fill: err = %v, want ErrCapacity", err)
-			}
-			break
-		}
-		if !ok {
-			return fmt.Errorf("fill: Insert(%d) = false on a fresh key", k)
-		}
-		kept = append(kept, k)
-		if k > 1<<20 {
-			return errors.New("128-node arena accepted 1M inserts; bound not enforced")
-		}
-	}
-	for _, k := range kept[:len(kept)/2] {
-		if ok, err := retrying.Delete(ctx, k); err != nil || !ok {
-			return fmt.Errorf("free: Delete(%d) = (%v, %v)", k, ok, err)
-		}
-	}
-	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	ok, err := retrying.Insert(rctx, 1<<40)
-	cancel()
-	if err != nil || !ok {
-		return fmt.Errorf("recovery insert = (%v, %v); client stats %+v", ok, err, retrying.Stats())
-	}
-	fmt.Println("bstserve: smoke 2/4 — capacity pushback on the wire, backoff converged after frees")
-
-	// 3. Drain with one request in flight; it must complete and be acked.
-	st.StallNext()
-	frozen2 := make(chan error, 1)
-	go func() {
-		ok, err := retrying.Delete(ctx, 1<<40)
-		if err == nil && !ok {
-			err = errors.New("drain-straddling delete returned false on a present key")
-		}
-		frozen2 <- err
-	}()
-	if !st.WaitStalled(5 * time.Second) {
-		return errors.New("delete never reached the handler failpoint")
-	}
-	drained := make(chan error, 1)
-	go func() {
-		dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		drained <- srv.Shutdown(dctx)
-	}()
-	time.Sleep(50 * time.Millisecond) // let the drain interrupt idle readers
-	st.Release()
-	if err := <-drained; err != nil {
-		return fmt.Errorf("drain: %v", err)
-	}
-	if err := <-frozen2; err != nil {
-		return fmt.Errorf("in-flight request during drain: %v", err)
-	}
-	if tree.Contains(1 << 40) {
-		return errors.New("acknowledged delete not applied")
-	}
-	if err := tree.Close(); err != nil {
-		return err
-	}
-	if err := tree.Validate(); err != nil {
-		return fmt.Errorf("tree invalid after smoke: %v", err)
-	}
-	c := srv.Counters()
-	if c.Shed == 0 || c.CapacityErrs == 0 || c.Drains != 1 || c.InFlight != 0 || c.OpenConns != 0 {
-		return fmt.Errorf("smoke counters off: %+v", c)
-	}
-	fmt.Println("bstserve: smoke 3/4 — graceful drain completed in-flight work, domain closed")
-
-	return smokeBatchPipeline()
-}
-
-// smokeBatchPipeline is smoke stage 4: a fresh server answers a mixed
-// OpBatch frame with per-op statuses, then the same workload is driven
-// twice — synchronous request-per-round-trip versus one pipelined
-// connection — and the pipeline must win by at least 2× ops/sec.
-func smokeBatchPipeline() error {
-	tree := bst.New(bst.WithReclamation())
-	srv := server.New(server.Config{Store: tree})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return err
-	}
-	cl, err := client.Dial(client.Config{Addr: srv.Addr().String(), Seed: 3})
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	ctx := context.Background()
-
-	// One frame, mixed kinds, an out-of-range slot in the middle: each op
-	// answers for itself.
-	ops := []client.Op{
-		client.InsertOp(1),
-		client.InsertOp(2),
-		client.InsertOp(bst.MaxKey + 1),
-		client.LookupOp(1),
-		client.DeleteOp(1),
-		client.LookupOp(1),
-	}
-	res, err := cl.Do(ctx, ops)
-	if err != nil {
-		return fmt.Errorf("batch: %v", err)
-	}
-	wantOK := []bool{true, true, false, true, true, false}
-	for i, r := range res {
-		if i == 2 {
-			if !errors.Is(r.Err, bst.ErrKeyOutOfRange) {
-				return fmt.Errorf("batch op %d: err = %v, want ErrKeyOutOfRange", i, r.Err)
-			}
-			continue
-		}
-		if r.Err != nil || r.OK != wantOK[i] {
-			return fmt.Errorf("batch op %d: = (%v, %v), want (%v, nil)", i, r.OK, r.Err, wantOK[i])
-		}
-	}
-
-	// Throughput: N fresh-key inserts per phase, drawn from one shuffled
-	// deterministic sequence — random insertion order keeps the external
-	// tree near log depth, so both phases do identical work. (Ascending
-	// keys would build an n-deep spine during the first phase and bill the
-	// traversal cost to the second.)
-	const n = 4000
-	keys := make([]int64, 2*n)
-	for i := range keys {
-		keys[i] = int64(10_000 + i)
-	}
-	rng := rand.New(rand.NewSource(42))
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if ok, err := cl.Insert(ctx, keys[i]); err != nil || !ok {
-			return fmt.Errorf("sync insert %d: (%v, %v)", i, ok, err)
-		}
-	}
-	syncDur := time.Since(start)
-
-	p, err := cl.NewPipeline(ctx)
-	if err != nil {
-		return err
-	}
-	futs := make([]*client.Future, n)
-	start = time.Now()
-	for i := range futs {
-		if futs[i], err = p.Submit(ctx, client.InsertOp(keys[n+i])); err != nil {
-			return fmt.Errorf("pipeline submit %d: %v", i, err)
-		}
-	}
-	for i, f := range futs {
-		if ok, err := f.Wait(ctx); err != nil || !ok {
-			return fmt.Errorf("pipeline insert %d: (%v, %v)", i, ok, err)
-		}
-	}
-	pipeDur := time.Since(start)
-	p.Close()
-
-	speedup := float64(syncDur) / float64(pipeDur)
-	if speedup < 2 {
-		return fmt.Errorf("pipelined throughput only %.2fx of round-trip (sync %v, pipelined %v for %d ops); want >= 2x",
-			speedup, syncDur, pipeDur, n)
-	}
-	if got := tree.Len(); got != 1+n+n { // key 2 + both insert ranges
-		return fmt.Errorf("tree Len = %d after throughput runs, want %d", got, 1+n+n)
-	}
-	if err := tree.Validate(); err != nil {
-		return fmt.Errorf("tree invalid after batch smoke: %v", err)
-	}
-	if c := srv.Counters(); c.BatchOps != uint64(len(ops)) {
-		return fmt.Errorf("BatchOps = %d, want %d", c.BatchOps, len(ops))
-	}
-	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(dctx); err != nil {
-		return fmt.Errorf("batch-stage drain: %v", err)
-	}
-	tree.Close()
-	fmt.Printf("bstserve: smoke 4/4 — batch per-op statuses OK, pipelined client %.1fx over round-trip\n", speedup)
-	return nil
 }

@@ -23,14 +23,15 @@ import (
 // child (-sync fsync) on a temp data dir, hammers it over the wire from
 // workers on disjoint key ranges while recording exactly which mutations
 // were acknowledged, SIGKILLs the child mid-flight, then reopens the data
-// dir in-process and audits the recovered set:
+// dir in-process, serves it on loopback and audits the recovered set over
+// the wire (auditOverWire, shared with -failover and -chaos):
 //
 //   - every acked insert (not later acked-deleted) must be present,
 //   - every acked delete must have stuck,
 //   - the single op each worker had in flight when the connection died
 //     may have landed either way,
-//   - and a full Scan must show no ghost keys — nothing the workers never
-//     asked for, and nothing that was never acknowledged and not in
+//   - and a full Range scan must show no ghost keys — nothing the workers
+//     never asked for, and nothing that was never acknowledged and not in
 //     flight.
 //
 // Phase B (recovery clock): builds a 1M-key store, checkpoints, appends a
@@ -241,7 +242,9 @@ func crashRound(workers, shards int, seed uint64) error {
 		return err
 	}
 
-	// Recover in-process and audit against the ledgers.
+	// Recover in-process, then serve the recovered store on loopback and
+	// audit it against the ledgers over the wire, with the same audit the
+	// failover and chaos rounds run on their promoted nodes.
 	start := time.Now()
 	dur, err := durable.Open(dir, durable.Options{
 		Sync: wal.SyncFsync, TreeOptions: shardTreeOpts(shards, rangeHi),
@@ -249,52 +252,31 @@ func crashRound(workers, shards int, seed uint64) error {
 	if err != nil {
 		return fmt.Errorf("recovery after kill -9: %w", err)
 	}
+	recovered := time.Since(start)
 	defer dur.Close()
 	rs := dur.RecoveryStats()
-
-	mustPresent := map[int64]bool{}
-	mayEither := map[int64]bool{}
-	for w := range results {
-		r := &results[w]
-		for _, k := range r.ackedIns {
-			mustPresent[k] = true
-		}
-		for _, k := range r.ackedDel {
-			delete(mustPresent, k)
-			if dur.Contains(k) {
-				return fmt.Errorf("key %d: delete was acked before the kill but the key came back", k)
-			}
-		}
-		for _, k := range r.inflight {
-			delete(mustPresent, k)
-			mayEither[k] = true
-		}
-	}
-	for k := range mustPresent {
-		if !dur.Contains(k) {
-			return fmt.Errorf("key %d: insert was acked (fsync policy) before kill -9 but is gone after recovery", k)
-		}
-	}
-	ghosts := 0
-	dur.Scan(-1<<62, 1<<62, func(k int64) bool {
-		if !mustPresent[k] && !mayEither[k] {
-			ghosts++
-			if ghosts == 1 {
-				err = fmt.Errorf("ghost key %d present after recovery: never acknowledged and not in flight", k)
-			}
-		}
-		return true
-	})
-	if ghosts > 0 {
-		return err
-	}
-
 	if got := dur.Shards(); got != max(shards, 1) {
 		return fmt.Errorf("recovered store has %d WAL lanes, want %d", got, max(shards, 1))
 	}
+
+	srv := server.New(server.Config{Store: dur})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		return err
+	}
+	defer srv.Close()
+	cl, err := client.Dial(client.Config{Addr: srv.Addr().String(), Conns: 1, Seed: int64(seed)})
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if _, err := auditOverWire(ctx, cl, [][]crashWorker{results}, 0); err != nil {
+		return err
+	}
 	fmt.Printf("crash phase A: kill -9 with %d acked ops (%d in flight, %d WAL lanes) — 100%% of acked mutations present, "+
 		"0 ghosts; recovered %d snapshot keys + %d WAL ops in %v\n",
-		totalAcked, inflight, dur.Shards(), rs.SnapshotKeys, rs.ReplayedOps, time.Since(start).Round(time.Millisecond))
+		totalAcked, inflight, dur.Shards(), rs.SnapshotKeys, rs.ReplayedOps, recovered.Round(time.Millisecond))
 	return recoveryClock(seed, shards)
 }
 

@@ -109,7 +109,7 @@ func runFailoverChild(dir, addrFile string, o childOpts) int {
 		logf("repl: %v", err)
 		return 1
 	}
-	srv := server.New(server.Config{Store: dur, Cluster: node, MaxInFlight: 64, RangeLimit: 4096, Trace: rec, Logger: logger})
+	srv := server.New(server.Config{Store: dur, Cluster: node, MaxInFlight: 64, Trace: rec, Logger: logger})
 	if err := srv.Start(dataAddr); err != nil {
 		logf("serve: %v", err)
 		return 1
@@ -385,6 +385,8 @@ func failoverRound(workers int, seed uint64) (err error) {
 // round wrote and had acknowledged) is present. A full Range scan must
 // then find no ghost: nothing outside the seeded keys [0, seeded), the
 // ledgers, the in-flight sets and extra. It returns the keys scanned.
+// The crash round serves its recovered store to run it; the failover and
+// chaos rounds run it on their promoted nodes.
 func auditOverWire(ctx context.Context, cl *client.Client, phases [][]crashWorker, seeded int, extra ...int64) (int, error) {
 	mustPresent := map[int64]bool{}
 	mayEither := map[int64]bool{}
@@ -399,7 +401,7 @@ func auditOverWire(ctx context.Context, cl *client.Client, phases [][]crashWorke
 				if ok, err := cl.Lookup(ctx, k); err != nil {
 					return 0, fmt.Errorf("audit Lookup(%d): %w", k, err)
 				} else if ok {
-					return 0, fmt.Errorf("key %d: delete was acked but the key survived the failover", k)
+					return 0, fmt.Errorf("key %d: delete was acked but the key is present", k)
 				}
 			}
 			for _, k := range r.inflight {
@@ -415,16 +417,16 @@ func auditOverWire(ctx context.Context, cl *client.Client, phases [][]crashWorke
 		if ok, err := cl.Lookup(ctx, k); err != nil {
 			return 0, fmt.Errorf("audit Lookup(%d): %w", k, err)
 		} else if !ok {
-			return 0, fmt.Errorf("key %d: insert was acked (semi-sync) but is gone after the failover", k)
+			return 0, fmt.Errorf("key %d: insert was acked but the key is gone", k)
 		}
 	}
 
-	// Ghost scan: page the whole keyspace through Range and reject any key
-	// with no explanation.
+	// Ghost scan: page the whole keyspace through Range, as many keys per
+	// page as the server allows, and reject any key with no explanation.
 	seen := 0
 	from := int64(-1) << 62
 	for {
-		keys, err := cl.Range(ctx, from, 1<<62, 4096)
+		keys, err := cl.Range(ctx, from, 1<<62, 0)
 		if err != nil {
 			return 0, fmt.Errorf("audit Range from %d: %w", from, err)
 		}
@@ -436,7 +438,7 @@ func auditOverWire(ctx context.Context, cl *client.Client, phases [][]crashWorke
 			if k >= 0 && k < int64(seeded) || mustPresent[k] || mayEither[k] {
 				continue
 			}
-			return 0, fmt.Errorf("ghost key %d after the failover: never seeded, acknowledged, or in flight", k)
+			return 0, fmt.Errorf("ghost key %d: never seeded, acknowledged, or in flight", k)
 		}
 		from = keys[len(keys)-1] + 1
 	}

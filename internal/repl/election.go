@@ -70,7 +70,7 @@ func (n *Node) electLoop() {
 			return
 		}
 		if n.IsLeader() {
-			if now := n.now(); now.Sub(lastLeaderProbe) >= n.cfg.LeaseTimeout {
+			if now := n.now(); now.Sub(lastLeaderProbe) >= n.lease() {
 				lastLeaderProbe = now
 				n.probePeers()
 			}
@@ -278,7 +278,7 @@ func (n *Node) probePeer(addr string) (wire.PeerStatus, error) {
 // to [100ms, 2s], so a full probe round always fits inside the failover
 // budget yet tolerates a chaos layer injecting latency.
 func (n *Node) probeTimeout() time.Duration {
-	d := n.cfg.LeaseTimeout / 2
+	d := n.lease() / 2
 	if d < 100*time.Millisecond {
 		d = 100 * time.Millisecond
 	}

@@ -24,7 +24,7 @@ func reserveAddr(t *testing.T) string {
 }
 
 // TestLeaseEdgeExactlyAtExpiry pins the lease boundary semantics: a
-// heartbeat landing exactly LeaseTimeout after the last one still counts
+// heartbeat landing exactly one lease after the last one still counts
 // — the lease is expired only when silence strictly exceeds the budget.
 // The race this guards: an election firing at the same instant a healthy
 // heartbeat arrives must lose to the heartbeat, not split the cluster.
@@ -37,7 +37,7 @@ func TestLeaseEdgeExactlyAtExpiry(t *testing.T) {
 	base := time.Now()
 	follower.lastHeard.Store(base.UnixNano())
 
-	follower.setClock(func() time.Time { return base.Add(follower.cfg.LeaseTimeout) })
+	follower.setClock(func() time.Time { return base.Add(follower.lease()) })
 	if follower.LeaseExpired() {
 		t.Fatal("lease expired exactly at the deadline; the edge must still count as alive")
 	}
@@ -45,20 +45,20 @@ func TestLeaseEdgeExactlyAtExpiry(t *testing.T) {
 		t.Fatalf("LeaseRemaining at the deadline = %v, want 0", rem)
 	}
 
-	follower.setClock(func() time.Time { return base.Add(follower.cfg.LeaseTimeout + time.Nanosecond) })
+	follower.setClock(func() time.Time { return base.Add(follower.lease() + time.Nanosecond) })
 	if !follower.LeaseExpired() {
 		t.Fatal("lease not expired one nanosecond past the deadline")
 	}
 
 	// A heartbeat at the edge re-arms the full budget: refresh lastHeard
 	// at the deadline instant and the next full lease must be available.
-	follower.lastHeard.Store(base.Add(follower.cfg.LeaseTimeout).UnixNano())
+	follower.lastHeard.Store(base.Add(follower.lease()).UnixNano())
 	if follower.LeaseExpired() {
 		t.Fatal("lease expired immediately after an edge heartbeat")
 	}
-	if rem := follower.LeaseRemaining(); rem != follower.cfg.LeaseTimeout-time.Nanosecond {
+	if rem := follower.LeaseRemaining(); rem != follower.lease()-time.Nanosecond {
 		t.Fatalf("LeaseRemaining after edge heartbeat = %v, want %v",
-			rem, follower.cfg.LeaseTimeout-time.Nanosecond)
+			rem, follower.lease()-time.Nanosecond)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestLeaseClockJitter(t *testing.T) {
 	fs := openStore(t)
 	follower := startFollower(t, fs, reserveAddr(t), nil)
 
-	lease := follower.cfg.LeaseTimeout
+	lease := follower.lease()
 	base := time.Now()
 	jitters := []time.Duration{0, lease / 4, -lease / 4, lease / 2, -lease / 2, lease/2 - time.Millisecond}
 	for i := 0; i < 50; i++ {

@@ -104,7 +104,7 @@ func (n *Node) pullOnce() error {
 		// full lease window is reported lost; the loop keeps waiting (the
 		// role only changes via explicit promotion) but the error path
 		// re-dials, which distinguishes a dead TCP peer from a slow one.
-		c.SetReadDeadline(time.Now().Add(n.cfg.LeaseTimeout))
+		c.SetReadDeadline(time.Now().Add(n.lease()))
 		var frame []byte
 		frame, scratch, err = wire.ReadFrame(br, scratch)
 		if err != nil {

@@ -26,7 +26,7 @@
 // term it hears and records the sender as leader. The lease is the
 // follower's view of leader liveness: heartbeats (empty ReplFrames)
 // arrive every Heartbeat interval, and a follower that has heard nothing
-// for LeaseTimeout reports the lease expired through Health/metrics —
+// for five of them reports the lease expired through Health/metrics —
 // and, with AutoFailover, stands for election: it probes Peers with a
 // ReplStatus exchange, ranks the reachable candidates deterministically
 // by (Priority, applied seq, Advertise address), holds off by its rank ×
@@ -133,11 +133,9 @@ type Config struct {
 	// ReplicaOf is the leader's replication address. Empty means start as
 	// leader.
 	ReplicaOf string
-	// Heartbeat is the leader's keepalive interval (default 200ms).
+	// Heartbeat is the leader's keepalive interval (default 200ms). The
+	// lease is five of them (see Node.lease).
 	Heartbeat time.Duration
-	// LeaseTimeout is how long a follower tolerates silence before
-	// reporting the leader lost (default 5×Heartbeat).
-	LeaseTimeout time.Duration
 	// AckEvery is the follower's ack window in records: one cumulative
 	// ReplAck per AckEvery applied records (default 256).
 	AckEvery int
@@ -288,9 +286,6 @@ func Start(cfg Config) (*Node, error) {
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 200 * time.Millisecond
-	}
-	if cfg.LeaseTimeout <= 0 {
-		cfg.LeaseTimeout = 5 * cfg.Heartbeat
 	}
 	if cfg.AckEvery <= 0 {
 		cfg.AckEvery = 256
@@ -477,15 +472,20 @@ func (n *Node) AppliedSeq() uint64 {
 // acknowledged as applied (leader; 0 on a follower).
 func (n *Node) AckedSeq() uint64 { return n.maxAck.Load() }
 
-// LeaseExpired reports whether a follower has gone LeaseTimeout without
+// lease is how long a follower tolerates silence before reporting the
+// leader lost: five heartbeat intervals. A leader with peers also probes
+// them once per lease.
+func (n *Node) lease() time.Duration { return 5 * n.cfg.Heartbeat }
+
+// LeaseExpired reports whether a follower has gone a full lease without
 // hearing from its leader. Always false on a leader. A heartbeat landing
 // exactly at the deadline still counts: the lease is expired only when
-// silence strictly exceeds LeaseTimeout.
+// silence strictly exceeds it.
 func (n *Node) LeaseExpired() bool {
 	if n.IsLeader() {
 		return false
 	}
-	return n.now().Sub(time.Unix(0, n.lastHeard.Load())) > n.cfg.LeaseTimeout
+	return n.now().Sub(time.Unix(0, n.lastHeard.Load())) > n.lease()
 }
 
 // LeaseRemaining returns how much of the heartbeat lease is left before
@@ -493,9 +493,9 @@ func (n *Node) LeaseExpired() bool {
 // leader reports its full lease: it cannot lose itself.
 func (n *Node) LeaseRemaining() time.Duration {
 	if n.IsLeader() {
-		return n.cfg.LeaseTimeout
+		return n.lease()
 	}
-	rem := n.cfg.LeaseTimeout - n.now().Sub(time.Unix(0, n.lastHeard.Load()))
+	rem := n.lease() - n.now().Sub(time.Unix(0, n.lastHeard.Load()))
 	return max(rem, 0)
 }
 

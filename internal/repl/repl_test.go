@@ -279,9 +279,7 @@ func TestLeaseExpiry(t *testing.T) {
 	ls := openStore(t)
 	leader := startLeader(t, ls, nil)
 	fs := openStore(t)
-	follower := startFollower(t, fs, leader.ReplAddr(), func(c *Config) {
-		c.LeaseTimeout = 80 * time.Millisecond
-	})
+	follower := startFollower(t, fs, leader.ReplAddr(), nil)
 
 	waitFor(t, "initial heartbeat", func() bool { return follower.LeaderAddr() != "" })
 	if follower.LeaseExpired() {

@@ -27,8 +27,10 @@ type durableStore interface {
 //	GET /readyz      readiness — 200 only when the server is accepting
 //	                 and should receive traffic; 503 while draining,
 //	                 closed, or when reclamation is stalled
-//	GET /metrics     Prometheus exposition: tree contention series plus
-//	                 the server_* counters (shed, timeouts, drains, ...)
+//	GET /metrics     Prometheus exposition of Config.Metrics: the
+//	                 server_* counters (shed, timeouts, drains, ...) plus
+//	                 whatever its owner's hooks add — the tree's
+//	                 contention series only if the owner folds them in
 //	GET /debug/vars  the same snapshot as expvar-style JSON
 //	POST /checkpoint force a durability checkpoint now (404 when the
 //	                 store has no durability layer)

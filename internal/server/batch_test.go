@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"os"
 	"testing"
 	"time"
 
@@ -220,6 +222,64 @@ func TestPipelineOverWire(t *testing.T) {
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+}
+
+// TestPipelineThroughputFloor: on one connection, the pipelined client
+// must run at least 2x the inserts per second of request-per-round-trip.
+// Both phases insert 4,000 fresh keys from one shuffled sequence: random
+// order keeps the external tree near log depth, so both do the same work
+// (ascending keys would build a spine in the first phase and bill its
+// traversal to the second). Opt-in via BST_PIPELINE_FLOOR=1, because it is
+// a wall-clock measurement; `make serve-smoke` runs it and logs the ratio.
+func TestPipelineThroughputFloor(t *testing.T) {
+	if os.Getenv("BST_PIPELINE_FLOOR") == "" {
+		t.Skip("set BST_PIPELINE_FLOOR=1 (or run `make serve-smoke`) to run the pipelining floor")
+	}
+	_, srv, cl := startServer(t, []bst.Option{bst.WithReclamation()}, Config{})
+	defer cl.Close()
+	defer shutdown(t, srv)
+	ctx := context.Background()
+
+	const n = 4000
+	keys := make([]int64, 2*n)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	rand.New(rand.NewSource(42)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+
+	start := time.Now()
+	for _, k := range keys[:n] {
+		if ok, err := cl.Insert(ctx, k); err != nil || !ok {
+			t.Fatalf("round-trip Insert(%d) = (%v, %v), want (true, nil)", k, ok, err)
+		}
+	}
+	roundTrip := time.Since(start)
+
+	p, err := cl.NewPipeline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	futs := make([]*client.Future, n)
+	start = time.Now()
+	for i, k := range keys[n:] {
+		if futs[i], err = p.Submit(ctx, client.InsertOp(k)); err != nil {
+			t.Fatalf("Submit(%d): %v", k, err)
+		}
+	}
+	for i, f := range futs {
+		if ok, err := f.Wait(ctx); err != nil || !ok {
+			t.Fatalf("pipelined Insert(%d) = (%v, %v), want (true, nil)", keys[n+i], ok, err)
+		}
+	}
+	pipelined := time.Since(start)
+
+	ratio := float64(roundTrip) / float64(pipelined)
+	t.Logf("pipelined %.2fx over round-trip (%d inserts each: round-trip %v, pipelined %v)",
+		ratio, n, roundTrip.Round(time.Millisecond), pipelined.Round(time.Millisecond))
+	if ratio < 2 {
+		t.Fatalf("pipelined throughput is %.2fx of round-trip; want >= 2x", ratio)
 	}
 }
 

@@ -159,14 +159,12 @@ type Config struct {
 	// connections beyond it are closed (clients reconnect transparently);
 	// mid-frame it is the slow-loris guard. Default 60s.
 	ReadTimeout time.Duration
-	// RangeLimit caps keys per range response (and is the default when a
-	// request asks for 0). Default 1024, hard-capped so a response always
-	// fits in wire.MaxFrame.
-	RangeLimit int
-	// Metrics, when non-nil, receives the server's counters (shed,
-	// timeouts, drains, ...) as external series on every snapshot, so one
-	// scrape shows tree contention and serving health side by side. When
-	// nil a private registry is created for the admin endpoint.
+	// Metrics, when non-nil, is the registry the admin endpoint serves;
+	// the server adds its counters (shed, timeouts, drains, ...) to it as
+	// external series on every snapshot. The server never reads the
+	// store's own telemetry: the caller supplies the tree's series with a
+	// hook of its own (bstserve folds Tree.Metrics in), or they read 0.
+	// When nil a private registry is created for the admin endpoint.
 	Metrics *metrics.Registry
 	// Cluster, when non-nil, makes the server role-aware: mutations on a
 	// follower answer StatusNotLeader with the leader's address, lookups
@@ -190,9 +188,11 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// maxRangeLimit keeps the largest possible range response inside
-// wire.MaxFrame (respBase + count + keys).
-const maxRangeLimit = (wire.MaxFrame - 64) / 8
+// rangeLimit caps the keys in one range response, and is the limit of a
+// request that asks for 0: a response always fits in wire.MaxFrame, and
+// one scan pins a reclamation epoch for at most this many keys. Clients
+// page through longer ranges from the last key returned.
+const rangeLimit = 1024
 
 // Counters is a point-in-time snapshot of the server's serving statistics.
 // Monotonic fields count since server creation; InFlight and OpenConns are
@@ -279,13 +279,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 60 * time.Second
-	}
-	if cfg.RangeLimit <= 0 || cfg.RangeLimit > maxRangeLimit {
-		if cfg.RangeLimit > maxRangeLimit {
-			cfg.RangeLimit = maxRangeLimit
-		} else {
-			cfg.RangeLimit = 1024
-		}
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -921,8 +914,8 @@ func (s *Server) execute(x *call) {
 func (s *Server) scan(x *call) ([]int64, error) {
 	req := &x.req
 	limit := int(req.Limit)
-	if limit <= 0 || limit > s.cfg.RangeLimit {
-		limit = s.cfg.RangeLimit
+	if limit <= 0 || limit > rangeLimit {
+		limit = rangeLimit
 	}
 	keys := make([]int64, 0, min(limit, 64))
 	var err error

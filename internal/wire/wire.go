@@ -81,9 +81,9 @@ import (
 	"repro/internal/rtrace"
 )
 
-// MaxFrame bounds a frame payload. Large enough for a full range response
-// (RangeLimit keys), small enough that a malicious length prefix cannot make
-// the server allocate unboundedly.
+// MaxFrame bounds a frame payload. Large enough for a full range response,
+// small enough that a malicious length prefix cannot make the server
+// allocate unboundedly.
 const MaxFrame = 64 << 10
 
 // TraceFlag marks an op/kind byte whose frame carries the optional 16-byte

@@ -134,9 +134,9 @@ func (t *Tree) ScanIndexed(from, to int64, c Consistency, yield func(key int64) 
 // orderstat_buckets_rescanned_total (buckets patched by incremental
 // waves), orderstat_keys_walked_total (keys visited by full walks plus
 // keys probed), orderstat_wave_nanos_total, orderstat_served_total and
-// the orderstat_buckets gauge, summed over shards. A server that keeps its own
-// metrics registry calls it from a registry hook. A no-op on a tree
-// without WithOrderStatistics.
+// the orderstat_buckets gauge, summed over shards. It reads them on a
+// tree built without WithMetrics; a WithMetrics tree's Metrics already
+// carries them. A no-op on a tree without WithOrderStatistics.
 func (t *Tree) ExportOrderStatsMetrics(counters map[string]uint64, gauges map[string]float64) {
 	if t.agg != nil {
 		t.agg.MetricsHook(&metrics.Snapshot{External: counters, Gauges: gauges})
