@@ -244,7 +244,7 @@ func main() {
 			role = "leader"
 		}
 		fmt.Printf("bstserve: cluster role=%s term=%d repl-listen=%s semi-sync=%v auto-failover=%v priority=%d\n",
-			role, node.Term(), node.ReplAddr(), *replSync, *autoFailover, *priority)
+			role, node.Status().Term, node.ReplAddr(), *replSync, *autoFailover, *priority)
 	}
 
 	// -debug-addr mounts net/http/pprof on its own listener, separate from

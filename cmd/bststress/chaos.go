@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/netchaos"
+	"repro/internal/repl"
 )
 
 // The -chaos round is the self-healing gate: nobody promotes anything by
@@ -85,16 +86,16 @@ type termLeaders struct {
 	fencedA bool
 }
 
-func (t *termLeaders) note(name string, h clusterHealth) {
+func (t *termLeaders) note(name string, h repl.Status) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if h.Cluster.Role == "leader" {
-		if t.leaders[h.Cluster.Term] == nil {
-			t.leaders[h.Cluster.Term] = map[string]bool{}
+	if h.Role == "leader" {
+		if t.leaders[h.Term] == nil {
+			t.leaders[h.Term] = map[string]bool{}
 		}
-		t.leaders[h.Cluster.Term][name] = true
+		t.leaders[h.Term][name] = true
 	}
-	if name == "A" && h.Cluster.Fenced {
+	if name == "A" && h.Fenced {
 		t.fencedA = true
 	}
 }
@@ -181,20 +182,20 @@ func chaosRound(workers int, seed uint64) (err error) {
 	// Both followers must fully converge before the load starts: the
 	// leader is semi-sync, and the audit depends on a clean baseline.
 	catchup := time.Now()
-	ha, err := waitHealth(a.admin, "cluster catch-up", 120*time.Second, func(h clusterHealth) bool {
-		if h.Cluster.Followers < 2 || h.Cluster.AppliedSeq == 0 || h.Cluster.AckedSeq < h.Cluster.AppliedSeq {
+	ha, err := waitHealth(a.admin, "cluster catch-up", 120*time.Second, func(h repl.Status) bool {
+		if h.Followers < 2 || h.AppliedSeq == 0 || h.AckedSeq < h.AppliedSeq {
 			return false
 		}
 		hb, berr := fetchHealth(b.admin)
 		hc, cerr := fetchHealth(c.admin)
 		return berr == nil && cerr == nil &&
-			hb.Cluster.AppliedSeq == h.Cluster.AppliedSeq &&
-			hc.Cluster.AppliedSeq == h.Cluster.AppliedSeq
+			hb.AppliedSeq == h.AppliedSeq &&
+			hc.AppliedSeq == h.AppliedSeq
 	})
 	if err != nil {
 		return err
 	}
-	term0 := ha.Cluster.Term
+	term0 := ha.Term
 	logf("3-node cluster converged on %d-key + %d-op seed in %v (term %d)",
 		chaosSnapKeys, chaosTailOps, time.Since(catchup).Round(time.Millisecond), term0)
 
@@ -270,15 +271,15 @@ func chaosRound(workers int, seed uint64) (err error) {
 	}
 
 	// Quiesce to a converged cut (see the file comment for why).
-	if _, err := waitHealth(a.admin, "pre-partition quiesce", 15*time.Second, func(h clusterHealth) bool {
-		if h.Cluster.AckedSeq < h.Cluster.AppliedSeq {
+	if _, err := waitHealth(a.admin, "pre-partition quiesce", 15*time.Second, func(h repl.Status) bool {
+		if h.AckedSeq < h.AppliedSeq {
 			return false
 		}
 		hb, berr := fetchHealth(b.admin)
 		hc, cerr := fetchHealth(c.admin)
 		return berr == nil && cerr == nil &&
-			hb.Cluster.AppliedSeq == h.Cluster.AppliedSeq &&
-			hc.Cluster.AppliedSeq == h.Cluster.AppliedSeq
+			hb.AppliedSeq == h.AppliedSeq &&
+			hc.AppliedSeq == h.AppliedSeq
 	}); err != nil {
 		return err
 	}
@@ -292,13 +293,13 @@ func chaosRound(workers int, seed uint64) (err error) {
 	}
 	partStart := time.Now()
 	logf("partitioned A from the cluster")
-	hb, err := waitHealth(b.admin, "B self-promotion", recoveryBudget, func(h clusterHealth) bool {
-		return h.Cluster.Role == "leader" && h.Cluster.Term > term0
+	hb, err := waitHealth(b.admin, "B self-promotion", recoveryBudget, func(h repl.Status) bool {
+		return h.Role == "leader" && h.Term > term0
 	})
 	if err != nil {
 		return err
 	}
-	termB := hb.Cluster.Term
+	termB := hb.Term
 	promotedIn := time.Since(partStart)
 
 	clB, err := client.Dial(client.Config{Addr: b.data, Seed: int64(seed)})
@@ -319,8 +320,8 @@ func chaosRound(workers int, seed uint64) (err error) {
 		p.SetRule(netchaos.Rule{})
 	}
 	healStart := time.Now()
-	if _, err := waitHealth(a.admin, "A fencing after heal", 15*time.Second, func(h clusterHealth) bool {
-		return h.Cluster.Fenced && h.Cluster.Role == "follower" && h.Cluster.Term >= termB
+	if _, err := waitHealth(a.admin, "A fencing after heal", 15*time.Second, func(h repl.Status) bool {
+		return h.Fenced && h.Role == "follower" && h.Term >= termB
 	}); err != nil {
 		return err
 	}
@@ -329,8 +330,8 @@ func chaosRound(workers int, seed uint64) (err error) {
 	if err != nil {
 		return fmt.Errorf("B health after heal: %w", err)
 	}
-	if _, err := waitHealth(a.admin, "A catching up under B", 15*time.Second, func(h clusterHealth) bool {
-		return h.Cluster.AppliedSeq >= hb2.Cluster.AppliedSeq
+	if _, err := waitHealth(a.admin, "A catching up under B", 15*time.Second, func(h repl.Status) bool {
+		return h.AppliedSeq >= hb2.AppliedSeq
 	}); err != nil {
 		return err
 	}
@@ -350,8 +351,8 @@ func chaosRound(workers int, seed uint64) (err error) {
 	if err != nil {
 		return fmt.Errorf("B health after canary: %w", err)
 	}
-	if _, err := waitHealth(a.admin, "A streaming live from B", 15*time.Second, func(h clusterHealth) bool {
-		return h.Cluster.AppliedSeq >= hb3.Cluster.AppliedSeq
+	if _, err := waitHealth(a.admin, "A streaming live from B", 15*time.Second, func(h repl.Status) bool {
+		return h.AppliedSeq >= hb3.AppliedSeq
 	}); err != nil {
 		return err
 	}
@@ -413,13 +414,13 @@ func chaosRound(workers int, seed uint64) (err error) {
 	}
 
 	// C must outrank the fenced, lowest-priority A and take the next term.
-	hc, err := waitHealth(c.admin, "C self-promotion", recoveryBudget, func(h clusterHealth) bool {
-		return h.Cluster.Role == "leader" && h.Cluster.Term > termB
+	hc, err := waitHealth(c.admin, "C self-promotion", recoveryBudget, func(h repl.Status) bool {
+		return h.Role == "leader" && h.Term > termB
 	})
 	if err != nil {
 		return err
 	}
-	termC := hc.Cluster.Term
+	termC := hc.Term
 
 	clC, err := client.Dial(client.Config{Addr: c.data, Seed: int64(seed)})
 	if err != nil {

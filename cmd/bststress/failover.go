@@ -218,32 +218,23 @@ func spawnFailoverChild(dir string, o childOpts) (childAddrs, func(), error) {
 	}
 }
 
-// clusterHealth is the slice of the admin /healthz body the rounds read.
-type clusterHealth struct {
-	Cluster struct {
-		Role          string `json:"role"`
-		Term          uint64 `json:"term"`
-		AppliedSeq    uint64 `json:"applied_seq"`
-		AckedSeq      uint64 `json:"acked_seq"`
-		Followers     int    `json:"followers"`
-		ElectionState string `json:"election_state"`
-		Fenced        bool   `json:"fenced"`
-	} `json:"cluster"`
-}
-
-func fetchHealth(adminAddr string) (clusterHealth, error) {
-	var h clusterHealth
+// fetchHealth reads the cluster object of adminAddr's /healthz.
+func fetchHealth(adminAddr string) (repl.Status, error) {
+	var h struct {
+		Cluster repl.Status `json:"cluster"`
+	}
 	resp, err := http.Get("http://" + adminAddr + "/healthz")
 	if err != nil {
-		return h, err
+		return h.Cluster, err
 	}
 	defer resp.Body.Close()
-	return h, json.NewDecoder(resp.Body).Decode(&h)
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	return h.Cluster, err
 }
 
 // waitHealth polls adminAddr until cond is satisfied or the budget runs
 // out. The last health (and fetch error) ride along in the failure.
-func waitHealth(adminAddr, what string, budget time.Duration, cond func(clusterHealth) bool) (clusterHealth, error) {
+func waitHealth(adminAddr, what string, budget time.Duration, cond func(repl.Status) bool) (repl.Status, error) {
 	deadline := time.Now().Add(budget)
 	for {
 		h, err := fetchHealth(adminAddr)
@@ -251,7 +242,7 @@ func waitHealth(adminAddr, what string, budget time.Duration, cond func(clusterH
 			return h, nil
 		}
 		if time.Now().After(deadline) {
-			return h, fmt.Errorf("%s: not reached within %v (last health %+v, err %v)", what, budget, h.Cluster, err)
+			return h, fmt.Errorf("%s: not reached within %v (last health %+v, err %v)", what, budget, h, err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -309,8 +300,8 @@ func failoverRound(workers int, seed uint64) (err error) {
 	// bulk-load + 1.1M-op horizon): the leader is semi-sync, so writes
 	// before a follower connects would only time out.
 	catchup := time.Now()
-	if _, err := waitHealth(leader.admin, "follower catch-up", 120*time.Second, func(h clusterHealth) bool {
-		return h.Cluster.Followers >= 1 && h.Cluster.AckedSeq >= h.Cluster.AppliedSeq && h.Cluster.AppliedSeq > 0
+	if _, err := waitHealth(leader.admin, "follower catch-up", 120*time.Second, func(h repl.Status) bool {
+		return h.Followers >= 1 && h.AckedSeq >= h.AppliedSeq && h.AppliedSeq > 0
 	}); err != nil {
 		return err
 	}

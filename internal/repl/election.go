@@ -76,7 +76,7 @@ func (n *Node) electLoop() {
 			}
 			continue
 		}
-		if !n.LeaseExpired() {
+		if !n.leaseExpired() {
 			continue
 		}
 		n.runElection()
@@ -182,7 +182,7 @@ func (n *Node) holdOff(deadline time.Time, startTerm uint64) bool {
 			return false
 		case <-time.After(step):
 		}
-		if n.closed.Load() || n.Role() != Follower || n.term.Load() != startTerm || !n.LeaseExpired() {
+		if n.closed.Load() || n.Role() != Follower || n.term.Load() != startTerm || !n.leaseExpired() {
 			return false
 		}
 	}

@@ -38,27 +38,31 @@ func TestLeaseEdgeExactlyAtExpiry(t *testing.T) {
 	follower.lastHeard.Store(base.UnixNano())
 
 	follower.setClock(func() time.Time { return base.Add(follower.lease()) })
-	if follower.LeaseExpired() {
+	if st := follower.Status(); st.LeaseExpired {
 		t.Fatal("lease expired exactly at the deadline; the edge must still count as alive")
+	} else if st.LeaseRemainingMS != 0 {
+		t.Fatalf("lease remaining at the deadline = %dms, want 0", st.LeaseRemainingMS)
 	}
-	if rem := follower.LeaseRemaining(); rem != 0 {
-		t.Fatalf("LeaseRemaining at the deadline = %v, want 0", rem)
+	if left := follower.leaseLeft(follower.now()); left != 0 {
+		t.Fatalf("leaseLeft at the deadline = %v, want 0", left)
 	}
 
 	follower.setClock(func() time.Time { return base.Add(follower.lease() + time.Nanosecond) })
-	if !follower.LeaseExpired() {
+	if !follower.Status().LeaseExpired {
 		t.Fatal("lease not expired one nanosecond past the deadline")
 	}
 
 	// A heartbeat at the edge re-arms the full budget: refresh lastHeard
 	// at the deadline instant and the next full lease must be available.
 	follower.lastHeard.Store(base.Add(follower.lease()).UnixNano())
-	if follower.LeaseExpired() {
+	want := (follower.lease() - time.Nanosecond).Milliseconds()
+	if st := follower.Status(); st.LeaseExpired {
 		t.Fatal("lease expired immediately after an edge heartbeat")
+	} else if st.LeaseRemainingMS != want {
+		t.Fatalf("lease remaining after edge heartbeat = %dms, want %dms", st.LeaseRemainingMS, want)
 	}
-	if rem := follower.LeaseRemaining(); rem != follower.lease()-time.Nanosecond {
-		t.Fatalf("LeaseRemaining after edge heartbeat = %v, want %v",
-			rem, follower.lease()-time.Nanosecond)
+	if left := follower.leaseLeft(follower.now()); left != follower.lease()-time.Nanosecond {
+		t.Fatalf("leaseLeft after edge heartbeat = %v, want %v", left, follower.lease()-time.Nanosecond)
 	}
 }
 
@@ -79,13 +83,17 @@ func TestLeaseClockJitter(t *testing.T) {
 		follower.lastHeard.Store(beat.UnixNano())
 		j := jitters[i%len(jitters)]
 		follower.setClock(func() time.Time { return beat.Add(j) })
-		if follower.LeaseExpired() {
+		st := follower.Status()
+		if st.LeaseExpired {
 			t.Fatalf("iteration %d: jitter %v faked a lease expiry (budget %v)", i, j, lease)
 		}
 		// Negative jitter (clock behind the heartbeat) legitimately reads
 		// as more than a full budget remaining; it must never go negative.
-		if rem := follower.LeaseRemaining(); rem < 0 || (j >= 0 && rem > lease) {
-			t.Fatalf("iteration %d: jitter %v gave LeaseRemaining %v (budget %v)", i, j, rem, lease)
+		if rem := st.LeaseRemainingMS; rem < 0 || (j >= 0 && rem > lease.Milliseconds()) {
+			t.Fatalf("iteration %d: jitter %v gave %dms of lease remaining (budget %v)", i, j, rem, lease)
+		}
+		if rem := max(follower.leaseLeft(follower.now()), 0); j >= 0 && rem > lease {
+			t.Fatalf("iteration %d: jitter %v gave leaseLeft %v (budget %v)", i, j, rem, lease)
 		}
 	}
 
@@ -94,12 +102,12 @@ func TestLeaseClockJitter(t *testing.T) {
 	now := base.Add(100 * follower.cfg.Heartbeat)
 	follower.lastHeard.Store(now.UnixNano())
 	follower.setClock(func() time.Time { return now.Add(-2 * lease) })
-	if follower.LeaseExpired() {
+	if follower.Status().LeaseExpired {
 		t.Fatal("clock running behind the heartbeat reported an expired lease")
 	}
 	// And a forward jump past the budget is a real expiry.
 	follower.setClock(func() time.Time { return now.Add(lease + time.Millisecond) })
-	if !follower.LeaseExpired() {
+	if !follower.Status().LeaseExpired {
 		t.Fatal("clock overshooting the budget did not expire the lease")
 	}
 }
@@ -155,15 +163,15 @@ func TestSimultaneousExpiryDeterministicRank(t *testing.T) {
 	fps.Site(FPHeartbeatSend).FailEveryN(1)
 
 	waitFor(t, "priority-2 follower to win the election", func() bool {
-		return f1.IsLeader() && f1.Term() == 2
+		return f1.IsLeader() && f1.Status().Term == 2
 	})
 	waitFor(t, "priority-1 follower to defer to the winner", func() bool {
-		return f2.Role() == Follower && f2.Term() == 2 && f2.replicaTarget() == addr1
+		return f2.Role() == Follower && f2.Status().Term == 2 && f2.replicaTarget() == addr1
 	})
 	if f2.IsLeader() {
 		t.Fatal("both candidates promoted: rank was not deterministic")
 	}
-	waitFor(t, "loser re-subscribed to the winner", func() bool { return f1.Followers() >= 1 })
+	waitFor(t, "loser re-subscribed to the winner", func() bool { return f1.Status().Followers >= 1 })
 	waitFor(t, "loser learned the winner's data address", func() bool {
 		return f2.LeaderAddr() == "f1-data:1"
 	})
@@ -209,13 +217,13 @@ func TestDeposedLeaderRejoinsAsFollower(t *testing.T) {
 
 	// The old leader's periodic peer watch must fence and depose it.
 	waitFor(t, "old leader to fence and step down", func() bool {
-		return leader.Fenced() && leader.Role() == Follower && leader.Term() == 2
+		return leader.Fenced() && leader.Role() == Follower && leader.Status().Term == 2
 	})
 	if got := ls.FencedTerm(); got != 2 {
 		t.Fatalf("store fenced term = %d, want 2", got)
 	}
-	if leader.ElectionState() != "following" {
-		t.Fatalf("deposed leader election state = %q, want following", leader.ElectionState())
+	if st := leader.Status().ElectionState; st != "following" {
+		t.Fatalf("deposed leader election state = %q, want following", st)
 	}
 	// Direct mutations on the fenced store are refused...
 	if ok, err := ls.TryInsert(1_000_000); ok || err == nil {
@@ -237,7 +245,7 @@ func TestDeposedLeaderRejoinsAsFollower(t *testing.T) {
 	}
 	// The new leader counts the rejoined node's term-carrying acks.
 	waitFor(t, "new leader ack watermark", func() bool { return follower.AckedSeq() >= seq })
-	waitFor(t, "rejoined ex-leader keeps a live lease", func() bool { return !leader.LeaseExpired() })
+	waitFor(t, "rejoined ex-leader keeps a live lease", func() bool { return !leader.Status().LeaseExpired })
 }
 
 // TestStaleTermFramesRejected: a follower that has observed a newer term
@@ -249,7 +257,7 @@ func TestStaleTermFramesRejected(t *testing.T) {
 	leader := startLeader(t, ls, nil)
 	fs := openStore(t)
 	follower := startFollower(t, fs, leader.ReplAddr(), nil)
-	waitFor(t, "subscription", func() bool { return leader.Followers() == 1 })
+	waitFor(t, "subscription", func() bool { return leader.Status().Followers == 1 })
 
 	// The follower hears of term 3 out of band (an election elsewhere).
 	follower.observeTerm(3, "", "")
@@ -260,8 +268,8 @@ func TestStaleTermFramesRejected(t *testing.T) {
 		ls.Insert(100 + i)
 	}
 	waitFor(t, "stale frames rejected", func() bool { return follower.c.fencedFrames.Load() >= 1 })
-	if follower.Term() != 3 {
-		t.Fatalf("follower term = %d, want 3", follower.Term())
+	if got := follower.Status().Term; got != 3 {
+		t.Fatalf("follower term = %d, want 3", got)
 	}
 	// The rejection severs the stream; the redial's Subscribe announces
 	// term 3, which deposes and fences the stale leader.

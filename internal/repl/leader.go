@@ -232,17 +232,20 @@ func (n *Node) forwardLive(s *subscriber, b liveBatch) error {
 }
 
 // sendBatch writes one ReplFrames frame (frames == nil is a heartbeat)
-// carrying the current term, durable horizon, and the leader's advertised
-// data address — the address rides every frame so followers can always
-// answer "who is the leader" for client redirects. Live batches
-// ([first, last] nonzero) additionally carry the trace context of any
-// sampled mutation they cover, so the follower's apply span links into the
-// originating request's trace; the recorder consumes the entry, so with
-// multiple subscribers exactly one stream carries the stamp.
+// carrying the current term, the commit horizon, and the leader's
+// advertised data address — the address rides every frame so followers
+// can always answer "who is the leader" for client redirects. The horizon
+// a follower measures its applied lag against is the newest assigned
+// sequence, not the durable one: the WAL tap ships a batch before its
+// fsync, and under sync=none the durable horizon never moves. Live
+// batches ([first, last] nonzero) additionally carry the trace context of
+// any sampled mutation they cover, so the follower's apply span links into
+// the originating request's trace; the recorder consumes the entry, so
+// with multiple subscribers exactly one stream carries the stamp.
 func (n *Node) sendBatch(s *subscriber, frames []byte, nrec uint32, first, last uint64) error {
 	fb := wire.FrameBatch{
 		Term:      n.term.Load(),
-		CommitSeq: n.store.DurableSeq(),
+		CommitSeq: n.store.LastSeq(),
 		Addr:      n.LeaderAddr(),
 		N:         nrec,
 		Frames:    frames,

@@ -26,8 +26,8 @@
 // term it hears and records the sender as leader. The lease is the
 // follower's view of leader liveness: heartbeats (empty ReplFrames)
 // arrive every Heartbeat interval, and a follower that has heard nothing
-// for five of them reports the lease expired through Health/metrics —
-// and, with AutoFailover, stands for election: it probes Peers with a
+// for five of them reports the lease expired through Status — and, with
+// AutoFailover, stands for election: it probes Peers with a
 // ReplStatus exchange, ranks the reachable candidates deterministically
 // by (Priority, applied seq, Advertise address), holds off by its rank ×
 // HoldOff, and self-promotes only if no newer-term leader appeared first;
@@ -111,7 +111,7 @@ const (
 	FPHeartbeatRecv = "repl/heartbeat-recv"
 )
 
-// Election states surfaced through ElectionState/health/metrics.
+// Election states, named by Status.ElectionState.
 const (
 	stateFollowing int32 = iota
 	stateCandidate
@@ -185,8 +185,10 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Node is one member of a replication cluster. Create with Start; wire it
-// into the server via server.Config.Cluster and the admin endpoints.
+// Node is one member of a replication cluster. Create with Start; a server
+// takes it as its cluster (server.Config.Cluster), and Status is the one
+// view of its replication state that the admin endpoints and MetricsHook
+// both serve.
 type Node struct {
 	cfg   Config
 	store *durable.Tree
@@ -202,7 +204,7 @@ type Node struct {
 	// sticky until the node is promoted again, so every write aimed at the
 	// old leader keeps getting the unambiguous StatusFenced redirect.
 	fenced atomic.Bool
-	// electState/holdOffUntil drive the health/metrics election view.
+	// electState/holdOffUntil drive Status's election fields.
 	electState   atomic.Int32
 	holdOffUntil atomic.Int64 // unix nanos; 0 = no hold-off pending
 	// clock overrides time.Now for lease math (tests inject jitter).
@@ -214,7 +216,7 @@ type Node struct {
 	// lastHeard is the unix-nano timestamp of the last frame from the
 	// leader (follower role).
 	lastHeard atomic.Int64
-	// leaderCommit is the leader's durable horizon as of the last
+	// leaderCommit is the leader's newest assigned sequence as of the last
 	// ReplFrames batch (follower role); applied lag is measured against it.
 	leaderCommit atomic.Uint64
 
@@ -448,9 +450,6 @@ func (n *Node) Role() Role { return Role(n.role.Load()) }
 // IsLeader reports whether the node currently takes writes.
 func (n *Node) IsLeader() bool { return n.Role() == Leader }
 
-// Term returns the node's current term number.
-func (n *Node) Term() uint64 { return n.term.Load() }
-
 // LeaderAddr returns the data address of the cluster's current leader as
 // this node knows it ("" when a follower has not heard a heartbeat yet).
 func (n *Node) LeaderAddr() string {
@@ -458,10 +457,9 @@ func (n *Node) LeaderAddr() string {
 	return a
 }
 
-// AppliedSeq returns the newest sequence number reflected in this node's
-// tree: the WAL's last seq on a leader, the apply loop's progress on a
-// follower.
-func (n *Node) AppliedSeq() uint64 {
+// appliedSeq is the newest sequence number reflected in this node's tree:
+// the WAL's last seq on a leader, the apply loop's progress on a follower.
+func (n *Node) appliedSeq() uint64 {
 	if n.IsLeader() {
 		return n.store.LastSeq()
 	}
@@ -477,26 +475,17 @@ func (n *Node) AckedSeq() uint64 { return n.maxAck.Load() }
 // them once per lease.
 func (n *Node) lease() time.Duration { return 5 * n.cfg.Heartbeat }
 
-// LeaseExpired reports whether a follower has gone a full lease without
-// hearing from its leader. Always false on a leader. A heartbeat landing
-// exactly at the deadline still counts: the lease is expired only when
-// silence strictly exceeds it.
-func (n *Node) LeaseExpired() bool {
-	if n.IsLeader() {
-		return false
-	}
-	return n.now().Sub(time.Unix(0, n.lastHeard.Load())) > n.lease()
+// leaseLeft is how much of a follower's heartbeat lease is left at now.
+// It goes negative only when silence strictly exceeds the lease, so a
+// heartbeat landing exactly at the deadline still counts.
+func (n *Node) leaseLeft(now time.Time) time.Duration {
+	return n.lease() - now.Sub(time.Unix(0, n.lastHeard.Load()))
 }
 
-// LeaseRemaining returns how much of the heartbeat lease is left before
-// this follower declares the leader lost (floored at 0 once expired). A
-// leader reports its full lease: it cannot lose itself.
-func (n *Node) LeaseRemaining() time.Duration {
-	if n.IsLeader() {
-		return n.lease()
-	}
-	rem := n.lease() - n.now().Sub(time.Unix(0, n.lastHeard.Load()))
-	return max(rem, 0)
+// leaseExpired reports whether a follower has gone a full lease without
+// hearing from its leader. Always false on a leader.
+func (n *Node) leaseExpired() bool {
+	return !n.IsLeader() && n.leaseLeft(n.now()) < 0
 }
 
 // Fenced reports whether this node was deposed by a newer leader term.
@@ -505,54 +494,10 @@ func (n *Node) LeaseRemaining() time.Duration {
 // than a plain not-leader, so they know to drop their cached leader.
 func (n *Node) Fenced() bool { return n.fenced.Load() }
 
-// ElectionState names where this node stands in the automatic-failover
-// state machine: "following" (healthy follower, or elections disabled),
-// "candidate" (lease expired, probing peers), "holding_off" (standing but
-// waiting out its deterministic rank delay), "promoted" (won an automatic
-// election), or "leading" (leader by start or operator promotion).
-func (n *Node) ElectionState() string {
-	if n.IsLeader() {
-		if n.electState.Load() == statePromoted {
-			return "promoted"
-		}
-		return "leading"
-	}
-	switch n.electState.Load() {
-	case stateCandidate:
-		return "candidate"
-	case stateHoldingOff:
-		return "holding_off"
-	default:
-		return "following"
-	}
-}
-
-// HoldOffDeadline returns when the node's current election hold-off ends
-// (zero time when no hold-off is pending).
-func (n *Node) HoldOffDeadline() time.Time {
-	ns := n.holdOffUntil.Load()
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
-
 // NoteFenced counts one client write refused with StatusFenced; the
-// server calls it (through its Cluster interface) so the
-// repl_fenced_requests_total series lands beside the other replication
-// counters.
+// server calls it so the repl_fenced_requests_total series lands beside
+// the other replication counters.
 func (n *Node) NoteFenced() { n.c.fencedRequests.Add(1) }
-
-// LeaderCommit returns the newest WAL sequence this node has heard the
-// leader commit: its own log horizon on a leader, the commit horizon of
-// the last ReplFrames batch on a follower. AppliedSeq lagging this is the
-// follower's replication staleness.
-func (n *Node) LeaderCommit() uint64 {
-	if n.IsLeader() {
-		return n.store.LastSeq()
-	}
-	return n.leaderCommit.Load()
-}
 
 // ReplAddr returns the bound replication listener address ("" when the
 // node has no listener). Useful with ListenRepl ":0".
@@ -563,11 +508,89 @@ func (n *Node) ReplAddr() string {
 	return n.ln.Addr().String()
 }
 
-// Followers returns the number of connected replication subscribers.
-func (n *Node) Followers() int {
+// Status is a node's replication state as one value: who leads, how far
+// this node has applied, and (on a leader) how far followers have
+// acknowledged — the operator's promote/don't-promote dashboard. The
+// admin /healthz document serves it as its "cluster" object and
+// MetricsHook's repl_* gauges read it, so the two cannot disagree. The
+// two staleness fields quantify a follower's distance from its leader:
+// AppliedLag is how many records the leader has assigned that this node
+// has yet to apply, and LeaseRemainingMS is how much heartbeat lease is
+// left before it would declare the leader lost.
+type Status struct {
+	Role       string `json:"role"` // "leader" or "follower"
+	Term       uint64 `json:"term"`
+	LeaderAddr string `json:"leader_addr"`
+	// AppliedSeq is the newest sequence reflected in this node's tree.
+	AppliedSeq uint64 `json:"applied_seq"`
+	// AckedSeq is the newest sequence a follower has acknowledged
+	// (leader; 0 on a follower).
+	AckedSeq uint64 `json:"acked_seq"`
+	// AppliedLag is the leader's newest sequence, as its last frame batch
+	// stamped it, less AppliedSeq, floored at 0: a follower can be ahead
+	// of a newly promoted leader. Always 0 on a leader.
+	AppliedLag uint64 `json:"applied_lag"`
+	// LeaseRemainingMS is 0 once a follower's lease has expired; a leader
+	// reports its full lease, it cannot lose itself.
+	LeaseRemainingMS int64 `json:"lease_remaining_ms"`
+	// Followers is the number of connected replication subscribers.
+	Followers    int  `json:"followers"`
+	LeaseExpired bool `json:"lease_expired"`
+	// ElectionState is the failover state machine's position: "following",
+	// "candidate", "holding_off", "promoted" (won an automatic election),
+	// or "leading" (bootstrap/operator-promoted leader).
+	ElectionState string `json:"election_state,omitempty"`
+	// HoldOffRemainingMS is how long this candidate still defers to
+	// higher-ranked peers before self-promoting (0 when not holding off).
+	HoldOffRemainingMS int64 `json:"holdoff_remaining_ms"`
+	// Fenced marks a deposed leader that has not re-promoted: its
+	// mutations answer StatusFenced until it rejoins or wins a new term.
+	Fenced bool `json:"fenced"`
+}
+
+// Status reads the node's replication state, with one reading of its role
+// and of its clock.
+func (n *Node) Status() Status {
+	now, role := n.now(), n.Role()
 	n.subMu.Lock()
-	defer n.subMu.Unlock()
-	return len(n.subs)
+	followers := len(n.subs)
+	n.subMu.Unlock()
+	st := Status{
+		Role:          role.String(),
+		Term:          n.term.Load(),
+		LeaderAddr:    n.LeaderAddr(),
+		AckedSeq:      n.maxAck.Load(),
+		Followers:     followers,
+		ElectionState: "following",
+		Fenced:        n.fenced.Load(),
+	}
+	elect := n.electState.Load()
+	if role == Leader {
+		st.AppliedSeq = n.store.LastSeq()
+		st.LeaseRemainingMS = n.lease().Milliseconds()
+		st.ElectionState = "leading"
+		if elect == statePromoted {
+			st.ElectionState = "promoted"
+		}
+	} else {
+		st.AppliedSeq = n.applied.Load()
+		if commit := n.leaderCommit.Load(); commit > st.AppliedSeq {
+			st.AppliedLag = commit - st.AppliedSeq
+		}
+		left := n.leaseLeft(now)
+		st.LeaseExpired = left < 0
+		st.LeaseRemainingMS = max(left, 0).Milliseconds()
+		switch elect {
+		case stateCandidate:
+			st.ElectionState = "candidate"
+		case stateHoldingOff:
+			st.ElectionState = "holding_off"
+		}
+	}
+	if ns := n.holdOffUntil.Load(); ns != 0 {
+		st.HoldOffRemainingMS = max(time.Unix(0, ns).Sub(now), 0).Milliseconds()
+	}
+	return st
 }
 
 // wakeApplied re-arms the applied-seq notification channel.
@@ -631,13 +654,13 @@ func (n *Node) ackWake() <-chan struct{} {
 // that saw seq acked can demand a follower read reflect it.
 func (n *Node) WaitApplied(ctx context.Context, seq uint64) error {
 	for {
-		if n.AppliedSeq() >= seq {
+		if n.appliedSeq() >= seq {
 			return nil
 		}
 		wake := n.appliedWake()
 		// Re-check after arming: the apply may have landed between the
 		// load and the channel fetch.
-		if n.AppliedSeq() >= seq {
+		if n.appliedSeq() >= seq {
 			return nil
 		}
 		select {
@@ -772,38 +795,34 @@ func (n *Node) Close() error {
 	return nil
 }
 
+// electionGauge is repl_election_state's value for each
+// Status.ElectionState; "following" and "leading" read 0.
+var electionGauge = map[string]float64{"candidate": 1, "holding_off": 2, "promoted": 3}
+
 // MetricsHook folds the node's replication telemetry into a registry
 // snapshot (register with reg.AddHook(node.MetricsHook)). Series follow
-// the repl_* naming convention alongside the wal_*/snapshot_* families.
+// the repl_* naming convention alongside the wal_*/snapshot_* families;
+// every gauge reads one Status.
 func (n *Node) MetricsHook(s *metrics.Snapshot) {
-	leader := n.Role() == Leader
-	acked, applied, followers := n.AckedSeq(), n.AppliedSeq(), n.Followers()
+	st := n.Status()
+	leader := st.Role == Leader.String()
 	s.Gauges["repl_is_leader"] = boolGauge(leader)
-	s.Gauges["repl_term"] = float64(n.Term())
-	s.Gauges["repl_applied_seq"] = float64(applied)
-	s.Gauges["repl_acked_seq"] = float64(acked)
-	s.Gauges["repl_followers_connected"] = float64(followers)
-	// Lag: what a leader still has to ship (against its own log), or what
-	// a follower still has to apply (against the leader's commit horizon).
-	if leader {
-		last := n.store.LastSeq()
-		lag := float64(0)
-		if followers > 0 && last > acked {
-			lag = float64(last - acked)
-		}
-		s.Gauges["repl_lag_records"] = lag
-	} else {
-		s.Gauges["repl_lag_records"] = float64(n.leaderCommit.Load()) - float64(applied)
+	s.Gauges["repl_term"] = float64(st.Term)
+	s.Gauges["repl_applied_seq"] = float64(st.AppliedSeq)
+	s.Gauges["repl_acked_seq"] = float64(st.AckedSeq)
+	s.Gauges["repl_followers_connected"] = float64(st.Followers)
+	// Lag: what a leader still has to ship (its log past the newest
+	// follower ack), or what a follower still has to apply (AppliedLag).
+	lag := st.AppliedLag
+	if leader && st.Followers > 0 && st.AppliedSeq > st.AckedSeq {
+		lag = st.AppliedSeq - st.AckedSeq
 	}
-	s.Gauges["repl_lease_expired"] = boolGauge(n.LeaseExpired())
-	s.Gauges["repl_lease_remaining_seconds"] = n.LeaseRemaining().Seconds()
-	s.Gauges["repl_fenced"] = boolGauge(n.Fenced())
-	s.Gauges["repl_election_state"] = float64(n.electState.Load())
-	if d := n.HoldOffDeadline(); !d.IsZero() {
-		s.Gauges["repl_holdoff_remaining_seconds"] = max(d.Sub(n.now()), 0).Seconds()
-	} else {
-		s.Gauges["repl_holdoff_remaining_seconds"] = 0
-	}
+	s.Gauges["repl_lag_records"] = float64(lag)
+	s.Gauges["repl_lease_expired"] = boolGauge(st.LeaseExpired)
+	s.Gauges["repl_lease_remaining_seconds"] = float64(st.LeaseRemainingMS) / 1e3
+	s.Gauges["repl_fenced"] = boolGauge(st.Fenced)
+	s.Gauges["repl_election_state"] = electionGauge[st.ElectionState]
+	s.Gauges["repl_holdoff_remaining_seconds"] = float64(st.HoldOffRemainingMS) / 1e3
 	c := &n.c
 	s.External["repl_records_sent_total"] += c.recordsSent.Load()
 	s.External["repl_batches_sent_total"] += c.batchesSent.Load()

@@ -104,7 +104,7 @@ func TestLiveReplication(t *testing.T) {
 	if follower.IsLeader() {
 		t.Fatal("follower reports leader role")
 	}
-	if got := follower.Term(); got != 1 {
+	if got := follower.Status().Term; got != 1 {
 		t.Fatalf("follower term = %d, want 1", got)
 	}
 	// The leader saw cumulative acks covering the tail.
@@ -136,7 +136,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 	fs := openStore(t)
 	follower := startFollower(t, fs, leader.ReplAddr(), nil)
 
-	waitFor(t, "snapshot load", func() bool { return follower.AppliedSeq() >= 500 })
+	waitFor(t, "snapshot load", func() bool { return follower.Status().AppliedSeq >= 500 })
 	if fs.Len() != 500 {
 		t.Fatalf("follower len = %d after snapshot, want 500", fs.Len())
 	}
@@ -215,7 +215,7 @@ func TestPromotion(t *testing.T) {
 	if err := follower.WaitApplied(ctx, ls.LastSeq()); err != nil {
 		t.Fatalf("WaitApplied: %v", err)
 	}
-	waitFor(t, "term adoption", func() bool { return follower.Term() == 1 })
+	waitFor(t, "term adoption", func() bool { return follower.Status().Term == 1 })
 
 	term, err := follower.Promote()
 	if err != nil {
@@ -282,11 +282,72 @@ func TestLeaseExpiry(t *testing.T) {
 	follower := startFollower(t, fs, leader.ReplAddr(), nil)
 
 	waitFor(t, "initial heartbeat", func() bool { return follower.LeaderAddr() != "" })
-	if follower.LeaseExpired() {
+	if follower.Status().LeaseExpired {
 		t.Fatal("lease expired while connected")
 	}
 	leader.Close()
-	waitFor(t, "lease expiry", func() bool { return follower.LeaseExpired() })
+	waitFor(t, "lease expiry", func() bool { return follower.Status().LeaseExpired })
+}
+
+// TestFollowerLagNeverNegative scrapes a follower's repl_lag_records
+// every 50 of 2,000 leader inserts, once the follower has applied them,
+// under an fsync and a sync=none leader. The gauge never reads negative,
+// and once the follower has caught up and heard one more heartbeat its
+// lag is 0 and its commit horizon is the leader's newest sequence. A
+// leader stamping frames with its durable horizon fails both: the WAL tap
+// ships a batch before its fsync, and under sync=none that horizon never
+// moves.
+func TestFollowerLagNeverNegative(t *testing.T) {
+	for _, policy := range []wal.SyncPolicy{wal.SyncFsync, wal.SyncNone} {
+		t.Run(policy.String(), func(t *testing.T) {
+			ls, err := durable.Open(t.TempDir(), durable.Options{Sync: policy})
+			if err != nil {
+				t.Fatalf("durable.Open: %v", err)
+			}
+			t.Cleanup(func() { ls.Close() })
+			leader := startLeader(t, ls, nil)
+			follower := startFollower(t, openStore(t), leader.ReplAddr(), nil)
+			lag := func() float64 {
+				s := metrics.Snapshot{Gauges: map[string]float64{}, External: map[string]uint64{}}
+				follower.MetricsHook(&s)
+				return s.Gauges["repl_lag_records"]
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			var scrapes, negative int
+			minLag := 0.0
+			for i := int64(1); i <= 2000; i++ {
+				ls.Insert(i)
+				if i%50 != 0 {
+					continue
+				}
+				if err := follower.WaitApplied(ctx, ls.LastSeq()); err != nil {
+					t.Fatalf("WaitApplied after %d inserts: %v", i, err)
+				}
+				scrapes++
+				if l := lag(); l < 0 {
+					negative++
+					minLag = min(minLag, l)
+				}
+			}
+			if negative > 0 {
+				t.Errorf("%d of %d scrapes read a negative repl_lag_records (min %v)", negative, scrapes, minLag)
+			}
+
+			// Frames are handled in order on one connection: once a second
+			// frame has arrived after catch-up, the first one's commit
+			// horizon is stored.
+			for range 2 {
+				t0 := time.Now().UnixNano()
+				waitFor(t, "a heartbeat", func() bool { return follower.lastHeard.Load() > t0 })
+			}
+			if l, c := lag(), follower.leaderCommit.Load(); l != 0 || c != ls.LastSeq() {
+				t.Errorf("caught up: repl_lag_records = %v, commit horizon %d, want 0 and the leader's last seq %d",
+					l, c, ls.LastSeq())
+			}
+		})
+	}
 }
 
 // TestMetricsHookSeries pins the series a node's MetricsHook exports, on

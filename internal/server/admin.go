@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/metrics"
+	"repro/internal/repl"
 	"repro/internal/wal"
 )
 
@@ -154,11 +154,13 @@ func (s *Server) Ready() error {
 	// unknown staleness — a load balancer should route somewhere fresher
 	// until it reconnects (or is promoted). During an automatic election
 	// the state ("candidate", "holding_off") names why.
-	if cl := s.cfg.Cluster; cl != nil && !cl.IsLeader() && cl.LeaseExpired() {
-		if st := cl.ElectionState(); st != "following" {
-			return fmt.Errorf("follower lease expired (election state %s): leader unheard, applied_seq %d", st, cl.AppliedSeq())
+	if cl := s.cfg.Cluster; cl != nil {
+		if st := cl.Status(); st.LeaseExpired {
+			if st.ElectionState != "following" {
+				return fmt.Errorf("follower lease expired (election state %s): leader unheard, applied_seq %d", st.ElectionState, st.AppliedSeq)
+			}
+			return fmt.Errorf("follower lease expired: leader unheard, applied_seq %d", st.AppliedSeq)
 		}
-		return fmt.Errorf("follower lease expired: leader unheard, applied_seq %d", cl.AppliedSeq())
 	}
 	return nil
 }
@@ -170,36 +172,7 @@ type healthBody struct {
 	Counters   Counters          `json:"counters"`
 	Tree       treeHealth        `json:"tree"`
 	Durability *durabilityHealth `json:"durability,omitempty"`
-	Cluster    *clusterHealth    `json:"cluster,omitempty"`
-}
-
-// clusterHealth summarizes the replication control plane: who leads, how
-// far this node has applied, and (on a leader) how far followers have
-// acknowledged — the operator's promote/don't-promote dashboard. The two
-// staleness fields quantify a follower's distance from its leader:
-// AppliedLag is how many committed WAL records it has yet to apply, and
-// LeaseRemainingMS is how much heartbeat lease is left before it would
-// declare the leader lost.
-type clusterHealth struct {
-	Role             string `json:"role"`
-	Term             uint64 `json:"term"`
-	LeaderAddr       string `json:"leader_addr"`
-	AppliedSeq       uint64 `json:"applied_seq"`
-	AckedSeq         uint64 `json:"acked_seq"`
-	AppliedLag       uint64 `json:"applied_lag"`
-	LeaseRemainingMS int64  `json:"lease_remaining_ms"`
-	Followers        int    `json:"followers"`
-	LeaseExpired     bool   `json:"lease_expired"`
-	// ElectionState is the failover state machine's position: "following",
-	// "candidate", "holding_off", "promoted" (won an automatic election),
-	// or "leading" (bootstrap/operator-promoted leader).
-	ElectionState string `json:"election_state,omitempty"`
-	// HoldOffRemainingMS is how long this candidate still defers to
-	// higher-ranked peers before self-promoting (0 when not holding off).
-	HoldOffRemainingMS int64 `json:"holdoff_remaining_ms"`
-	// Fenced marks a deposed leader that has not re-promoted: its
-	// mutations answer StatusFenced until it rejoins or wins a new term.
-	Fenced bool `json:"fenced"`
+	Cluster    *repl.Status      `json:"cluster,omitempty"`
 }
 
 // durabilityHealth summarizes the WAL's progress for operators: how far
@@ -249,32 +222,8 @@ func writeHealth(w http.ResponseWriter, code int, status string, s *Server) {
 		}
 	}
 	if cl := s.cfg.Cluster; cl != nil {
-		role := "follower"
-		if cl.IsLeader() {
-			role = "leader"
-		}
-		var lag uint64
-		if commit, applied := cl.LeaderCommit(), cl.AppliedSeq(); commit > applied {
-			lag = commit - applied
-		}
-		body.Cluster = &clusterHealth{
-			Role:             role,
-			Term:             cl.Term(),
-			LeaderAddr:       cl.LeaderAddr(),
-			AppliedSeq:       cl.AppliedSeq(),
-			AckedSeq:         cl.AckedSeq(),
-			AppliedLag:       lag,
-			LeaseRemainingMS: cl.LeaseRemaining().Milliseconds(),
-			Followers:        cl.Followers(),
-			LeaseExpired:     cl.LeaseExpired(),
-			ElectionState:    cl.ElectionState(),
-			Fenced:           cl.Fenced(),
-		}
-		if d := cl.HoldOffDeadline(); !d.IsZero() {
-			if rem := time.Until(d); rem > 0 {
-				body.Cluster.HoldOffRemainingMS = rem.Milliseconds()
-			}
-		}
+		st := cl.Status()
+		body.Cluster = &st
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)

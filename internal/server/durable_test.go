@@ -12,12 +12,8 @@ import (
 	"repro/internal/client"
 	"repro/internal/durable"
 	"repro/internal/failpoint"
-	"repro/internal/repl"
 	"repro/internal/wal"
 )
-
-// repl.Node is the Cluster a replicated server runs with.
-var _ Cluster = (*repl.Node)(nil)
 
 // startDurableServer builds a durable store + server + client on an
 // ephemeral port.

@@ -45,6 +45,7 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/logx"
 	"repro/internal/metrics"
+	"repro/internal/repl"
 	"repro/internal/rtrace"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -72,61 +73,6 @@ type Store interface {
 	NewAccessor() bst.Accessor
 	Scan(from, to int64, yield func(key int64) bool)
 	Health() bst.Health
-}
-
-// Cluster is the replication control plane a server consults when it is
-// part of a WAL-shipping cluster (repl.Node implements it). All methods
-// must be safe for concurrent use. A nil Config.Cluster means standalone
-// serving — every check compiles down to one nil test.
-type Cluster interface {
-	// IsLeader reports whether this node currently takes writes.
-	IsLeader() bool
-	// LeaderAddr is the data address of the cluster's leader as this node
-	// knows it ("" when unknown); carried in StatusNotLeader redirects.
-	LeaderAddr() string
-	// Term is the current promotion term (diagnostics).
-	Term() uint64
-	// AppliedSeq is the newest WAL sequence reflected in this node's tree.
-	AppliedSeq() uint64
-	// AckedSeq is the newest sequence a follower has acknowledged
-	// (leader; 0 on followers).
-	AckedSeq() uint64
-	// WaitApplied blocks until AppliedSeq reaches seq or ctx is done —
-	// the read-your-writes gate behind OpLookupAt.
-	WaitApplied(ctx context.Context, seq uint64) error
-	// WaitReplicated blocks until a follower ack covers seq (semi-sync
-	// leaders; immediate nil otherwise). An error means the write must
-	// not be acknowledged yet — the server answers retryably instead.
-	WaitReplicated(ctx context.Context, seq uint64) error
-	// LeaseExpired reports a follower that has lost contact with its
-	// leader (health/readiness surface).
-	LeaseExpired() bool
-	// LeaseRemaining is how much of the follower's heartbeat lease is
-	// left before it considers the leader lost (0 when expired; a
-	// leader reports its full lease, it never expires on itself).
-	LeaseRemaining() time.Duration
-	// LeaderCommit is the newest WAL sequence this node has heard the
-	// leader commit — on a follower, AppliedSeq lagging this is
-	// replication staleness; on the leader it equals its own last seq.
-	LeaderCommit() uint64
-	// Followers is the number of connected replication subscribers.
-	Followers() int
-	// Fenced reports a node deposed by a newer leader term that has not
-	// re-promoted since: its writes answer StatusFenced.
-	Fenced() bool
-	// NoteFenced counts one request the server refused with StatusFenced,
-	// so the cluster's metrics count them beside its own fence events.
-	NoteFenced()
-	// Promote makes this node the leader of a new term (the /promote
-	// admin endpoint); an error reports why it cannot, with the current
-	// term.
-	Promote() (term uint64, err error)
-	// ElectionState names the failover state machine's position:
-	// "following", "candidate", "holding_off", "promoted" or "leading".
-	ElectionState() string
-	// HoldOffDeadline is when a holding-off candidate stops deferring to
-	// higher-ranked peers (zero when no hold-off is pending).
-	HoldOffDeadline() time.Time
 }
 
 // noteFenced counts one request refused for being fenced, in the server's
@@ -166,11 +112,14 @@ type Config struct {
 	// hook of its own (bstserve folds Tree.Metrics in), or they read 0.
 	// When nil a private registry is created for the admin endpoint.
 	Metrics *metrics.Registry
-	// Cluster, when non-nil, makes the server role-aware: mutations on a
-	// follower answer StatusNotLeader with the leader's address, lookups
-	// can carry read-your-writes sequence floors (OpLookupAt), and write
-	// acknowledgements respect the cluster's semi-sync gate.
-	Cluster Cluster
+	// Cluster, when non-nil, is the replication node this server is a
+	// member of, and makes it role-aware: mutations on a follower answer
+	// StatusNotLeader with the leader's address, lookups can carry
+	// read-your-writes sequence floors (OpLookupAt), write
+	// acknowledgements respect the node's semi-sync gate, and the admin
+	// endpoints serve its Status. Nil means standalone serving: every
+	// check compiles down to one nil test.
+	Cluster *repl.Node
 	// Failpoints wires the FP* sites for fault-injection tests. Leave nil
 	// in production.
 	Failpoints *failpoint.Set

@@ -27,7 +27,7 @@
 //
 //	ReplFrames:
 //	  uint64 term
-//	  uint64 commitSeq       leader's durable sequence number
+//	  uint64 commitSeq       leader's newest assigned sequence number
 //	  uint16 addrLen, addr   leader's advertised data address
 //	  uint32 n               WAL frames that follow (0 = heartbeat)
 //	  bytes  frames          n verbatim on-disk WAL frames
@@ -65,7 +65,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/rtrace"
 )
@@ -93,24 +92,6 @@ var (
 	ErrBadReplFrame = errors.New("wire: malformed replication frame")
 	ErrWrongKind    = errors.New("wire: unexpected frame kind")
 )
-
-// ReplKindName returns a human-readable name for a replication frame kind.
-func ReplKindName(kind uint8) string {
-	switch kind {
-	case ReplSubscribe:
-		return "repl-subscribe"
-	case ReplFrames:
-		return "repl-frames"
-	case ReplAck:
-		return "repl-ack"
-	case ReplSnapshot:
-		return "repl-snapshot"
-	case ReplStatus:
-		return "repl-status"
-	default:
-		return fmt.Sprintf("repl-kind(%d)", kind)
-	}
-}
 
 // ReplKind returns the kind byte of a replication payload (TraceFlag
 // masked out) without decoding the rest, so a receive loop can dispatch.
@@ -197,7 +178,7 @@ func DecodeReplSubscribe(frame []byte) (Subscribe, error) {
 // with wal.DecodeFrame, which validates each frame's own CRC).
 type FrameBatch struct {
 	Term      uint64
-	CommitSeq uint64 // leader's durable sequence number
+	CommitSeq uint64 // leader's newest assigned sequence number
 	Addr      string // leader's advertised data address
 	N         uint32 // WAL frames in Frames; 0 = heartbeat
 	Frames    []byte // verbatim on-disk WAL frames
