@@ -25,7 +25,7 @@ import (
 // would bypass the fault being injected.
 type peerView struct {
 	addr string
-	st   wire.PeerStatus
+	st   wire.Repl // a ReplStatus
 }
 
 // candidate is the election-relevant slice of a node's identity. addr is
@@ -154,15 +154,15 @@ func (n *Node) deferToLeader(views []peerView) bool {
 // retarget the pull loop at the address we dialed, grant a fresh lease so
 // the subscription has time to establish, and sever any stale connection
 // so the redial happens now.
-func (n *Node) followLeaderFrom(addr string, st wire.PeerStatus) {
-	if st.Advertise != "" {
-		n.leaderAddr.Store(st.Advertise)
+func (n *Node) followLeaderFrom(addr string, st wire.Repl) {
+	if st.Addr != "" {
+		n.leaderAddr.Store(st.Addr)
 	}
 	n.leaderRepl.Store(addr)
 	n.lastHeard.Store(n.now().UnixNano())
 	n.electState.Store(stateFollowing)
 	n.holdOffUntil.Store(0)
-	n.log.Info("following discovered leader", "leader", st.Advertise, "repl", addr, "term", st.Term)
+	n.log.Info("following discovered leader", "leader", st.Addr, "repl", addr, "term", st.Term)
 	n.severPull()
 	n.startFollowerLoop()
 }
@@ -198,11 +198,11 @@ func (n *Node) rankAmong(views []peerView) int {
 	seen := map[string]bool{self.addr: true}
 	rank := 0
 	for _, v := range views {
-		if v.st.IsLeader || v.st.Advertise == "" || seen[v.st.Advertise] {
+		if v.st.IsLeader || v.st.Addr == "" || seen[v.st.Addr] {
 			continue
 		}
-		seen[v.st.Advertise] = true
-		if better(candidate{v.st.Priority, v.st.AppliedSeq, v.st.Advertise}, self) {
+		seen[v.st.Addr] = true
+		if better(candidate{v.st.Priority, v.st.Seq, v.st.Addr}, self) {
 			rank++
 		}
 	}
@@ -238,7 +238,7 @@ func (n *Node) probePeers() []peerView {
 	for _, v := range out {
 		if v.st.Term > n.term.Load() {
 			if v.st.IsLeader {
-				n.observeTerm(v.st.Term, v.st.Advertise, v.addr)
+				n.observeTerm(v.st.Term, v.st.Addr, v.addr)
 			} else {
 				n.observeTerm(v.st.Term, "", "")
 			}
@@ -251,8 +251,8 @@ func (n *Node) probePeers() []peerView {
 // status, read the peer's. The send doubles as an announcement — the peer
 // learns our term and role from the same frame — so a freshly promoted
 // leader "announces" by probing.
-func (n *Node) probePeer(addr string) (wire.PeerStatus, error) {
-	var ps wire.PeerStatus
+func (n *Node) probePeer(addr string) (wire.Repl, error) {
+	var ps wire.Repl
 	d := n.probeTimeout()
 	c, err := net.DialTimeout("tcp", addr, d)
 	if err != nil {
@@ -260,18 +260,16 @@ func (n *Node) probePeer(addr string) (wire.PeerStatus, error) {
 	}
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(d))
-	bp := wire.GetBuf()
-	*bp = wire.AppendReplPeerStatus((*bp)[:0], n.localStatus())
-	err = wire.WriteFrame(c, *bp)
-	wire.PutBuf(bp)
-	if err != nil {
+	out := n.localStatus()
+	if err := send(c, &out); err != nil {
 		return ps, err
 	}
 	frame, _, err := wire.ReadFrame(c, nil)
 	if err != nil {
 		return ps, err
 	}
-	return wire.DecodeReplPeerStatus(frame)
+	err = decode(frame, &ps, wire.ReplStatus)
+	return ps, err
 }
 
 // probeTimeout bounds one probe's dial+exchange: half the lease, clamped
@@ -289,14 +287,15 @@ func (n *Node) probeTimeout() time.Duration {
 }
 
 // localStatus is this node's side of a status exchange.
-func (n *Node) localStatus() wire.PeerStatus {
-	return wire.PeerStatus{
-		Term:       n.term.Load(),
-		IsLeader:   n.IsLeader(),
-		Priority:   n.cfg.Priority,
-		AppliedSeq: n.store.LastSeq(),
-		Advertise:  n.cfg.Advertise,
-		ReplAddr:   n.ReplAddr(),
+func (n *Node) localStatus() wire.Repl {
+	return wire.Repl{
+		Kind:     wire.ReplStatus,
+		Term:     n.term.Load(),
+		IsLeader: n.IsLeader(),
+		Priority: n.cfg.Priority,
+		Seq:      n.store.LastSeq(),
+		Addr:     n.cfg.Advertise,
+		ReplAddr: n.ReplAddr(),
 	}
 }
 
@@ -319,7 +318,7 @@ func (n *Node) announce() {
 			}
 			if st.Term > n.term.Load() {
 				if st.IsLeader {
-					n.observeTerm(st.Term, st.Advertise, addr)
+					n.observeTerm(st.Term, st.Addr, addr)
 				} else {
 					n.observeTerm(st.Term, "", "")
 				}

@@ -74,15 +74,8 @@ func (n *Node) pullOnce() error {
 	}()
 
 	bw := bufio.NewWriterSize(c, 4<<10)
-	sub := wire.Subscribe{FromSeq: n.store.LastSeq(), Term: n.term.Load()}
-	bp := wire.GetBuf()
-	*bp = wire.AppendReplSubscribe((*bp)[:0], sub)
-	err = wire.WriteFrame(bw, *bp)
-	wire.PutBuf(bp)
-	if err != nil {
-		return fmt.Errorf("subscribe: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
+	sub := wire.Repl{Kind: wire.ReplSubscribe, Seq: n.store.LastSeq(), Term: n.term.Load()}
+	if err := send(bw, &sub); err != nil {
 		return fmt.Errorf("subscribe: %w", err)
 	}
 
@@ -143,57 +136,51 @@ type applyState struct {
 	// snapKeys accumulates an in-flight snapshot transfer (nil when none).
 	snapKeys   []int64
 	snapWALSeq uint64
+	// msg is the connection's one decoded frame; snapshot chunks decode
+	// into its Keys without allocating.
+	msg wire.Repl
 }
 
 func (st *applyState) handleFrame(frame []byte) error {
-	n := st.n
-	switch k, _ := wire.ReplKind(frame); k {
-	case wire.ReplFrames:
-		fb, err := wire.DecodeReplFrames(frame)
-		if err != nil {
-			return err
-		}
-		if st.snapKeys != nil {
-			return errors.New("repl: WAL frames arrived mid-snapshot transfer")
-		}
-		// Term fencing: frames from a term older than ours come from a
-		// deposed leader (or a relay that has not heard the news). Refuse
-		// the whole stream — the lease must not refresh and nothing may be
-		// applied from a superseded history.
-		if fb.Term < n.term.Load() {
-			n.c.fencedFrames.Add(1)
-			return fmt.Errorf("repl: rejecting frames from stale term %d (ours %d)", fb.Term, n.term.Load())
-		}
-		// Heartbeat-receive failpoint: drop the batch before it refreshes
-		// the lease, as a blackholed link would.
-		if fp := n.cfg.Failpoints; fp != nil && fp.Hit(FPHeartbeatRecv) {
-			return nil
-		}
-		n.lastHeard.Store(n.now().UnixNano())
-		n.leaderCommit.Store(fb.CommitSeq)
-		if fb.Addr != "" {
-			n.leaderAddr.Store(fb.Addr)
-		}
-		n.observeTerm(fb.Term, fb.Addr, "")
-		return st.applyFrames(fb)
-	case wire.ReplSnapshot:
-		sc, err := wire.DecodeReplSnapshot(frame)
-		if err != nil {
-			return err
-		}
-		if fp := n.cfg.Failpoints; fp != nil && fp.Hit(FPHeartbeatRecv) {
-			return nil
-		}
-		return st.applySnapshotChunk(sc)
-	default:
-		return fmt.Errorf("repl: unexpected frame kind %d from leader", k)
+	n, m := st.n, &st.msg
+	if err := decode(frame, m, wire.ReplFrames, wire.ReplSnapshot); err != nil {
+		return err
 	}
+	if m.Kind == wire.ReplSnapshot {
+		if fp := n.cfg.Failpoints; fp != nil && fp.Hit(FPHeartbeatRecv) {
+			return nil
+		}
+		return st.applySnapshotChunk(m)
+	}
+	if st.snapKeys != nil {
+		return errors.New("repl: WAL frames arrived mid-snapshot transfer")
+	}
+	// Term fencing: frames from a term older than ours come from a deposed
+	// leader (or a relay that has not heard the news). Refuse the whole
+	// stream — the lease must not refresh and nothing may be applied from
+	// a superseded history.
+	if m.Term < n.term.Load() {
+		n.c.fencedFrames.Add(1)
+		return fmt.Errorf("repl: rejecting frames from stale term %d (ours %d)", m.Term, n.term.Load())
+	}
+	// Heartbeat-receive failpoint: drop the batch before it refreshes the
+	// lease, as a blackholed link would.
+	if fp := n.cfg.Failpoints; fp != nil && fp.Hit(FPHeartbeatRecv) {
+		return nil
+	}
+	n.lastHeard.Store(n.now().UnixNano())
+	n.leaderCommit.Store(m.Seq)
+	if m.Addr != "" {
+		n.leaderAddr.Store(m.Addr)
+	}
+	n.observeTerm(m.Term, m.Addr, "")
+	return st.applyFrames(m)
 }
 
 // applyFrames applies one ReplFrames batch: decode each verbatim WAL
 // frame, skip what the local log already holds (catch-up overlap is by
 // design — see forwardLive), apply the rest in order.
-func (st *applyState) applyFrames(fb wire.FrameBatch) error {
+func (st *applyState) applyFrames(fb *wire.Repl) error {
 	frames := fb.Frames
 	var applied uint32
 	start := time.Now()
@@ -230,15 +217,15 @@ func (st *applyState) applyFrames(fb wire.FrameBatch) error {
 // final one. Snapshot catch-up requires an empty local store — the
 // durable layer enforces it; a non-empty follower that is too far behind
 // must be wiped by the operator (documented in DESIGN).
-func (st *applyState) applySnapshotChunk(sc wire.SnapshotChunk) error {
+func (st *applyState) applySnapshotChunk(sc *wire.Repl) error {
 	n := st.n
 	n.lastHeard.Store(n.now().UnixNano())
 	if st.snapKeys == nil {
 		st.snapKeys = make([]int64, 0, len(sc.Keys))
-		st.snapWALSeq = sc.WALSeq
+		st.snapWALSeq = sc.Seq
 	}
-	if sc.WALSeq != st.snapWALSeq {
-		return fmt.Errorf("repl: snapshot transfer changed horizon mid-stream (%d -> %d)", st.snapWALSeq, sc.WALSeq)
+	if sc.Seq != st.snapWALSeq {
+		return fmt.Errorf("repl: snapshot transfer changed horizon mid-stream (%d -> %d)", st.snapWALSeq, sc.Seq)
 	}
 	st.snapKeys = append(st.snapKeys, sc.Keys...)
 	if !sc.Final {
@@ -272,19 +259,13 @@ func (st *applyState) sendAck(force bool) error {
 	// The ack carries the highest term we have observed: a deposed leader
 	// still holding this connection sees a newer term than its own and
 	// must fence itself rather than count the ack (see Node.noteAck).
-	ack := wire.Ack{
-		AppliedSeq: st.applied,
+	ack := wire.Repl{
+		Kind:       wire.ReplAck,
+		Seq:        st.applied,
 		DurableSeq: st.n.store.DurableSeq(),
 		Term:       st.n.term.Load(),
 	}
-	bp := wire.GetBuf()
-	*bp = wire.AppendReplAck((*bp)[:0], ack)
-	err := wire.WriteFrame(st.bw, *bp)
-	wire.PutBuf(bp)
-	if err != nil {
-		return err
-	}
-	if err := st.bw.Flush(); err != nil {
+	if err := send(st.bw, &ack); err != nil {
 		return err
 	}
 	st.lastAck = st.applied

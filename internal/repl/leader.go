@@ -82,20 +82,20 @@ func (n *Node) serveSubscriber(c net.Conn) error {
 	}
 	// The first frame's kind splits the connection's purpose: a ReplStatus
 	// is a one-shot status exchange (election probes, new-leader
-	// announcements); anything else must be a Subscribe opening a stream.
-	if k, kerr := wire.ReplKind(frame); kerr == nil && k == wire.ReplStatus {
-		return n.handleStatusExchange(c, frame)
-	}
-	sub, err := wire.DecodeReplSubscribe(frame)
-	if err != nil {
+	// announcements), a Subscribe opens a stream.
+	var hello wire.Repl
+	if err := decode(frame, &hello, wire.ReplSubscribe, wire.ReplStatus); err != nil {
 		return fmt.Errorf("handshake: %w", err)
+	}
+	if hello.Kind == wire.ReplStatus {
+		return n.handleStatusExchange(c, &hello)
 	}
 	c.SetReadDeadline(time.Time{})
 
 	// A subscriber carrying a higher term than ours has spoken to a newer
 	// leader; adopt it — if we were leading that term is fenced now, and
 	// either way our heartbeats must not roll the cluster back.
-	if t := sub.Term; t > n.term.Load() {
+	if t := hello.Term; t > n.term.Load() {
 		n.log.Info("subscriber announces newer term; adopting", "subscriber_term", t)
 		n.observeTerm(t, "", "")
 	}
@@ -104,7 +104,7 @@ func (n *Node) serveSubscriber(c net.Conn) error {
 		conn: c,
 		bw:   bufio.NewWriterSize(c, 64<<10),
 		live: make(chan liveBatch, liveQueueLen),
-		sent: sub.FromSeq,
+		sent: hello.Seq,
 	}
 	n.subMu.Lock()
 	n.subs[s] = struct{}{}
@@ -118,7 +118,10 @@ func (n *Node) serveSubscriber(c net.Conn) error {
 	// Ack reader: cumulative ReplAcks arrive on the same connection.
 	ackErr := make(chan error, 1)
 	go func() {
-		var scratch []byte
+		var (
+			scratch []byte
+			ack     wire.Repl
+		)
 		for {
 			frame, newScratch, rerr := wire.ReadFrame(c, scratch)
 			if rerr != nil {
@@ -126,12 +129,11 @@ func (n *Node) serveSubscriber(c net.Conn) error {
 				return
 			}
 			scratch = newScratch
-			ack, derr := wire.DecodeReplAck(frame)
-			if derr != nil {
+			if derr := decode(frame, &ack, wire.ReplAck); derr != nil {
 				ackErr <- derr
 				return
 			}
-			n.noteAck(ack.AppliedSeq, ack.Term)
+			n.noteAck(ack.Seq, ack.Term)
 		}
 	}()
 
@@ -192,28 +194,20 @@ func (n *Node) serveSubscriber(c net.Conn) error {
 }
 
 // handleStatusExchange answers one symmetric status probe on the
-// replication listener: the caller has already sent its own PeerStatus as
-// the first frame; record any news it carries — a self-declared leader
+// replication listener: the caller has already sent its own status as the
+// first frame (ps); record any news it carries — a self-declared leader
 // with a newer term retargets (and fences) us, a bare higher term at
 // least fences — then reply with our own status and close. Election
 // probes and new-leader announcements are the same exchange.
-func (n *Node) handleStatusExchange(c net.Conn, frame []byte) error {
-	ps, err := wire.DecodeReplPeerStatus(frame)
-	if err != nil {
-		return fmt.Errorf("status exchange: %w", err)
-	}
+func (n *Node) handleStatusExchange(c net.Conn, ps *wire.Repl) error {
 	if ps.IsLeader {
-		n.observeTerm(ps.Term, ps.Advertise, ps.ReplAddr)
+		n.observeTerm(ps.Term, ps.Addr, ps.ReplAddr)
 	} else if ps.Term > n.term.Load() {
 		n.observeTerm(ps.Term, "", "")
 	}
 	out := n.localStatus()
-	bp := wire.GetBuf()
-	*bp = wire.AppendReplPeerStatus((*bp)[:0], out)
 	c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	err = wire.WriteFrame(c, *bp)
-	wire.PutBuf(bp)
-	return err
+	return send(c, &out)
 }
 
 // forwardLive relays one tap batch. Batches arrive in flush order, so a
@@ -243,26 +237,20 @@ func (n *Node) forwardLive(s *subscriber, b liveBatch) error {
 // the originating request's trace; the recorder consumes the entry, so
 // with multiple subscribers exactly one stream carries the stamp.
 func (n *Node) sendBatch(s *subscriber, frames []byte, nrec uint32, first, last uint64) error {
-	fb := wire.FrameBatch{
-		Term:      n.term.Load(),
-		CommitSeq: n.store.LastSeq(),
-		Addr:      n.LeaderAddr(),
-		N:         nrec,
-		Frames:    frames,
+	m := wire.Repl{
+		Kind:   wire.ReplFrames,
+		Term:   n.term.Load(),
+		Seq:    n.store.LastSeq(),
+		Addr:   n.LeaderAddr(),
+		N:      nrec,
+		Frames: frames,
 	}
 	if nrec > 0 && last > 0 {
 		if tc, seq, ok := n.cfg.Trace.SampledSeqInRange(first, last); ok {
-			fb.Trace, fb.TraceSeq = tc, seq
+			m.Trace, m.TraceSeq = tc, seq
 		}
 	}
-	bp := wire.GetBuf()
-	*bp = wire.AppendReplFrames((*bp)[:0], fb)
-	err := wire.WriteFrame(s.bw, *bp)
-	wire.PutBuf(bp)
-	if err != nil {
-		return err
-	}
-	if err := s.bw.Flush(); err != nil {
+	if err := send(s.bw, &m); err != nil {
 		return err
 	}
 	if nrec > 0 {
@@ -382,24 +370,20 @@ func (n *Node) shipSnapshot(s *subscriber) error {
 	release := snapshot.Pin(e.Path)
 	defer release()
 
-	chunk := make([]int64, 0, wire.MaxSnapshotChunk)
-	send := func(final bool) error {
-		sc := wire.SnapshotChunk{WALSeq: e.WALSeq, Final: final, Keys: chunk}
-		bp := wire.GetBuf()
-		*bp = wire.AppendReplSnapshot((*bp)[:0], sc)
-		werr := wire.WriteFrame(s.bw, *bp)
-		wire.PutBuf(bp)
-		if werr != nil {
-			return werr
+	chunk := wire.Repl{Kind: wire.ReplSnapshot, Seq: e.WALSeq, Keys: make([]int64, 0, wire.MaxSnapshotChunk)}
+	ship := func(final bool) error {
+		chunk.Final = final
+		if err := send(s.bw, &chunk); err != nil {
+			return err
 		}
-		n.c.snapshotKeysShipped.Add(uint64(len(chunk)))
-		chunk = chunk[:0]
+		n.c.snapshotKeysShipped.Add(uint64(len(chunk.Keys)))
+		chunk.Keys = chunk.Keys[:0]
 		return nil
 	}
 	_, _, err = snapshot.Load(e.Path, wire.MaxSnapshotChunk, func(keys []int64) error {
-		chunk = append(chunk, keys...)
-		if len(chunk) >= wire.MaxSnapshotChunk {
-			return send(false)
+		chunk.Keys = append(chunk.Keys, keys...)
+		if len(chunk.Keys) >= wire.MaxSnapshotChunk {
+			return ship(false)
 		}
 		return nil
 	})
@@ -408,10 +392,7 @@ func (n *Node) shipSnapshot(s *subscriber) error {
 	}
 	// Final chunk (possibly empty — an empty snapshot still moves the
 	// follower's log position to the snapshot horizon).
-	if err := send(true); err != nil {
-		return err
-	}
-	if err := s.bw.Flush(); err != nil {
+	if err := ship(true); err != nil {
 		return err
 	}
 	s.sent = e.WALSeq

@@ -60,11 +60,14 @@
 package repl
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,6 +77,7 @@ import (
 	"repro/internal/logx"
 	"repro/internal/metrics"
 	"repro/internal/rtrace"
+	"repro/internal/wire"
 )
 
 // Role is a node's current replication role.
@@ -124,7 +128,8 @@ type Config struct {
 	// Store is the node's durable tree (the same one the server fronts).
 	Store *durable.Tree
 	// Advertise is the data-plane address clients should be redirected to
-	// when this node is (or becomes) leader.
+	// when this node is (or becomes) leader. It rides replication frames,
+	// so it may be at most wire.MaxReplAddr bytes.
 	Advertise string
 	// ListenRepl is the replication listener address. Required for a
 	// leader; optional for a follower (serving it lets the follower feed
@@ -274,7 +279,6 @@ type counters struct {
 	fenceEvents         atomic.Uint64
 	fencedFrames        atomic.Uint64
 	staleAcks           atomic.Uint64
-	fencedRequests      atomic.Uint64
 }
 
 // Start creates a node, starts its replication listener (when configured)
@@ -285,6 +289,9 @@ func Start(cfg Config) (*Node, error) {
 	}
 	if cfg.Advertise == "" {
 		return nil, errors.New("repl: Config.Advertise is required")
+	}
+	if len(cfg.Advertise) > wire.MaxReplAddr {
+		return nil, fmt.Errorf("repl: Config.Advertise is %d bytes, over the %d a replication frame carries", len(cfg.Advertise), wire.MaxReplAddr)
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 200 * time.Millisecond
@@ -493,11 +500,6 @@ func (n *Node) leaseExpired() bool {
 // here get StatusFenced (with the new leader's address once known) rather
 // than a plain not-leader, so they know to drop their cached leader.
 func (n *Node) Fenced() bool { return n.fenced.Load() }
-
-// NoteFenced counts one client write refused with StatusFenced; the
-// server calls it so the repl_fenced_requests_total series lands beside
-// the other replication counters.
-func (n *Node) NoteFenced() { n.c.fencedRequests.Add(1) }
 
 // ReplAddr returns the bound replication listener address ("" when the
 // node has no listener). Useful with ListenRepl ":0".
@@ -841,7 +843,31 @@ func (n *Node) MetricsHook(s *metrics.Snapshot) {
 	s.External["repl_fence_events_total"] += c.fenceEvents.Load()
 	s.External["repl_fenced_frames_total"] += c.fencedFrames.Load()
 	s.External["repl_stale_acks_total"] += c.staleAcks.Load()
-	s.External["repl_fenced_requests_total"] += c.fencedRequests.Load()
+}
+
+// send writes m as one frame to w, flushing w when it is buffered, so
+// every replication frame leaves whole and at once.
+func send(w io.Writer, m *wire.Repl) error {
+	bp := wire.GetBuf()
+	*bp = wire.AppendRepl((*bp)[:0], m)
+	err := wire.WriteFrame(w, *bp)
+	wire.PutBuf(bp)
+	if bw, ok := w.(*bufio.Writer); ok && err == nil {
+		err = bw.Flush()
+	}
+	return err
+}
+
+// decode decodes one received frame into m and refuses every kind but
+// the ones its receive site takes.
+func decode(frame []byte, m *wire.Repl, kinds ...uint8) error {
+	if err := wire.DecodeRepl(frame, m); err != nil {
+		return err
+	}
+	if !slices.Contains(kinds, m.Kind) {
+		return fmt.Errorf("repl: unexpected frame kind %d", m.Kind)
+	}
+	return nil
 }
 
 func boolGauge(b bool) float64 {

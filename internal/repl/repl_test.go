@@ -364,8 +364,8 @@ func TestMetricsHookSeries(t *testing.T) {
 		"repl_ack_timeouts_total", "repl_acks_received_total",
 		"repl_acks_sent_total", "repl_batches_sent_total",
 		"repl_elections_total", "repl_fence_events_total",
-		"repl_fenced_frames_total", "repl_fenced_requests_total",
-		"repl_heartbeats_sent_total", "repl_promotions_total",
+		"repl_fenced_frames_total", "repl_heartbeats_sent_total",
+		"repl_promotions_total",
 		"repl_reconnects_total", "repl_records_applied_total",
 		"repl_records_sent_total", "repl_resyncs_total",
 		"repl_snapshot_keys_shipped_total", "repl_snapshot_loads_total",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/repl"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // replServer is one member of a replicated pair: a durable store, its
@@ -221,7 +223,6 @@ var replicatedSeries = []string{
 	"bst_repl_fence_events_total counter",
 	"bst_repl_fenced gauge",
 	"bst_repl_fenced_frames_total counter",
-	"bst_repl_fenced_requests_total counter",
 	"bst_repl_followers_connected gauge",
 	"bst_repl_heartbeats_sent_total counter",
 	"bst_repl_holdoff_remaining_seconds gauge",
@@ -297,5 +298,48 @@ func TestReplicatedServedSeriesGolden(t *testing.T) {
 		if !slices.Equal(got, replicatedSeries) {
 			t.Errorf("%s serves\n%s\nwant\n%s", name, strings.Join(got, "\n"), strings.Join(replicatedSeries, "\n"))
 		}
+	}
+}
+
+// TestFencedWriteCountedOnce: a clustered leader deposed by a newer term
+// refuses a write with StatusFenced and counts it once, in
+// Counters().Fenced and its series bst_server_fenced_total; the
+// replication layer keeps no second count.
+func TestFencedWriteCountedOnce(t *testing.T) {
+	r := startReplServer(t, "")
+	// A status exchange from a self-declared leader of term 5 deposes the
+	// node, which fences its store.
+	c, err := net.DialTimeout("tcp", r.node.ReplAddr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	hello := wire.AppendRepl(nil, &wire.Repl{Kind: wire.ReplStatus, Term: 5, IsLeader: true, Addr: "new-leader:1"})
+	if err := wire.WriteFrame(c, hello); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wire.ReadFrame(c, nil); err != nil {
+		t.Fatalf("status exchange: %v", err)
+	}
+	if st := r.node.Status(); !st.Fenced || st.Term != 5 {
+		t.Fatalf("after a term-5 leader's status: fenced %v, term %d", st.Fenced, st.Term)
+	}
+
+	cl, err := client.Dial(client.Config{Addr: r.addr, Seed: 1, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	before := r.srv.Counters().Fenced
+	if _, err := cl.Insert(context.Background(), 7); !errors.Is(err, client.ErrFenced) {
+		t.Fatalf("Insert on a fenced leader: %v, want ErrFenced", err)
+	}
+	if got := r.srv.Counters().Fenced - before; got != 1 {
+		t.Fatalf("Counters().Fenced rose by %d, want 1", got)
+	}
+	_, body := r.get(t, "/metrics")
+	if !strings.Contains(body, "\nbst_server_fenced_total{tree=\"serve\"} 1\n") || strings.Contains(body, "fenced_requests") {
+		t.Fatalf("/metrics fenced series:\n%s", body)
 	}
 }

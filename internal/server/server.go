@@ -75,16 +75,6 @@ type Store interface {
 	Health() bst.Health
 }
 
-// noteFenced counts one request refused for being fenced, in the server's
-// own counters and the cluster's. A fenced standalone durable store
-// reaches it too (through statusOf), with no cluster to tell.
-func (s *Server) noteFenced() {
-	s.stats.fenced.Add(1)
-	if cl := s.cfg.Cluster; cl != nil {
-		cl.NoteFenced()
-	}
-}
-
 // Config tunes a Server. Store is required; everything else has serving
 // defaults.
 type Config struct {
@@ -503,7 +493,7 @@ func (s *Server) handleConn(c net.Conn) {
 				st, leader := wire.StatusOverloaded, ""
 				if errors.Is(err, durable.ErrFenced) {
 					st, leader = wire.StatusFenced, cl.LeaderAddr()
-					s.noteFenced()
+					s.stats.fenced.Add(1)
 				} else {
 					s.stats.replDegraded.Add(1)
 				}
@@ -630,7 +620,7 @@ func (s *Server) serve(x *call, decodeErr error, tr *rtrace.Conn) (poisoned bool
 	// address to both.
 	if cl := s.cfg.Cluster; cl != nil && x.mutates && !cl.IsLeader() {
 		if cl.Fenced() {
-			s.noteFenced()
+			s.stats.fenced.Add(1)
 			x.resp.Status = wire.StatusFenced
 		} else {
 			s.stats.notLeader.Add(1)
@@ -716,7 +706,7 @@ func (s *Server) statusOf(err error) wire.Status {
 	case errors.Is(err, durable.ErrFenced):
 		// Fenced between the role gate and the apply: the store's own gate
 		// caught it. Redirect like the role gate does.
-		s.noteFenced()
+		s.stats.fenced.Add(1)
 		return wire.StatusFenced
 	case errors.Is(err, bst.ErrKeyOutOfRange), errors.Is(err, bst.ErrSelectOutOfRange):
 		s.stats.outOfRange.Add(1)

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,8 +77,35 @@ var goldenResponses = []struct {
 	{"batch-redirect", OpBatch, Response{ID: 54, Status: StatusNotLeader, Leader: "h:1"}, "000000000000003608000003683a31"},
 }
 
+// goldenRepl pins every replication frame shape to the bytes the per-kind
+// encoders wrote before the replication codec was merged into AppendRepl
+// (AppendReplSubscribe, AppendReplFrames, AppendReplAck,
+// AppendReplPeerStatus and AppendReplSnapshot); the hex was captured from
+// them, so the merged codec must change no byte.
+var goldenRepl = []struct {
+	name string
+	m    Repl
+	hex  string
+}{
+	{"subscribe", Repl{Kind: ReplSubscribe, Seq: 1 << 40, Term: 7}, "0600000100000000000000000000000007"},
+	{"subscribe/traced", Repl{Kind: ReplSubscribe, Seq: 5, Term: 2, Trace: goldenTrace, TraceSeq: 5}, "8601020304050607080a0b0c0d01000000000000000000000500000000000000050000000000000002"},
+	{"frames/heartbeat", Repl{Kind: ReplFrames, Term: 4, Seq: 99, Addr: "10.0.0.1:9200"}, "0700000000000000040000000000000063000d31302e302e302e313a3932303000000000"},
+	{"frames/batch", Repl{Kind: ReplFrames, Term: 3, Seq: 120, Addr: "h:1", N: 2, Frames: goldenWAL}, "07000000000000000300000000000000780003683a31000000020102030405060708090a0b0c0d0e0f10"},
+	{"frames/traced", Repl{Kind: ReplFrames, Term: 3, Seq: 121, Addr: "h:1", N: 1, Frames: goldenWAL[:8], Trace: goldenTrace, TraceSeq: 121}, "8701020304050607080a0b0c0d010000000000000000000079000000000000000300000000000000790003683a31000000010102030405060708"},
+	{"ack", Repl{Kind: ReplAck, Seq: 123, DurableSeq: 120, Term: 3}, "08000000000000007b00000000000000780000000000000003"},
+	{"ack/traced", Repl{Kind: ReplAck, Seq: 12, DurableSeq: 11, Term: 2, Trace: goldenTrace, TraceSeq: 12}, "8801020304050607080a0b0c0d01000000000000000000000c000000000000000c000000000000000b0000000000000002"},
+	{"status/leader", Repl{Kind: ReplStatus, Term: 3, IsLeader: true, Priority: 10, Seq: 500, Addr: "10.0.0.1:4000", ReplAddr: "10.0.0.1:4001"}, "0b0000000000000003010000000a00000000000001f4000d31302e302e302e313a34303030000d31302e302e302e313a34303031"},
+	{"status/follower", Repl{Kind: ReplStatus, Term: 2, Priority: -1, Seq: 77, Addr: "h:1", ReplAddr: "h:2"}, "0b000000000000000200ffffffff000000000000004d0003683a310003683a32"},
+	{"snapshot/final", Repl{Kind: ReplSnapshot, Seq: 55, Final: true, Keys: []int64{-9, -1, 0, 3, 1 << 50}}, "0900000000000000370100000005fffffffffffffff7ffffffffffffffff000000000000000000000000000000030004000000000000"},
+	{"snapshot/empty", Repl{Kind: ReplSnapshot, Seq: 56}, "0900000000000000380000000000"},
+}
+
+// goldenWAL stands in for verbatim WAL frame bytes.
+var goldenWAL = []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+
 // TestGoldenFrames: the encoders reproduce every pinned frame byte for
-// byte (TestRequestRoundTrip and TestResponseRoundTrip decode them back).
+// byte (TestRequestRoundTrip, TestResponseRoundTrip and
+// TestGoldenReplDecodes decode them back).
 func TestGoldenFrames(t *testing.T) {
 	for _, g := range goldenRequests {
 		if got := hex.EncodeToString(AppendRequest(nil, &g.q)); got != g.hex {
@@ -86,6 +115,11 @@ func TestGoldenFrames(t *testing.T) {
 	for _, g := range goldenResponses {
 		if got := hex.EncodeToString(AppendResponse(nil, g.op, &g.p)); got != g.hex {
 			t.Errorf("%s response:\n got %s\nwant %s", g.name, got, g.hex)
+		}
+	}
+	for _, g := range goldenRepl {
+		if got := hex.EncodeToString(AppendRepl(nil, &g.m)); got != g.hex {
+			t.Errorf("%s replication frame:\n got %s\nwant %s", g.name, got, g.hex)
 		}
 	}
 }
@@ -190,6 +224,91 @@ func TestSeedsDecodeAsBefore(t *testing.T) {
 			if got != want {
 				t.Errorf("%s as a %s reply:\n got %s\nwant %s", name, OpName(op), got, want)
 			}
+		}
+	}
+}
+
+// replSeedVerdicts records, for every checked-in seed of the five
+// FuzzDecodeRepl<Kind> targets, what that kind's own decoder made of it
+// before the replication codec was merged: the decoded fields, or the
+// class of the rejection. Two seeds were rejected there only for their
+// kind byte, which DecodeRepl leaves to its caller: FuzzDecodeReplAck's
+// seed-03 is a whole Subscribe (the ack reader refuses it by kind), and
+// FuzzDecodeReplSubscribe's seed-03 is an Ack cut short of its term, which
+// the Ack decoder rejected as truncated.
+var replSeedVerdicts = map[string]string{
+	"FuzzDecodeReplAck/seed-00":             "reject truncated",
+	"FuzzDecodeReplAck/seed-01":             "reject truncated",
+	"FuzzDecodeReplAck/seed-02":             "reject truncated",
+	"FuzzDecodeReplAck/seed-03":             `kind=6 term=2 seq=1 durable=0 addr="" repl="" leader=false prio=0 n=0 frames= final=false keys=[] trace=0/0/0/0`,
+	"FuzzDecodeReplAck/seed-term-00":        `kind=8 term=7 seq=50 durable=50 addr="" repl="" leader=false prio=0 n=0 frames= final=false keys=[] trace=0/0/0/0`,
+	"FuzzDecodeReplAck/seed-term-01-legacy": "reject truncated",
+	"FuzzDecodeReplFrames/seed-00":          `kind=7 term=1 seq=9 durable=0 addr="127.0.0.1:9000" repl="" leader=false prio=0 n=0 frames= final=false keys=[] trace=0/0/0/0`,
+	"FuzzDecodeReplFrames/seed-01":          `kind=7 term=2 seq=10 durable=0 addr="h:1" repl="" leader=false prio=0 n=1 frames=00000000000000000000000000000000000000000000000000 final=false keys=[] trace=0/0/0/0`,
+	"FuzzDecodeReplFrames/seed-02":          "reject truncated",
+	"FuzzDecodeReplFrames/seed-03":          "reject bad",
+	"FuzzDecodeReplFrames/seed-traced-00":   `kind=7 term=3 seq=11 durable=0 addr="127.0.0.1:9001" repl="" leader=false prio=0 n=1 frames=00000000000000000000000000000000000000000000000000 final=false keys=[] trace=feedbeefcafe/7/1/11`,
+	"FuzzDecodeReplSnapshot/seed-00":        `kind=9 term=0 seq=5 durable=0 addr="" repl="" leader=false prio=0 n=0 frames= final=false keys=[-3 1 9] trace=0/0/0/0`,
+	"FuzzDecodeReplSnapshot/seed-01":        `kind=9 term=0 seq=5 durable=0 addr="" repl="" leader=false prio=0 n=0 frames= final=true keys=[] trace=0/0/0/0`,
+	"FuzzDecodeReplSnapshot/seed-02":        "reject bad",
+	"FuzzDecodeReplSnapshot/seed-03":        "reject bad",
+	"FuzzDecodeReplStatus/seed-00":          `kind=11 term=3 seq=500 durable=0 addr="10.0.0.1:4000" repl="10.0.0.1:4001" leader=true prio=10 n=0 frames= final=false keys=[] trace=0/0/0/0`,
+	"FuzzDecodeReplStatus/seed-01":          `kind=11 term=0 seq=0 durable=0 addr="h:1" repl="h:2" leader=false prio=-1 n=0 frames= final=false keys=[] trace=0/0/0/0`,
+	"FuzzDecodeReplStatus/seed-02":          `kind=11 term=2 seq=0 durable=0 addr="" repl="" leader=false prio=0 n=0 frames= final=false keys=[] trace=0/0/0/0`,
+	"FuzzDecodeReplStatus/seed-03":          "reject truncated",
+	"FuzzDecodeReplSubscribe/seed-00":       `kind=6 term=3 seq=42 durable=0 addr="" repl="" leader=false prio=0 n=0 frames= final=false keys=[] trace=0/0/0/0`,
+	"FuzzDecodeReplSubscribe/seed-01":       `kind=6 term=0 seq=0 durable=0 addr="" repl="" leader=false prio=0 n=0 frames= final=false keys=[] trace=0/0/0/0`,
+	"FuzzDecodeReplSubscribe/seed-02":       "reject truncated",
+	"FuzzDecodeReplSubscribe/seed-03":       "reject truncated",
+}
+
+// TestReplSeedsDecodeAsBefore: DecodeRepl accepts and rejects every
+// replication seed as the per-kind decoders did, and decodes the accepted
+// ones to the same kind and fields.
+func TestReplSeedsDecodeAsBefore(t *testing.T) {
+	paths, _ := filepath.Glob("testdata/fuzz/FuzzDecodeRepl*/*")
+	if len(paths) != len(replSeedVerdicts) {
+		t.Fatalf("%d seed files, %d verdicts", len(paths), len(replSeedVerdicts))
+	}
+	for _, path := range paths {
+		name := strings.TrimPrefix(filepath.ToSlash(path), "testdata/fuzz/")
+		want, ok := replSeedVerdicts[name]
+		if !ok {
+			t.Errorf("%s: no verdict", name)
+			continue
+		}
+		var m Repl
+		var got string
+		switch err := DecodeRepl(readSeed(t, path), &m); {
+		case err == nil:
+			got = fmt.Sprintf("kind=%d term=%d seq=%d durable=%d addr=%q repl=%q leader=%t prio=%d n=%d frames=%x final=%t keys=%v trace=%x/%x/%x/%d",
+				m.Kind, m.Term, m.Seq, m.DurableSeq, m.Addr, m.ReplAddr, m.IsLeader, m.Priority, m.N, m.Frames,
+				m.Final, m.Keys, m.Trace.TraceID, m.Trace.SpanID, m.Trace.Flags, m.TraceSeq)
+		case errors.Is(err, ErrTruncated):
+			got = "reject truncated"
+		case errors.Is(err, ErrBadReplFrame):
+			got = "reject bad"
+		default:
+			got = "reject " + err.Error()
+		}
+		if got != want {
+			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}
+
+// TestGoldenReplDecodes: every pinned replication frame decodes back to
+// the record it was encoded from.
+func TestGoldenReplDecodes(t *testing.T) {
+	for _, g := range goldenRepl {
+		b, _ := hex.DecodeString(g.hex)
+		var m Repl
+		err := DecodeRepl(b, &m)
+		if len(m.Frames) == 0 {
+			m.Frames = nil // a heartbeat's Frames decodes empty, not nil
+		}
+		if err != nil || !reflect.DeepEqual(m, g.m) {
+			t.Errorf("%s: decoded %+v, %v; want %+v", g.name, m, err, g.m)
 		}
 	}
 }

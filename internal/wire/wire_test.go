@@ -40,18 +40,18 @@ func TestTraceExtensionRoundTrip(t *testing.T) {
 
 	// Replication kinds: context plus covered WAL seq after the kind byte.
 	tc := rtrace.Context{TraceID: 0x1122334455667788, SpanID: 0x99aabbcc, Flags: rtrace.FlagSampled}
-	fb := FrameBatch{Term: 3, CommitSeq: 20, Addr: "h:1", N: 1,
-		Frames: make([]byte, 25), Trace: tc, TraceSeq: 19}
-	fb2, err := DecodeReplFrames(AppendReplFrames(nil, fb))
-	if err != nil || fb2.Trace != tc || fb2.TraceSeq != 19 || fb2.Term != 3 || fb2.Addr != "h:1" {
-		t.Fatalf("traced ReplFrames round trip: %+v, %v", fb2, err)
-	}
-	if k, err := ReplKind(AppendReplFrames(nil, fb)); err != nil || k != ReplFrames {
-		t.Fatalf("ReplKind of traced frame = %d, %v; want ReplFrames", k, err)
-	}
-	a := Ack{AppliedSeq: 20, DurableSeq: 20, Trace: tc, TraceSeq: 19}
-	if a2, err := DecodeReplAck(AppendReplAck(nil, a)); err != nil || a2 != a {
-		t.Fatalf("traced ReplAck round trip: %+v, %v", a2, err)
+	for _, m := range []Repl{
+		{Kind: ReplFrames, Term: 3, Seq: 20, Addr: "h:1", N: 1, Frames: make([]byte, 25), Trace: tc, TraceSeq: 19},
+		{Kind: ReplAck, Seq: 20, DurableSeq: 20, Trace: tc, TraceSeq: 19},
+	} {
+		payload := AppendRepl(nil, &m)
+		if payload[0] != m.Kind|TraceFlag {
+			t.Fatalf("traced kind %d: kind byte %#x, want TraceFlag set", m.Kind, payload[0])
+		}
+		var m2 Repl
+		if err := DecodeRepl(payload, &m2); err != nil || !reflect.DeepEqual(m2, m) {
+			t.Fatalf("traced kind %d round trip: %+v, %v", m.Kind, m2, err)
+		}
 	}
 }
 
